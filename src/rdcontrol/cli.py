@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``solve``  — run the dual solver on a scenario file, write the iteration
-  trace as CSV.  Exit 0 on convergence, 2 on non-convergence, 1 on input
+  trace as CSV.  Exit 0 on convergence, 2 on non-convergence (including a
+  run with no finite incumbent, printed as ``recovered: none``), 1 on input
   error.
 * ``verify`` — solve and cross-check against the grid-search oracle.
 * ``fig1``   — sweep the closed-form compression rule over a grid of
@@ -73,6 +74,9 @@ def _print_summary(report: SolveReport) -> None:
     print(f"best_dual: {fmt(report.best_dual)}")
     print(f"relative_gap: {fmt(report.gap)}")
     rec = report.recovered
+    if rec is None:  # no repaired point had a finite objective
+        print("recovered: none")
+        return
     for name, vec in (("alpha", rec.alpha), ("beta", rec.beta), ("c", rec.c), ("r", rec.r)):
         print(f"{name}: [{', '.join(fmt(v) for v in vec)}]")
 

@@ -24,6 +24,7 @@ from .regions import GaussianMacRegion, capacity_C
 from .sources import BinarySource, binary_entropy, inverse_binary_entropy
 
 _FEAS_TOL = 1e-9
+_ROUND_TOL = 1e-13
 _TIE_TOL = 1e-12
 _MEMBERSHIP_TOL = 1e-12
 
@@ -134,9 +135,13 @@ def lp_oracle(scn: MacScenario) -> tuple[float, float, float]:
     Intersects every nonparallel pair of the seven constraint lines (two
     individual bounds, the sum bound, and the four box edges), filters the
     feasible intersections, and returns the objective minimizer, breaking
-    ties toward the lexicographically smallest (x1, x2).
+    ties toward the lexicographically smallest (x1, x2).  The feasibility
+    filter allows rounding error only: with the looser ``_FEAS_TOL`` a
+    vertex just outside a near-degenerate constraint could beat the true
+    optimum by up to (w1 + w2) * _FEAS_TOL.
     """
     h1, h2, C1, C2, C12, s1, s2, w1, w2 = _lp_data(scn)
+    tol = _ROUND_TOL * (1.0 + s1 + s2 + C12)
     S = h1 + h2 - C12
     vertical = [h1 - C1, 0.0, s1]  # lines x1 = const
     horizontal = [h2 - C2, 0.0, s2]  # lines x2 = const
@@ -146,7 +151,7 @@ def lp_oracle(scn: MacScenario) -> tuple[float, float, float]:
 
     best = None
     for x1, x2 in candidates:
-        if not _lp_feasible(x1, x2, h1, h2, C1, C2, C12, s1, s2):
+        if not _lp_feasible(x1, x2, h1, h2, C1, C2, C12, s1, s2, tol):
             continue
         obj = w1 * x1 + w2 * x2
         if (

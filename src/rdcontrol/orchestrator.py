@@ -10,17 +10,23 @@ is relaxed with prices mu (rate-distortion constraint) and lambda
 (capacity constraint).  Each iteration solves the three per-layer
 subproblems at the current prices (Jacobi style: all three see the same
 pre-update duals), then takes a projected subgradient step on (mu, lambda).
+The subproblems carry the :class:`SolverCaps` box, so every dual value
+bounds the *capped* problem from above.
 
-A feasible primal point is recovered by ergodic averaging of the
-subproblem iterates followed by a two-step repair: clip c to the
-scheduled rate, then recompute alpha by the closed-form compression rule
-(which restores alpha + beta = c exactly).  The average window restarts
-at power-of-two iteration counts, so at any time it spans at least the
-most recent half of the run; a from-start average would carry the early
-transient at O(1/t) and stall well above the gap tolerance.  The trace
-records, per iteration, the raw subproblem primal, the dual objective at
-the current prices, the best feasible objective seen so far and the
-worst constraint violation of the raw window average.
+A primal point is recovered by ergodic averaging of the subproblem
+iterates followed by a two-step repair: clip c to the scheduled rate, then
+recompute (alpha, beta) by the closed-form compression rule clipped to
+``alpha_max``.  The repaired point is feasible for the capped problem by
+construction (c <= r with r a convex mix of region points, alpha + beta =
+min(c, alpha_max) <= c, alpha <= alpha_max), so by weak duality the
+relative gap between the best dual value and the best repaired objective
+is a complete optimality certificate, and it is the only stopping test.
+The average window restarts at power-of-two iteration counts, so at any
+time it spans at least the most recent half of the run; a from-start
+average would carry the early transient at O(1/t) and stall well above
+the gap tolerance.  The trace records, per iteration, the raw subproblem
+primal, the dual objective at the current prices, the best repaired
+objective seen so far and the coupling residual of the raw window average.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .layers import (
     UtilityU,
     UtilityV,
     Zero,
-    compression_given_rate,
     compression_subproblem,
     congestion_subproblem,
 )
@@ -100,7 +105,6 @@ class Scenario:
     caps: SolverCaps = SolverCaps()
     step: StepRule = Diminishing(1.0)
     max_iters: int = 50_000
-    tol_feas: float = 1e-6
     tol_gap: float = 1e-3
     dual_init: float = 1.0
 
@@ -167,7 +171,14 @@ class PrimalAllocation:
 
 @dataclass(eq=False)
 class Trace:
-    """Column-major per-iteration history of a solve."""
+    """Column-major per-iteration history of a solve.
+
+    ``max_violation`` is the O(n) coupling residual of the raw window
+    average, max(0, alpha+beta-c, c-r, -(alpha+beta), -alpha, beta).  It
+    is a diagnostic only: the region constraint is not evaluated, and the
+    stopping test does not read it (the solver never returns the raw
+    average; see :func:`primal_violation` for the full check).
+    """
 
     t: np.ndarray
     mu: np.ndarray
@@ -189,13 +200,18 @@ class SolveReport:
     """Outcome of :func:`solve`.
 
     ``recovered`` is the incumbent: the repaired window average with the
-    best objective seen anywhere in the run (always feasible).  ``gap``
-    is the relative distance between the best dual value and that
-    objective, the quantity the stopping rule watches.
+    best finite objective seen anywhere in the run.  It is feasible for
+    the capped problem the duals bound, so ``gap``, the relative distance
+    ``(best_dual - recovered_objective) / (1 + |recovered_objective|)``,
+    is >= 0 up to rounding.  ``converged`` means ``gap < tol_gap``.  When
+    no repaired point had a finite objective (e.g. a ``LogRate`` source
+    on a zero-capacity link), ``recovered`` is None,
+    ``recovered_objective`` is -inf, ``gap`` is inf and ``converged`` is
+    False.
     """
 
     trace: Trace
-    recovered: PrimalAllocation
+    recovered: PrimalAllocation | None
     recovered_objective: float
     best_dual: float
     gap: float
@@ -269,17 +285,21 @@ def primal_violation(primal: PrimalAllocation, scn: Scenario) -> float:
 
 
 def _repair(avg: PrimalAllocation, scn: Scenario) -> PrimalAllocation:
-    """Make the averaged point feasible: clip c to r, re-derive (alpha, beta)."""
+    """Make the averaged point feasible for the capped problem: clip c to r,
+    then re-derive (alpha, beta) by the compression rule under alpha_max."""
+    K = np.fromiter((spec.V.K for spec in scn.sources), float, scn.n)
+    alpha_max = scn.caps.alpha_max
     c = np.minimum(avg.c, avg.r)
-    alpha = np.empty(scn.n)
-    for i, spec in enumerate(scn.sources):
-        K = spec.V.K
-        if c[i] > 0:
-            alpha[i] = compression_given_rate(K, float(c[i]))
-        else:  # zero rate: the rule's c -> 0+ limit
-            c[i] = 0.0
-            alpha[i] = 1.0 / K
-    return PrimalAllocation(alpha, c - alpha, c, avg.r.copy())
+    alpha = np.minimum(np.maximum(1.0 / K, c), alpha_max)
+    beta = np.minimum(c, alpha_max) - alpha
+    return PrimalAllocation(alpha, beta, c, avg.r.copy())
+
+
+def _coupling_residual(avg: PrimalAllocation) -> float:
+    """max(0, alpha+beta-c, c-r, -(alpha+beta), -alpha, beta), no region term."""
+    s = avg.alpha + avg.beta
+    parts = np.concatenate((s - avg.c, avg.c - avg.r, -s, -avg.alpha, avg.beta))
+    return max(0.0, float(parts.max()))
 
 
 def _objective_or_neginf(primal: PrimalAllocation, scn: Scenario) -> float:
@@ -292,13 +312,14 @@ def _objective_or_neginf(primal: PrimalAllocation, scn: Scenario) -> float:
 
 
 def solve(scn: Scenario) -> SolveReport:
-    """Run the dual iteration until the feasibility and gap tolerances hold.
+    """Run the dual iteration until the gap certificate holds.
 
-    Convergence requires the raw window-average point to violate no
-    constraint by more than ``tol_feas`` and the relative gap
-    ``(best_dual - best_feasible) / (1 + |best_feasible|)`` to drop below
-    ``tol_gap``.  Hitting ``max_iters`` first returns ``converged=False``
-    rather than raising.
+    The run stops as soon as the relative gap
+    ``(best_dual - best_obj) / (1 + |best_obj|)`` drops below ``tol_gap``,
+    where ``best_obj`` is the best objective of a repaired (hence capped-
+    feasible) window average.  By weak duality that point is then within
+    ``tol_gap`` of the capped optimum.  Hitting ``max_iters`` first returns
+    ``converged=False`` rather than raising.
     """
     n = scn.n
     state = DualState(np.full(n, float(scn.dual_init)), np.full(n, float(scn.dual_init)))
@@ -345,7 +366,7 @@ def solve(scn: Scenario) -> SolveReport:
         if repaired_obj > best_obj:
             best_obj = repaired_obj
             best_point = repaired
-        viol = primal_violation(avg, scn)
+        viol = _coupling_residual(avg)
         if math.isfinite(best_obj):
             gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
         else:
@@ -363,7 +384,7 @@ def solve(scn: Scenario) -> SolveReport:
         cols_viol.append(viol)
 
         state = new_state
-        if viol < scn.tol_feas and gap < scn.tol_gap:
+        if gap < scn.tol_gap:
             converged = True
             break
 

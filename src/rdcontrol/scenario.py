@@ -2,13 +2,15 @@
 
 Top-level keys: ``sources`` (required), ``region`` (required) and
 ``solver`` (optional, defaults documented in the README).  Validation is
-strict: unknown keys are rejected, and every error message names the
+strict: unknown keys and non-finite numbers (the NaN and Infinity that
+``json.loads`` accepts) are rejected, and every error message names the
 offending field by its path, e.g. ``region.powers[0]``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -53,6 +55,8 @@ def _number(obj: dict, key: str, path: str, *, positive=False, nonneg=False) -> 
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ScenarioError(f"{path}.{key}: expected a number, got {val!r}")
     x = float(val)
+    if not math.isfinite(x):
+        raise ScenarioError(f"{path}.{key}: must be finite, got {x}")
     if positive and not x > 0:
         raise ScenarioError(f"{path}.{key}: must be > 0, got {x}")
     if nonneg and x < 0:
@@ -77,6 +81,8 @@ def _number_list(val: Any, path: str, *, nonneg=False) -> list[float]:
     for i, x in enumerate(items):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ScenarioError(f"{path}[{i}]: expected a number, got {x!r}")
+        if not math.isfinite(x):
+            raise ScenarioError(f"{path}[{i}]: must be finite, got {x}")
         if nonneg and x < 0:
             raise ScenarioError(f"{path}[{i}]: must be >= 0, got {x}")
         out.append(float(x))
@@ -211,15 +217,13 @@ def scenario_from_dict(doc: Any) -> Scenario:
         solver = _require_mapping(doc["solver"], "solver")
         _reject_unknown(
             solver,
-            {"step", "max_iters", "tol_feas", "tol_gap", "dual_init", "caps"},
+            {"step", "max_iters", "tol_gap", "dual_init", "caps"},
             "solver",
         )
         if "step" in solver:
             kwargs["step"] = _build_step(solver["step"], "solver.step")
         if "max_iters" in solver:
             kwargs["max_iters"] = _integer(solver, "max_iters", "solver", minimum=1)
-        if "tol_feas" in solver:
-            kwargs["tol_feas"] = _number(solver, "tol_feas", "solver", positive=True)
         if "tol_gap" in solver:
             kwargs["tol_gap"] = _number(solver, "tol_gap", "solver", positive=True)
         if "dual_init" in solver:

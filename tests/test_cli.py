@@ -77,6 +77,16 @@ def test_solve_max_iters_one_exits_two(tmp_path):
     assert len(rows) == 1
 
 
+def test_solve_without_finite_incumbent_exits_two(tmp_path, capsys):
+    # LogRate on a zero-capacity link: every repaired point has c = 0
+    scn = write_scenario(tmp_path, solver_doc(caps=(0.0,), max_iters=200))
+    code = main(["solve", scn, "--out", str(tmp_path / "trace.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "recovered: none" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_solve_schema_error_exit_one_names_field(tmp_path, capsys):
     doc = solver_doc()
     doc["region"] = {"kind": "mac", "powers": [-3.0], "noise": 1.0}

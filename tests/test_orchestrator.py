@@ -193,6 +193,7 @@ def test_solve_weak_duality_along_trace():
         scn = factory()
         report = solve(scn)
         assert np.min(report.trace.dual_obj) >= report.recovered_objective - 1e-9
+        assert report.gap >= -1e-12
         # dual objective dominates the running best-feasible column too
         assert np.all(report.trace.dual_obj >= report.trace.primal_obj - 1e-9)
 
@@ -215,6 +216,75 @@ def test_solve_trace_duals_nonnegative():
     report = solve(cases.box_single_tight())
     assert np.all(report.trace.mu >= 0.0)
     assert np.all(report.trace.lam >= 0.0)
+
+
+def test_solve_stops_on_gap_on_distortion_branch_links():
+    # five independent box links (K, w, cap), three of them on the
+    # distortion branch; the raw window average stays off feasibility
+    # long after the repaired incumbent's gap is met
+    links = [
+        (1.0, 1.6875, 1.579167),
+        (2.0, 1.0625, 0.84375),
+        (3.0, 1.9375, 0.598611),
+        (1.0, 1.5, 0.8),
+        (1.0, 1.0, 0.9),
+    ]
+    scn = Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), LogRate(w)) for K, w, _ in links
+        ),
+        region=BoxRegion(tuple(cap for _, _, cap in links)),
+        caps=cases.CAPS_20,
+        step=Diminishing(0.3),
+        max_iters=8000,
+    )
+    report = solve(scn)
+    assert report.converged
+    assert report.iterations < 8000
+    assert primal_violation(report.recovered, scn) <= 1e-9
+    # closed form: c = cap, alpha = max(1/K, cap), beta = cap - alpha per link
+    ref = -1.3699390599
+    assert abs(report.recovered_objective - ref) <= scn.tol_gap * (1.0 + abs(ref))
+
+
+def test_solve_repair_respects_alpha_cap():
+    # 1/K = 1e7 is far above alpha_max = 1e6: the certified point must
+    # belong to the capped problem the duals bound
+    scn = Scenario(
+        sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1e-7), LogRate(1.0)),),
+        region=BoxRegion((1e7,)),
+        max_iters=2000,
+    )
+    report = solve(scn)
+    assert report.recovered.alpha[0] <= scn.caps.alpha_max
+    assert report.gap >= 0.0
+    assert primal_violation(report.recovered, scn) <= 1e-12
+
+
+def test_repair_matches_layer_rule_under_alpha_cap():
+    # the vectorized repair against the per-source closed form of the layer
+    from rdcontrol.layers import compression_given_rate
+    from rdcontrol.orchestrator import _repair
+
+    Ks = (0.01, 0.5, 1.0, 3.0)
+    scn = Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), LogRate(1.0)) for K in Ks
+        ),
+        region=BoxRegion((50.0,) * len(Ks)),
+        caps=cases.CAPS_20,
+    )
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        c, r = rng.uniform(0.0, 40.0, (2, len(Ks)))
+        rep = _repair(PrimalAllocation(np.ones(len(Ks)), np.zeros(len(Ks)), c, r), scn)
+        for i, K in enumerate(Ks):
+            ci = min(c[i], r[i])
+            alpha = min(compression_given_rate(K, ci), scn.caps.alpha_max)
+            assert rep.c[i] == ci
+            assert rep.alpha[i] == alpha
+            assert rep.beta[i] == min(ci, scn.caps.alpha_max) - alpha
+        assert primal_violation(rep, scn) <= 1e-12
 
 
 def test_solve_non_convergence_flag():

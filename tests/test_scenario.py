@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -32,7 +33,6 @@ def base_doc():
         "solver": {
             "step": {"kind": "diminishing", "gamma0": 0.3},
             "max_iters": 1000,
-            "tol_feas": 1e-6,
             "tol_gap": 1e-3,
             "caps": {"alpha_max": 50.0, "c_max": 50.0, "c_min": 1e-9},
         },
@@ -104,6 +104,15 @@ def test_region_kinds():
         (lambda d: d["solver"]["step"].update(kind="magic"), "solver.step.kind"),
         (lambda d: d["solver"]["caps"].update(c_min=-1.0), "solver.caps.c_min"),
         (lambda d: d["solver"].update(max_iters=0), "solver.max_iters"),
+        pytest.param(
+            lambda d: d["region"].update(caps=[math.nan]), "region.caps[0]", id="nan-cap"
+        ),
+        pytest.param(
+            lambda d: d["sources"][0]["V"].update(K=math.inf), "sources[0].V.K", id="infinite-K"
+        ),
+        pytest.param(
+            lambda d: d["solver"].update(tol_feas=1e-6), "tol_feas", id="removed-tol_feas"
+        ),
     ],
 )
 def test_schema_errors_name_the_field(mutate, fragment):
