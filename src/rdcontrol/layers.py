@@ -14,6 +14,23 @@ every subproblem has a checkable closed form:
 
 Subproblems that are unbounded at degenerate prices (mu = 0, or
 lambda <= mu) are regularized by :class:`SolverCaps`.
+
+Each layer acts on every source independently, so the closed forms come
+twice: the scalar per-source reference (``compression_subproblem``,
+``congestion_subproblem``) and the vector forms the solver runs, which
+evaluate one layer for all sources in a few array operations and agree
+with the scalar forms element by element:
+
+* ``compression_layer(mu, K, alpha_max)``:
+  alpha = min(1/min(mu, K), alpha_max), beta = -alpha where mu > K else 0
+* ``congestion_layer(lam, mu, w, c_min, c_max)``:
+  c = clip(w/(lam - mu), c_min, c_max) where lam > mu else c_max, with
+  w = 0 standing for ``Zero`` (the clip then gives c_min)
+
+Callers evaluate the vector forms under ``np.errstate(divide="ignore",
+invalid="ignore", over="ignore")``: the branch that ``np.where`` discards
+may divide by zero, and 1/mu overflows to inf (then capped) at a
+subnormal mu.
 """
 
 from __future__ import annotations
@@ -21,6 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import DomainError, InfeasibleOffsetError, UnsupportedCombinationError
 from .sources import SignFlags, binary_entropy, inverse_binary_entropy
@@ -34,8 +53,8 @@ class LogLinear:
     K: float
 
     def __post_init__(self) -> None:
-        if not self.K > 0:
-            raise DomainError(f"LogLinear: K must be > 0, got {self.K}")
+        if not (math.isfinite(self.K) and self.K > 0):
+            raise DomainError(f"LogLinear: K must be finite and > 0, got {self.K}")
 
     def value(self, alpha: float, beta: float) -> float:
         if not alpha > 0:
@@ -50,8 +69,10 @@ class LinearEntropyPenalty:
     delta: float
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise DomainError(f"LinearEntropyPenalty: delta must be > 0, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise DomainError(
+                f"LinearEntropyPenalty: delta must be finite and > 0, got {self.delta}"
+            )
 
     def value(self, D: float) -> float:
         return -self.delta * binary_entropy(D)
@@ -67,8 +88,8 @@ class LogRate:
     w: float
 
     def __post_init__(self) -> None:
-        if not self.w > 0:
-            raise DomainError(f"LogRate: w must be > 0, got {self.w}")
+        if not (math.isfinite(self.w) and self.w > 0):
+            raise DomainError(f"LogRate: w must be finite and > 0, got {self.w}")
 
     def value(self, c: float) -> float:
         if not c > 0:
@@ -104,6 +125,8 @@ class SolverCaps:
             raise DomainError(f"c_min must be >= 0, got {self.c_min}")
         if not self.c_min < self.c_max:
             raise DomainError(f"need c_min < c_max, got [{self.c_min}, {self.c_max}]")
+        if not math.isfinite(self.c_max):
+            raise DomainError(f"c_max must be finite, got {self.c_max}")
 
 
 def compression_subproblem(
@@ -152,6 +175,31 @@ def congestion_subproblem(U: UtilityU, lam: float, mu: float, caps: SolverCaps) 
     raise UnsupportedCombinationError(
         f"congestion_subproblem has no closed form for {type(U).__name__}"
     )
+
+
+def compression_layer(
+    mu: np.ndarray, K: np.ndarray, alpha_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`compression_subproblem` for every source at once.
+
+    ``mu`` and ``K`` hold one price and one ``LogLinear`` K per source
+    (binary flags).  1/min(mu, K) is 1/mu on the branch mu <= K (inf at
+    mu = 0, capped to alpha_max) and 1/K beyond it, where beta = -alpha.
+    """
+    alpha = np.minimum(1.0 / np.minimum(mu, K), alpha_max)
+    beta = np.where(mu > K, -alpha, 0.0)
+    return alpha, beta
+
+
+def congestion_layer(
+    lam: np.ndarray, mu: np.ndarray, w: np.ndarray, c_min: float, c_max: float
+) -> np.ndarray:
+    """:func:`congestion_subproblem` for every source at once.
+
+    ``w`` holds each ``LogRate`` weight, 0 for a ``Zero`` utility.
+    """
+    c = np.minimum(np.maximum(w / (lam - mu), c_min), c_max)
+    return np.where(lam > mu, c, c_max)
 
 
 def compression_given_rate(K: float, c: float) -> float:

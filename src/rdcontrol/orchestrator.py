@@ -13,27 +13,43 @@ pre-update duals), then takes a projected subgradient step on (mu, lambda).
 The subproblems carry the :class:`SolverCaps` box, so every dual value
 bounds the *capped* problem from above.
 
+Every layer is a closed form applied to each source independently, so an
+iteration is a handful of array operations.  :func:`solve` compiles the
+scenario once into plain float arrays -- K, 1/K, the rate weights w (0
+for a ``Zero`` utility), the ``LogRate`` sources, the cap scalars -- and
+binds ``region.max_weight`` and ``step.step_size``; the loop then runs
+the vector layer forms of :mod:`rdcontrol.layers`, the window sums, the
+repair, the objective and the Lagrangian on those arrays.
+:class:`PrimalAllocation` and :class:`DualState` are built only at the
+API boundary.  The public :func:`dual_iterate`, :func:`dual_objective`,
+:func:`primal_objective` and :func:`lagrangian_value` run the same
+compiled kernel; the scalar ``compression_subproblem`` and
+``congestion_subproblem`` stay in :mod:`rdcontrol.layers` as the
+per-source reference.
+
 A primal point is recovered by ergodic averaging of the subproblem
 iterates followed by a two-step repair: clip c to the scheduled rate, then
 recompute (alpha, beta) by the closed-form compression rule clipped to
-``alpha_max``.  The repaired point is feasible for the capped problem by
-construction (c <= r with r a convex mix of region points, alpha + beta =
-min(c, alpha_max) <= c, alpha <= alpha_max), so by weak duality the
-relative gap between the best dual value and the best repaired objective
-is a complete optimality certificate, and it is the only stopping test.
-The average window restarts at power-of-two iteration counts, so at any
-time it spans at least the most recent half of the run; a from-start
-average would carry the early transient at O(1/t) and stall well above
-the gap tolerance.  The trace records, per iteration, the raw subproblem
-primal, the dual objective at the current prices, the best repaired
-objective seen so far and the coupling residual of the raw window average.
+``alpha_max``.  The repaired point has c <= r with r a convex mix of
+region points, alpha + beta = min(c, alpha_max) <= c and alpha <=
+alpha_max; it counts as an incumbent only when also every c_i >= c_min,
+the last constraint of the capped problem.  An incumbent is feasible for
+the problem the duals bound, so by weak duality the relative gap between
+the best dual value and the best incumbent objective is a complete
+optimality certificate, and it is the only stopping test.  The average
+window restarts at power-of-two iteration counts, so at any time it spans
+at least the most recent half of the run; a from-start average would
+carry the early transient at O(1/t) and stall well above the gap
+tolerance.  The trace records, per iteration, the raw subproblem primal,
+the dual objective at the current prices, the best incumbent objective
+seen so far and the coupling residual of the raw window average.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -45,8 +61,8 @@ from .layers import (
     UtilityU,
     UtilityV,
     Zero,
-    compression_subproblem,
-    congestion_subproblem,
+    compression_layer,
+    congestion_layer,
 )
 from .regions import RateRegion
 from .sources import SignFlags, SourceModel, sign_flags
@@ -59,8 +75,8 @@ class Constant:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise DomainError(f"Constant step: gamma must be > 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise DomainError(f"Constant step: gamma must be finite and > 0, got {self.gamma}")
 
     def step_size(self, t: int) -> float:
         return self.gamma
@@ -73,8 +89,10 @@ class Diminishing:
     gamma0: float
 
     def __post_init__(self) -> None:
-        if not self.gamma0 > 0:
-            raise DomainError(f"Diminishing step: gamma0 must be > 0, got {self.gamma0}")
+        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
+            raise DomainError(
+                f"Diminishing step: gamma0 must be finite and > 0, got {self.gamma0}"
+            )
 
     def step_size(self, t: int) -> float:
         return self.gamma0 / math.sqrt(t)
@@ -129,8 +147,10 @@ class Scenario:
                 )
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.dual_init < 0:
-            raise DomainError(f"dual_init must be >= 0, got {self.dual_init}")
+        if not (math.isfinite(self.dual_init) and self.dual_init >= 0):
+            raise DomainError(f"dual_init must be finite and >= 0, got {self.dual_init}")
+        if not (math.isfinite(self.tol_gap) and self.tol_gap > 0):
+            raise DomainError(f"tol_gap must be finite and > 0, got {self.tol_gap}")
 
     @property
     def n(self) -> int:
@@ -173,11 +193,22 @@ class PrimalAllocation:
 class Trace:
     """Column-major per-iteration history of a solve.
 
+    Row k holds iteration ``t[k]``: the prices the subproblems saw, the
+    raw subproblem primal, the best incumbent objective so far
+    (``primal_obj``, -inf before the first) and the dual value
+    (``dual_obj``).  The solver appends one flat row per iteration and
+    stacks the rows once at the end, so the trace is as long as the run,
+    never ``max_iters``; the six vector columns are views of that one
+    block.
+
     ``max_violation`` is the O(n) coupling residual of the raw window
-    average, max(0, alpha+beta-c, c-r, -(alpha+beta), -alpha, beta).  It
-    is a diagnostic only: the region constraint is not evaluated, and the
-    stopping test does not read it (the solver never returns the raw
-    average; see :func:`primal_violation` for the full check).
+    average, max(0, alpha+beta-c, c-r, -(alpha+beta), -alpha, beta).  The
+    last three terms are <= 0 by construction (every iterate has alpha >
+    0 and beta in {0, -alpha}, and rounding keeps those signs in the
+    sums), so the solver evaluates only the first two.  It is a diagnostic
+    only: the region constraint is not evaluated, and the stopping test
+    does not read it (the solver never returns the raw average; see
+    :func:`primal_violation` for the full check).
     """
 
     t: np.ndarray
@@ -199,13 +230,15 @@ class Trace:
 class SolveReport:
     """Outcome of :func:`solve`.
 
-    ``recovered`` is the incumbent: the repaired window average with the
-    best finite objective seen anywhere in the run.  It is feasible for
-    the capped problem the duals bound, so ``gap``, the relative distance
+    ``recovered`` is the incumbent: of the repaired window averages with
+    every c_i >= c_min, the one with the best finite objective seen
+    anywhere in the run.  It is feasible for the capped problem the duals
+    bound, so ``gap``, the relative distance
     ``(best_dual - recovered_objective) / (1 + |recovered_objective|)``,
     is >= 0 up to rounding.  ``converged`` means ``gap < tol_gap``.  When
-    no repaired point had a finite objective (e.g. a ``LogRate`` source
-    on a zero-capacity link), ``recovered`` is None,
+    no repaired point qualified (e.g. a ``LogRate`` source on a
+    zero-capacity link, or a link whose capacity is below c_min, where
+    the capped problem is infeasible), ``recovered`` is None,
     ``recovered_objective`` is -inf, ``gap`` is inf and ``converged`` is
     False.
     """
@@ -219,13 +252,76 @@ class SolveReport:
     iterations: int
 
 
+
+# the branch np.where discards may divide by zero, 1/mu overflows to inf
+# at subnormal mu (then capped), and log(0) is -inf
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
+
+class _Kernel:
+    """A :class:`Scenario` compiled to float arrays over sources.
+
+    The layers, the objective and the repair are array expressions on
+    these arrays; evaluate them under ``np.errstate(**_QUIET)``.
+    """
+
+    def __init__(self, scn: Scenario) -> None:
+        sources = scn.sources
+        self.K = np.array([spec.V.K for spec in sources])
+        self.inv_K = 1.0 / self.K
+        self.w = np.array([spec.U.w if isinstance(spec.U, LogRate) else 0.0 for spec in sources])
+        rate = np.array([isinstance(spec.U, LogRate) for spec in sources])
+        self.rate = slice(None) if rate.all() else np.flatnonzero(rate)
+        self.w_rate = self.w[self.rate]
+        self.alpha_max = scn.caps.alpha_max
+        self.c_min = scn.caps.c_min
+        self.c_max = scn.caps.c_max
+        self.max_weight = scn.region.max_weight
+        self.step_size = scn.step.step_size
+
+    def objective(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray) -> float:
+        """sum ln(alpha) + K.beta + w.ln(c) over the LogRate sources."""
+        log_c = np.log(c[self.rate])
+        return float(np.log(alpha).sum() + self.K @ beta + self.w_rate @ log_c)
+
+    def dual_step(
+        self, mu: np.ndarray, lam: np.ndarray
+    ) -> tuple[tuple[np.ndarray, ...], float, np.ndarray, np.ndarray]:
+        """The three layers at (mu, lam): the primal (alpha, beta, c, r),
+        the dual value g(mu, lam) and its subgradients alpha+beta-c (mu)
+        and c-r (lam)."""
+        alpha, beta = compression_layer(mu, self.K, self.alpha_max)
+        c = congestion_layer(lam, mu, self.w, self.c_min, self.c_max)
+        r = self.max_weight(lam)
+        g_mu = alpha + beta - c
+        g_lam = c - r
+        g = self.objective(alpha, beta, c) - float(mu @ g_mu) - float(lam @ g_lam)
+        return (alpha, beta, c, r), g, g_mu, g_lam
+
+    def repair(
+        self, c: np.ndarray, r: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Clip c to r, then (alpha, beta) by the compression rule under
+        alpha_max: alpha = min(max(1/K, c), alpha_max), beta =
+        min(c, alpha_max) - alpha."""
+        c = np.minimum(c, r)
+        alpha = np.minimum(np.maximum(self.inv_K, c), self.alpha_max)
+        return alpha, np.minimum(c, self.alpha_max) - alpha, c
+
+
 def primal_objective(primal: PrimalAllocation, scn: Scenario) -> float:
-    """sum_i V_i(alpha_i, beta_i) + U_i(c_i), evaluated literally."""
-    total = 0.0
-    for i, spec in enumerate(scn.sources):
-        total += spec.V.value(float(primal.alpha[i]), float(primal.beta[i]))
-        total += spec.U.value(float(primal.c[i]))
-    return total
+    """sum_i V_i(alpha_i, beta_i) + U_i(c_i); DomainError where a utility
+    is undefined (alpha <= 0, or c <= 0 for a LogRate source)."""
+    kernel = _Kernel(scn)
+    alpha = primal.alpha
+    if not np.all(alpha > 0):
+        bad = alpha[~(alpha > 0)][0]
+        raise DomainError(f"LogLinear undefined at alpha={bad} (needs alpha > 0)")
+    c_rate = primal.c[kernel.rate]
+    if not np.all(c_rate > 0):
+        bad = c_rate[~(c_rate > 0)][0]
+        raise DomainError(f"LogRate undefined at c={bad} (needs c > 0)")
+    return kernel.objective(alpha, primal.beta, primal.c)
 
 
 def lagrangian_value(primal: PrimalAllocation, dual: DualState, scn: Scenario) -> float:
@@ -236,22 +332,15 @@ def lagrangian_value(primal: PrimalAllocation, dual: DualState, scn: Scenario) -
 
 
 def _subproblem_primal(dual: DualState, scn: Scenario) -> PrimalAllocation:
-    n = scn.n
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    c = np.empty(n)
-    for i, spec in enumerate(scn.sources):
-        alpha[i], beta[i] = compression_subproblem(
-            spec.V, float(dual.mu[i]), spec.flags, scn.caps
-        )
-        c[i] = congestion_subproblem(spec.U, float(dual.lam[i]), float(dual.mu[i]), scn.caps)
-    r = scn.region.max_weight(dual.lam)
-    return PrimalAllocation(alpha, beta, c, r)
+    with np.errstate(**_QUIET):
+        primal, _, _, _ = _Kernel(scn).dual_step(dual.mu, dual.lam)
+    return PrimalAllocation(*primal)
 
 
 def dual_objective(dual: DualState, scn: Scenario) -> float:
     """g(mu, lambda): the Lagrangian maximized layer by layer at the prices."""
-    return lagrangian_value(_subproblem_primal(dual, scn), dual, scn)
+    with np.errstate(**_QUIET):
+        return _Kernel(scn).dual_step(dual.mu, dual.lam)[1]
 
 
 def dual_iterate(
@@ -261,10 +350,11 @@ def dual_iterate(
     take a projected subgradient step on both price vectors."""
     if not gamma > 0:
         raise DomainError(f"dual_iterate: step must be > 0, got {gamma}")
-    primal = _subproblem_primal(state, scn)
-    mu = np.maximum(0.0, state.mu + gamma * (primal.alpha + primal.beta - primal.c))
-    lam = np.maximum(0.0, state.lam + gamma * (primal.c - primal.r))
-    return DualState(mu, lam), primal
+    with np.errstate(**_QUIET):
+        primal, _, g_mu, g_lam = _Kernel(scn).dual_step(state.mu, state.lam)
+    mu = np.maximum(0.0, state.mu + gamma * g_mu)
+    lam = np.maximum(0.0, state.lam + gamma * g_lam)
+    return DualState(mu, lam), PrimalAllocation(*primal)
 
 
 def primal_violation(primal: PrimalAllocation, scn: Scenario) -> float:
@@ -272,65 +362,52 @@ def primal_violation(primal: PrimalAllocation, scn: Scenario) -> float:
     a = primal.alpha
     b = primal.beta
     c = primal.c
-    worst = float(np.max(a + b - c))
-    worst = max(worst, float(np.max(c - primal.r)))
-    worst = max(worst, float(np.max(-(a + b))))
-    for i, spec in enumerate(scn.sources):
-        if spec.flags.a:
-            worst = max(worst, -float(a[i]))
-        if spec.flags.b:
-            worst = max(worst, float(b[i]))
-    worst = max(worst, scn.region.violation(primal.r))
+    # every source has sign flags (1, 1): Scenario admits no other
+    worst = max(
+        float(np.max(a + b - c)),
+        float(np.max(c - primal.r)),
+        float(np.max(-(a + b))),
+        float(np.max(-a)),
+        float(np.max(b)),
+        scn.region.violation(primal.r),
+    )
     return max(0.0, worst)
 
 
 def _repair(avg: PrimalAllocation, scn: Scenario) -> PrimalAllocation:
     """Make the averaged point feasible for the capped problem: clip c to r,
     then re-derive (alpha, beta) by the compression rule under alpha_max."""
-    K = np.fromiter((spec.V.K for spec in scn.sources), float, scn.n)
-    alpha_max = scn.caps.alpha_max
-    c = np.minimum(avg.c, avg.r)
-    alpha = np.minimum(np.maximum(1.0 / K, c), alpha_max)
-    beta = np.minimum(c, alpha_max) - alpha
-    return PrimalAllocation(alpha, beta, c, avg.r.copy())
-
-
-def _coupling_residual(avg: PrimalAllocation) -> float:
-    """max(0, alpha+beta-c, c-r, -(alpha+beta), -alpha, beta), no region term."""
-    s = avg.alpha + avg.beta
-    parts = np.concatenate((s - avg.c, avg.c - avg.r, -s, -avg.alpha, avg.beta))
-    return max(0.0, float(parts.max()))
-
-
-def _objective_or_neginf(primal: PrimalAllocation, scn: Scenario) -> float:
-    for i, spec in enumerate(scn.sources):
-        if primal.alpha[i] <= 0:
-            return -math.inf
-        if isinstance(spec.U, LogRate) and primal.c[i] <= 0:
-            return -math.inf
-    return primal_objective(primal, scn)
+    return PrimalAllocation(*_Kernel(scn).repair(avg.c, avg.r), avg.r.copy())
 
 
 def solve(scn: Scenario) -> SolveReport:
     """Run the dual iteration until the gap certificate holds.
 
-    The run stops as soon as the relative gap
+    The scenario is compiled once into arrays (see the module docstring),
+    and every iteration is a fixed handful of array operations over the
+    sources.  The run stops as soon as the relative gap
     ``(best_dual - best_obj) / (1 + |best_obj|)`` drops below ``tol_gap``,
-    where ``best_obj`` is the best objective of a repaired (hence capped-
-    feasible) window average.  By weak duality that point is then within
-    ``tol_gap`` of the capped optimum.  Hitting ``max_iters`` first returns
+    where ``best_obj`` is the best objective of an incumbent: a repaired
+    window average with every c_i >= c_min, hence feasible for the capped
+    problem.  By weak duality that point is then within ``tol_gap`` of the
+    capped optimum.  Hitting ``max_iters`` first returns
     ``converged=False`` rather than raising.
     """
+    kernel = _Kernel(scn)
+    dual_step, repair, objective = kernel.dual_step, kernel.repair, kernel.objective
+    step_size = kernel.step_size
+    c_min = kernel.c_min
+    tol_gap = scn.tol_gap
+
     n = scn.n
-    state = DualState(np.full(n, float(scn.dual_init)), np.full(n, float(scn.dual_init)))
-    sums = {k: np.zeros(n) for k in ("alpha", "beta", "c", "r")}
+    mu = np.full(n, float(scn.dual_init))
+    lam = mu.copy()
+    sums = np.zeros((4, n))  # window sums of the raw alpha, beta, c, r
+    sum_alpha, sum_beta, sum_c, sum_r = sums
     count = 0
     next_restart = 2
 
-    cols_t: list[int] = []
-    cols_mu: list[np.ndarray] = []
-    cols_lam: list[np.ndarray] = []
-    cols_primal: dict[str, list[np.ndarray]] = {k: [] for k in sums}
+    rows: list[np.ndarray] = []  # one (mu, lam, alpha, beta, c, r) row per iteration
     cols_pobj: list[float] = []
     cols_dobj: list[float] = []
     cols_viol: list[float] = []
@@ -342,67 +419,64 @@ def solve(scn: Scenario) -> SolveReport:
     converged = False
     t = 0
 
-    for t in range(1, scn.max_iters + 1):
-        gamma = scn.step.step_size(t)
-        new_state, primal = dual_iterate(state, scn, gamma)
-        g = lagrangian_value(primal, state, scn)
-        best_dual = min(best_dual, g)
+    with np.errstate(**_QUIET):
+        for t in range(1, scn.max_iters + 1):
+            (alpha, beta, c, r), g, g_mu, g_lam = dual_step(mu, lam)
+            if g < best_dual:
+                best_dual = g
 
-        if t == next_restart:
-            for v in sums.values():
-                v[:] = 0.0
-            count = 0
-            next_restart *= 2
-        sums["alpha"] += primal.alpha
-        sums["beta"] += primal.beta
-        sums["c"] += primal.c
-        sums["r"] += primal.r
-        count += 1
-        avg = PrimalAllocation(
-            sums["alpha"] / count, sums["beta"] / count, sums["c"] / count, sums["r"] / count
-        )
-        repaired = _repair(avg, scn)
-        repaired_obj = _objective_or_neginf(repaired, scn)
-        if repaired_obj > best_obj:
-            best_obj = repaired_obj
-            best_point = repaired
-        viol = _coupling_residual(avg)
-        if math.isfinite(best_obj):
-            gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
-        else:
-            gap = math.inf
+            if t == next_restart:
+                sums[:] = 0.0
+                count = 0
+                next_restart *= 2
+            sum_alpha += alpha
+            sum_beta += beta
+            sum_c += c
+            sum_r += r
+            count += 1
+            avg_c = sum_c / count
+            avg_r = sum_r / count
 
-        cols_t.append(t)
-        cols_mu.append(state.mu.copy())
-        cols_lam.append(state.lam.copy())
-        cols_primal["alpha"].append(primal.alpha)
-        cols_primal["beta"].append(primal.beta)
-        cols_primal["c"].append(primal.c)
-        cols_primal["r"].append(primal.r)
-        cols_pobj.append(best_obj)
-        cols_dobj.append(g)
-        cols_viol.append(viol)
+            point = repair(avg_c, avg_r)
+            if point[2].min() >= c_min:  # c >= c_min: a point of the capped problem
+                obj = objective(*point)
+                if obj > best_obj:
+                    best_obj = obj
+                    best_point = (*point, avg_r)
+            if best_point is not None:
+                gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
+            # -(alpha+beta), -alpha and beta are <= 0 by construction (see Trace)
+            avg_s = sum_alpha / count + sum_beta / count
+            viol = max(0.0, float((avg_s - avg_c).max()), float((avg_c - avg_r).max()))
 
-        state = new_state
-        if gap < scn.tol_gap:
-            converged = True
-            break
+            rows.append(np.concatenate((mu, lam, alpha, beta, c, r)))
+            cols_pobj.append(best_obj)
+            cols_dobj.append(g)
+            cols_viol.append(viol)
 
+            if gap < tol_gap:
+                converged = True
+                break
+            gamma = step_size(t)
+            mu = np.maximum(0.0, mu + gamma * g_mu)
+            lam = np.maximum(0.0, lam + gamma * g_lam)
+
+    mu_t, lam_t, alpha_t, beta_t, c_t, r_t = np.array(rows).reshape(t, 6, n).transpose(1, 0, 2)
     trace = Trace(
-        t=np.asarray(cols_t, dtype=int),
-        mu=np.vstack(cols_mu),
-        lam=np.vstack(cols_lam),
-        alpha=np.vstack(cols_primal["alpha"]),
-        beta=np.vstack(cols_primal["beta"]),
-        c=np.vstack(cols_primal["c"]),
-        r=np.vstack(cols_primal["r"]),
+        t=np.arange(1, t + 1),
+        mu=mu_t,
+        lam=lam_t,
+        alpha=alpha_t,
+        beta=beta_t,
+        c=c_t,
+        r=r_t,
         primal_obj=np.asarray(cols_pobj),
         dual_obj=np.asarray(cols_dobj),
         max_violation=np.asarray(cols_viol),
     )
     return SolveReport(
         trace=trace,
-        recovered=best_point,
+        recovered=None if best_point is None else PrimalAllocation(*best_point),
         recovered_objective=best_obj,
         best_dual=best_dual,
         gap=gap,

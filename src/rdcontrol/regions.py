@@ -26,7 +26,7 @@ from scipy.optimize import linprog
 
 from .errors import DomainError
 
-MAX_MAC_USERS = 16  # membership enumerates all 2^n - 1 subsets
+MAX_MAC_USERS = 16  # membership enumerates all 2^n - 1 subsets; max_weight does not
 
 
 def capacity_C(P: float, N: float) -> float:
@@ -47,7 +47,7 @@ def _as_rate_vector(r: Sequence[float], dim: int, what: str) -> np.ndarray:
 
 def _check_weights(lam: Sequence[float], dim: int) -> np.ndarray:
     arr = _as_rate_vector(lam, dim, "max_weight")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise DomainError(f"max_weight: weights must be nonnegative, got {arr}")
     return arr
 
@@ -62,8 +62,8 @@ class BoxRegion:
         object.__setattr__(self, "caps", tuple(float(c) for c in self.caps))
         if len(self.caps) == 0:
             raise DomainError("BoxRegion needs at least one link")
-        if any(c < 0 for c in self.caps):
-            raise DomainError(f"BoxRegion caps must be >= 0, got {self.caps}")
+        if not all(math.isfinite(c) and c >= 0 for c in self.caps):
+            raise DomainError(f"BoxRegion caps must be finite and >= 0, got {self.caps}")
 
     @property
     def dim(self) -> int:
@@ -88,7 +88,12 @@ class BoxRegion:
 
 @dataclass(frozen=True)
 class GaussianMacRegion:
-    """Gaussian multiple-access capacity region (a polymatroid)."""
+    """Gaussian multiple-access capacity region (a polymatroid).
+
+    ``max_weight`` is an O(n log n) greedy and takes any number of users;
+    the membership tests ``contains`` and ``violation`` enumerate every
+    user subset and stop at :data:`MAX_MAC_USERS` users.
+    """
 
     powers: tuple[float, ...]
     noise: float
@@ -97,15 +102,10 @@ class GaussianMacRegion:
         object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
         if len(self.powers) == 0:
             raise DomainError("GaussianMacRegion needs at least one user")
-        if len(self.powers) > MAX_MAC_USERS:
-            raise DomainError(
-                f"GaussianMacRegion supports at most {MAX_MAC_USERS} users "
-                f"(subset enumeration), got {len(self.powers)}"
-            )
-        if any(p < 0 for p in self.powers):
-            raise DomainError(f"powers must be >= 0, got {self.powers}")
-        if not self.noise > 0:
-            raise DomainError(f"noise must be > 0, got {self.noise}")
+        if not all(math.isfinite(p) and p >= 0 for p in self.powers):
+            raise DomainError(f"powers must be finite and >= 0, got {self.powers}")
+        if not (math.isfinite(self.noise) and self.noise > 0):
+            raise DomainError(f"noise must be finite and > 0, got {self.noise}")
 
     @property
     def dim(self) -> int:
@@ -119,6 +119,13 @@ class GaussianMacRegion:
         return self.violation(r) <= tol
 
     def violation(self, r: Sequence[float]) -> float:
+        """Largest additive violation over all 2^n - 1 subset constraints;
+        limited to :data:`MAX_MAC_USERS` users."""
+        if self.dim > MAX_MAC_USERS:
+            raise DomainError(
+                f"GaussianMacRegion membership enumerates every user subset and "
+                f"supports at most {MAX_MAC_USERS} users, got {self.dim}"
+            )
         arr = _as_rate_vector(r, self.dim, "violation")
         worst = float(np.max(-arr))
         idx = range(self.dim)
@@ -167,8 +174,8 @@ class VertexRegion:
         d = len(verts[0])
         if d == 0 or any(len(v) != d for v in verts):
             raise DomainError("VertexRegion vertices must share a positive dimension")
-        if any(x < 0 for v in verts for x in v):
-            raise DomainError("VertexRegion vertices must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0 for v in verts for x in v):
+            raise DomainError("VertexRegion vertices must be finite and nonnegative")
 
     @property
     def dim(self) -> int:

@@ -44,8 +44,8 @@ class BinarySource:
     p: float
 
     def __post_init__(self) -> None:
-        if not self.s > 0:
-            raise DomainError(f"uncompressed rate s must be > 0, got {self.s}")
+        if not (math.isfinite(self.s) and self.s > 0):
+            raise DomainError(f"uncompressed rate s must be finite and > 0, got {self.s}")
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"Bernoulli parameter p must be in (0,1), got {self.p}")
 
@@ -58,10 +58,10 @@ class GaussianSource:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not self.s > 0:
-            raise DomainError(f"uncompressed rate s must be > 0, got {self.s}")
-        if not self.sigma2 > 0:
-            raise DomainError(f"variance sigma2 must be > 0, got {self.sigma2}")
+        if not (math.isfinite(self.s) and self.s > 0):
+            raise DomainError(f"uncompressed rate s must be finite and > 0, got {self.s}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise DomainError(f"variance sigma2 must be finite and > 0, got {self.sigma2}")
 
 
 SourceModel = Union[BinarySource, GaussianSource]

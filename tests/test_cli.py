@@ -262,3 +262,15 @@ def test_fmt_is_stable_under_parse():
     for v in values:
         s = fmt(v)
         assert fmt(float(s)) == s
+
+
+def test_solve_link_below_c_min_exits_two(tmp_path, capsys):
+    # cap 1e-10 < c_min 1e-9: the capped problem is infeasible, so no
+    # repaired point may be certified, not even for a Zero rate utility
+    doc = solver_doc(caps=(1e-10,), max_iters=200)
+    del doc["sources"][0]["U"]
+    code = main(["solve", write_scenario(tmp_path, doc), "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "converged: no" in out
+    assert "recovered: none" in out

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdcontrol import (
+    BinarySource,
     DomainError,
+    GaussianSource,
     LinearEntropyPenalty,
     LogLinear,
     LogRate,
@@ -20,6 +22,7 @@ from rdcontrol import (
     congestion_subproblem,
     operating_point,
 )
+from rdcontrol.layers import compression_layer, congestion_layer
 
 F11 = SignFlags(1, 1)
 CAPS = SolverCaps()
@@ -121,6 +124,47 @@ def test_congestion_subproblem_grid(w, lam, mu):
     assert got >= best - 1e-6
 
 
+# ------------------------------------------------- vector layer forms
+
+@st.composite
+def layer_batches(draw):
+    """Per-source (K, U, mu, lam) with the branch points drawn on purpose:
+    mu = 0, mu == K, lam == mu, and caps tight enough to bind."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    c_min = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.5]))
+    caps = SolverCaps(
+        alpha_max=draw(st.sampled_from([0.3, 2.0, 1e6])),
+        c_min=c_min,
+        c_max=c_min + draw(st.sampled_from([0.25, 3.0, 1e6])),
+    )
+    price = st.floats(min_value=0.0, max_value=20.0)
+    sources = []
+    for _ in range(n):
+        K = draw(st.floats(min_value=0.05, max_value=10.0))
+        U = draw(st.one_of(st.just(Zero()), st.floats(0.01, 10.0).map(LogRate)))
+        mu = draw(st.one_of(st.just(0.0), st.just(K), price))
+        lam = draw(st.one_of(st.just(mu), st.just(0.0), price))
+        sources.append((K, U, mu, lam))
+    return caps, sources
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer_batches())
+def test_vector_layers_equal_scalar_reference(batch):
+    caps, sources = batch
+    K = np.array([s[0] for s in sources])
+    w = np.array([s[1].w if isinstance(s[1], LogRate) else 0.0 for s in sources])
+    mu = np.array([s[2] for s in sources])
+    lam = np.array([s[3] for s in sources])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha, beta = compression_layer(mu, K, caps.alpha_max)
+        c = congestion_layer(lam, mu, w, caps.c_min, caps.c_max)
+    for i, (K_i, U_i, mu_i, lam_i) in enumerate(sources):
+        ref = compression_subproblem(LogLinear(K_i), mu_i, F11, caps)
+        assert (alpha[i], beta[i]) == ref
+        assert c[i] == congestion_subproblem(U_i, lam_i, mu_i, caps)
+
+
 # ------------------------------------------------- rule given the rate
 
 def test_compression_given_rate_branches():
@@ -182,6 +226,31 @@ def test_operating_point_entropy_is_affine_below_breakpoint(K, p):
     for c in np.linspace(0.05 / K, 0.95 / K, 50):
         _, d = operating_point(p, K, float(c))
         assert binary_entropy(d) == pytest.approx(hp * (1.0 - c * K), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LogLinear(math.inf),
+        lambda: LogLinear(math.nan),
+        lambda: LogRate(math.inf),
+        lambda: LogRate(math.nan),
+        lambda: LinearEntropyPenalty(math.inf),
+        lambda: SolverCaps(c_max=math.inf),
+        lambda: SolverCaps(c_min=math.nan),
+        lambda: SolverCaps(alpha_max=math.inf),
+        lambda: BinarySource(math.inf, 0.5),
+        lambda: GaussianSource(1.0, math.inf),
+    ],
+    ids=[
+        "LogLinear-inf", "LogLinear-nan", "LogRate-inf", "LogRate-nan",
+        "LinearEntropyPenalty-inf", "c_max-inf", "c_min-nan", "alpha_max-inf",
+        "BinarySource-s-inf", "GaussianSource-sigma2-inf",
+    ],
+)
+def test_constructor_rejects_non_finite_field(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 def test_utility_validation():

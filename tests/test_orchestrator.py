@@ -303,3 +303,128 @@ def test_solve_deterministic():
     assert np.array_equal(r1.trace.mu, r2.trace.mu)
     assert np.array_equal(r1.recovered.c, r2.recovered.c)
     assert r1.recovered_objective == r2.recovered_objective
+
+
+# ------------------------------------------------------- the array kernel
+
+PINNED_ITERATIONS = {
+    "box_single_wide": 170,
+    "box_single_tight": 1727,
+    "box_two_mixed": 1478,
+    "mac_symmetric": 2049,
+    "mac_asymmetric": 4112,
+}
+
+
+@pytest.mark.parametrize(
+    "name, factory, steps", cases.SOLVER_CASES, ids=[case[0] for case in cases.SOLVER_CASES]
+)
+def test_solve_iteration_counts_are_pinned(name, factory, steps):
+    # a change to the loop that moves these has changed the algorithm
+    assert solve(factory()).iterations == PINNED_ITERATIONS[name]
+
+
+def test_solve_runs_no_scalar_layer(monkeypatch):
+    # the per-source closed forms are the tested reference, not the solve path
+    import rdcontrol.layers
+    import rdcontrol.orchestrator
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve called a scalar layer")
+
+    for module in (rdcontrol.orchestrator, rdcontrol.layers):
+        for name in ("compression_subproblem", "congestion_subproblem"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    report = solve(cases.box_two_mixed())
+    assert report.converged
+    assert report.iterations == PINNED_ITERATIONS["box_two_mixed"]
+
+
+def test_incumbent_needs_c_at_least_c_min():
+    # a link below c_min leaves the capped problem (c >= c_min, c <= r)
+    # infeasible: no repaired point may certify it
+    scn = Scenario(
+        sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), Zero()),),
+        region=BoxRegion((1e-10,)),
+        max_iters=200,
+    )
+    report = solve(scn)
+    assert not report.converged
+    assert report.recovered is None
+    assert report.recovered_objective == -math.inf
+    assert report.gap == math.inf
+    assert report.iterations == 200
+
+
+def test_trace_max_violation_is_the_full_window_residual():
+    # rebuild the power-of-two restarted window average from the raw rows
+    # and evaluate all six coupling terms the trace column stands for
+    report = solve(cases.box_two_mixed())
+    tr = report.trace
+    n = tr.alpha.shape[1]
+    sums = np.zeros((4, n))
+    count, next_restart = 0, 2
+    for k, t in enumerate(tr.t):
+        if t == next_restart:
+            sums[:] = 0.0
+            count, next_restart = 0, 2 * next_restart
+        for row, col in zip(sums, (tr.alpha, tr.beta, tr.c, tr.r)):
+            row += col[k]
+        count += 1
+        a, b, c, r = (row / count for row in sums)
+        s = a + b
+        full = max(0.0, float(np.concatenate((s - c, c - r, -s, -a, b)).max()))
+        assert tr.max_violation[k] == full
+
+
+def test_trace_rows_are_the_subproblem_iterates():
+    scn = cases.mac_asymmetric()
+    report = solve(scn)
+    tr = report.trace
+    state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
+    for k in range(50):
+        assert np.array_equal(tr.mu[k], state.mu)
+        assert np.array_equal(tr.lam[k], state.lam)
+        assert tr.dual_obj[k] == dual_objective(state, scn)
+        state, primal = dual_iterate(state, scn, scn.step.step_size(k + 1))
+        raw = (primal.alpha, primal.beta, primal.c, primal.r)
+        for got, want in zip((tr.alpha, tr.beta, tr.c, tr.r), raw):
+            assert np.array_equal(got[k], want)
+
+
+def test_primal_objective_domain_follows_the_utilities():
+    scn = Scenario(
+        sources=(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(2.0), Zero()),
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(3.0)),
+        ),
+        region=BoxRegion((1.0, 1.0)),
+    )
+    # Zero is defined at c = 0, LogRate is not
+    point = PrimalAllocation([0.5, 1.0], [0.0, -0.5], [0.0, 0.5], [0.0, 1.0])
+    want = math.log(0.5) + math.log(1.0) - 0.5 + 3.0 * math.log(0.5)
+    assert primal_objective(point, scn) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(DomainError, match="LogRate"):
+        primal_objective(PrimalAllocation([0.5, 1.0], [0.0, -1.0], [0.5, 0.0], [1.0, 1.0]), scn)
+    with pytest.raises(DomainError, match="LogLinear"):
+        primal_objective(PrimalAllocation([0.5, math.nan], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0]), scn)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Constant(math.inf),
+        lambda: Constant(math.nan),
+        lambda: Diminishing(math.inf),
+        lambda: single_source_scenario(dual_init=math.inf),
+        lambda: single_source_scenario(dual_init=math.nan),
+        lambda: single_source_scenario(tol_gap=math.nan),
+        lambda: single_source_scenario(tol_gap=0.0),
+    ],
+    ids=["constant-inf", "constant-nan", "diminishing-inf", "dual_init-inf", "dual_init-nan",
+         "tol_gap-nan", "tol_gap-zero"],
+)
+def test_solver_options_reject_non_finite(build):
+    with pytest.raises(DomainError):
+        build()
+

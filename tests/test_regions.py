@@ -13,6 +13,7 @@ from rdcontrol import (
     VertexRegion,
     capacity_C,
 )
+from rdcontrol.regions import MAX_MAC_USERS
 
 MARGINAL_3_OVER_3 = 0.4036774610288021  # (1/2)log2(7) - 1
 
@@ -55,6 +56,33 @@ def test_box_max_weight_is_caps():
     assert np.array_equal(box.max_weight([0.0, 0.0]), [5.0, 7.0])
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BoxRegion((NAN,)),
+        lambda: BoxRegion((INF,)),
+        lambda: BoxRegion((1.0, -INF)),
+        lambda: GaussianMacRegion((INF, 1.0), 1.0),
+        lambda: GaussianMacRegion((NAN, 1.0), 1.0),
+        lambda: GaussianMacRegion((1.0,), INF),
+        lambda: GaussianMacRegion((1.0,), NAN),
+        lambda: VertexRegion(((NAN, 1.0),)),
+        lambda: VertexRegion(((1.0, 0.0), (0.0, INF))),
+    ],
+    ids=[
+        "box-nan", "box-inf", "box-neg-inf", "mac-inf-power", "mac-nan-power",
+        "mac-inf-noise", "mac-nan-noise", "vertex-nan", "vertex-inf",
+    ],
+)
+def test_region_rejects_non_finite_field(build):
+    with pytest.raises(DomainError, match="finite"):
+        build()
+
+
 def test_box_dimension_mismatch():
     with pytest.raises(DomainError):
         BoxRegion((1.0,)).contains([1.0, 2.0])
@@ -89,8 +117,22 @@ def test_mac_max_weight_examples():
 
 
 def test_mac_user_cap():
-    with pytest.raises(DomainError):
-        GaussianMacRegion(tuple([1.0] * 17), 1.0)
+    # the cap guards the 2^n subset scan of membership, not construction
+    reg = GaussianMacRegion(tuple([1.0] * 17), 1.0)
+    with pytest.raises(DomainError, match="at most 16 users"):
+        reg.violation(np.zeros(17))
+    with pytest.raises(DomainError, match="at most 16 users"):
+        reg.contains(np.zeros(17))
+
+
+def test_mac_forty_users_schedule_without_subset_scan():
+    powers = tuple(float(p) for p in np.linspace(0.5, 4.0, 40))
+    reg = GaussianMacRegion(powers, 1.3)
+    r = reg.max_weight(np.linspace(2.0, 0.1, 40))
+    assert abs(float(np.sum(r)) - capacity_C(sum(powers), 1.3)) <= 1e-12
+    assert np.all(r >= 0.0)
+    with pytest.raises(DomainError, match=f"at most {MAX_MAC_USERS} users"):
+        reg.violation(r)
 
 
 def test_mac_vertex_order_validation():
