@@ -32,7 +32,6 @@ from .errors import RdControlError
 from .layers import compression_given_rate, operating_point
 from .oracle import default_grid, grid_search_num
 from .orchestrator import Scenario, SolveReport, solve
-from .regions import capacity_C
 from .scenario import load_mac_scenario, load_scenario
 
 _GFMT = ".12g"
@@ -151,17 +150,15 @@ def cmd_mac(args) -> int:
     x1, x2, lp_obj = mac_mod.lp_oracle(scn)
 
     h = mac_mod.entropy_point(scn)
-    P1, P2 = scn.powers
-    C1 = capacity_C(P1, scn.noise)
-    C2 = capacity_C(P2, scn.noise)
-    C12 = capacity_C(P1 + P2, scn.noise)
+    v12 = scn.region.vertex([0, 1])  # (C1, C12 - C1)
+    v21 = scn.region.vertex([1, 0])  # (C12 - C2, C2)
     chosen = (h[0] - corner.x[0], h[1] - corner.x[1])
     rows = [
         ["region_vertex_0", 0.0, 0.0],
-        ["region_vertex_1", C1, 0.0],
-        ["region_vertex_2", C1, C12 - C1],
-        ["region_vertex_3", C12 - C2, C2],
-        ["region_vertex_4", 0.0, C2],
+        ["region_vertex_1", v12[0], 0.0],
+        ["region_vertex_2", v12[0], v12[1]],
+        ["region_vertex_3", v21[0], v21[1]],
+        ["region_vertex_4", 0.0, v21[1]],
         ["entropy_point", h[0], h[1]],
         ["chosen_corner", chosen[0], chosen[1]],
     ]

@@ -17,7 +17,8 @@ cross-checked on random instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from .errors import DomainError, InconsistencyError, InfeasibleError
 from .regions import GaussianMacRegion, capacity_C
@@ -37,23 +38,19 @@ class MacScenario:
     powers: tuple[float, float]
     noise: float
     deltas: tuple[float, float]
+    # built once from powers and noise; its constructor validates both
+    region: GaussianMacRegion = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.sources) != 2 or len(self.powers) != 2 or len(self.deltas) != 2:
             raise DomainError("MacScenario is a two-user construction")
+        region = GaussianMacRegion(self.powers, self.noise)
+        object.__setattr__(self, "region", region)
         object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
+        object.__setattr__(self, "powers", region.powers)
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        if any(p < 0 for p in self.powers):
-            raise DomainError(f"powers must be >= 0, got {self.powers}")
-        if not self.noise > 0:
-            raise DomainError(f"noise must be > 0, got {self.noise}")
-        if any(d <= 0 for d in self.deltas):
-            raise DomainError(f"deltas must be > 0, got {self.deltas}")
-
-    @property
-    def region(self) -> GaussianMacRegion:
-        return GaussianMacRegion(self.powers, self.noise)
+        if not all(math.isfinite(d) and d > 0 for d in self.deltas):
+            raise DomainError(f"deltas must be finite and > 0, got {self.deltas}")
 
 
 @dataclass(frozen=True)

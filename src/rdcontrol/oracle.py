@@ -26,7 +26,6 @@ from .orchestrator import (
     PrimalAllocation,
     Scenario,
     _subproblem_primal,
-    lagrangian_value,
     primal_violation,
 )
 from .regions import BoxRegion, GaussianMacRegion, capacity_C

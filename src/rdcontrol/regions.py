@@ -5,7 +5,7 @@ Three concrete families:
 * :class:`BoxRegion` — decoupled per-link capacity caps.
 * :class:`GaussianMacRegion` — the Gaussian multiple-access polymatroid:
   every user subset S must satisfy ``sum_{i in S} r_i <= C(sum_{i in S} P_i)``
-  with ``C(P) = (1/2)*log2(1 + P/N)``.
+  with ``C(P) = (1/2)*log2(1 + P/N)``, for any number of users.
 * :class:`VertexRegion` — the convex hull of an explicit vertex list
   (time sharing between operating points).
 
@@ -16,17 +16,14 @@ so repeated solves of the same instance are bit-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .errors import DomainError
-
-MAX_MAC_USERS = 16  # membership enumerates all 2^n - 1 subsets; max_weight does not
 
 
 def capacity_C(P: float, N: float) -> float:
@@ -88,11 +85,13 @@ class BoxRegion:
 
 @dataclass(frozen=True)
 class GaussianMacRegion:
-    """Gaussian multiple-access capacity region (a polymatroid).
+    """Gaussian multiple-access capacity region (a polymatroid), any size.
 
-    ``max_weight`` is an O(n log n) greedy and takes any number of users;
-    the membership tests ``contains`` and ``violation`` enumerate every
-    user subset and stop at :data:`MAX_MAC_USERS` users.
+    The rank C(P(S)) is concave in the modular power sum P(S), so a vertex,
+    ``max_weight`` (Edmonds' greedy) and membership all read the capacities
+    of the prefixes of one serving order.  Membership: C is the minimum of
+    its tangents a*x + b, so max_S r(S) - C(P(S)) = max_a sum_i
+    max(0, r_i - a*P_i) - b_a is attained by a prefix in r_i/P_i order.
     """
 
     powers: tuple[float, ...]
@@ -111,30 +110,37 @@ class GaussianMacRegion:
     def dim(self) -> int:
         return len(self.powers)
 
-    def subset_capacity(self, subset: Iterable[int]) -> float:
-        """C(sum of subset powers): the rank function of the polymatroid."""
-        return capacity_C(sum(self.powers[i] for i in subset), self.noise)
+    def _prefix_capacities(self, order: Sequence[int]) -> list[float]:
+        """C(P_o1 + ... + P_ok) for each prefix of ``order``, as :func:`capacity_C`."""
+        out = []
+        total = 0.0
+        for i in order:
+            total += self.powers[i]
+            out.append(0.5 * math.log2(1.0 + total / self.noise))
+        return out
+
+    def _vertex(self, order: Sequence[int]) -> np.ndarray:
+        r = [0.0] * self.dim
+        prev = 0.0
+        for i, cur in zip(order, self._prefix_capacities(order)):
+            r[i] = cur - prev
+            prev = cur
+        return np.array(r)
 
     def contains(self, r: Sequence[float], tol: float = 1e-9) -> bool:
         return self.violation(r) <= tol
 
     def violation(self, r: Sequence[float]) -> float:
-        """Largest additive violation over all 2^n - 1 subset constraints;
-        limited to :data:`MAX_MAC_USERS` users."""
-        if self.dim > MAX_MAC_USERS:
-            raise DomainError(
-                f"GaussianMacRegion membership enumerates every user subset and "
-                f"supports at most {MAX_MAC_USERS} users, got {self.dim}"
-            )
+        """Largest additive violation over all subset constraints and r >= 0,
+        read off the prefixes of the users in r_i/P_i order."""
         arr = _as_rate_vector(r, self.dim, "violation")
-        worst = float(np.max(-arr))
-        idx = range(self.dim)
-        for k in range(1, self.dim + 1):
-            for subset in itertools.combinations(idx, k):
-                excess = sum(arr[i] for i in subset) - self.subset_capacity(subset)
-                if excess > worst:
-                    worst = excess
-        return max(0.0, worst)
+        P = np.asarray(self.powers)
+        # P_i = 0 goes first if r_i > 0, else last; a subnormal P_i may give inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = np.where(P > 0, arr / P, np.where(arr > 0, np.inf, -np.inf))
+        order = np.argsort(-ratio, kind="stable").tolist()
+        excess = np.cumsum(arr[order]) - self._prefix_capacities(order)
+        return float(max(0.0, np.max(-arr), np.max(excess)))
 
     def vertex(self, order: Sequence[int]) -> np.ndarray:
         """Greedy polymatroid vertex for a serving order.
@@ -144,20 +150,13 @@ class GaussianMacRegion:
         """
         if sorted(order) != list(range(self.dim)):
             raise DomainError(f"vertex: order must permute 0..{self.dim - 1}, got {order}")
-        r = np.zeros(self.dim)
-        total = 0.0
-        prev = 0.0
-        for i in order:
-            total += self.powers[i]
-            cur = capacity_C(total, self.noise)
-            r[i] = cur - prev
-            prev = cur
-        return r
+        return self._vertex(order)
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
-        arr = _check_weights(lam, self.dim)
-        order = sorted(range(self.dim), key=lambda i: (-arr[i], i))
-        return self.vertex(order)
+        w = _check_weights(lam, self.dim).tolist()
+        # descending weight, ties to the lower index (the sort is stable even
+        # reversed); a permutation by construction, so no check
+        return self._vertex(sorted(range(self.dim), key=w.__getitem__, reverse=True))
 
 
 @dataclass(frozen=True)

@@ -280,8 +280,14 @@ def mac_scenario_from_dict(doc: Any) -> MacScenario:
 
 def load_json(path: str | Path) -> Any:
     """Parse a JSON file; syntax errors keep json's line/column diagnostics."""
-    text = Path(path).read_text(encoding="utf-8")
-    return json.loads(text)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:

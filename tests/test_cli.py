@@ -108,6 +108,24 @@ def test_missing_file_exit_one(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize(
+    "payload, word",
+    [
+        (b'{"sources": "\xff"}', "UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested"),
+    ],
+    ids=["not-utf8", "nested-100000"],
+)
+def test_unreadable_scenario_file_exit_one(tmp_path, capsys, payload, word):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(payload)
+    code = main(["solve", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert word in err and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_one(tmp_path, capsys):
     assert main(["solve"]) == 1  # missing scenario and --out
     capsys.readouterr()

@@ -59,6 +59,13 @@ def test_scenario_validation():
         scenario(deltas=(0.0, 1.0))
     with pytest.raises(DomainError):
         scenario(P=(-1.0, 1.0))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="powers"):
+            scenario(P=(bad, 1.0))
+        with pytest.raises(DomainError, match="noise"):
+            scenario(N=bad)
+        with pytest.raises(DomainError, match="deltas"):
+            scenario(deltas=(1.0, bad))
 
 
 # ------------------------------------------------------------- closed form

@@ -6,8 +6,10 @@ from rdcontrol import (
     Axis,
     BinarySource,
     BoxRegion,
+    Diminishing,
     DomainError,
     DualState,
+    GaussianMacRegion,
     GridSpec,
     GridTooLargeError,
     LogLinear,
@@ -133,3 +135,25 @@ def test_kkt_slackness_zero_at_zero_duals():
     rep = kkt_residuals(interior, DualState([0.0], [0.0]), scn)
     assert rep.comp_slack_mu == 0.0
     assert rep.comp_slack_lam == 0.0
+
+
+def test_kkt_residuals_on_a_mac_above_sixteen_users():
+    n = 20
+    K = [(1.0, 2.0, 3.0)[j % 3] for j in range(n)]
+    w = np.linspace(0.5, 2.0, n)
+    scn = Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(K[j]), LogRate(float(w[j])))
+            for j in range(n)
+        ),
+        region=GaussianMacRegion(tuple(float(j + 1) for j in range(n)), 1.0),
+        caps=SolverCaps(alpha_max=20.0, c_max=20.0, c_min=1e-9),
+        step=Diminishing(0.3),
+        tol_gap=1e-2,
+    )
+    report = solve(scn)
+    assert report.converged
+    dual = DualState(report.trace.mu[-1], report.trace.lam[-1])
+    rep = kkt_residuals(report.recovered, dual, scn)
+    assert np.isfinite(rep.max_residual)
+    assert primal_violation(report.recovered, scn) <= 1e-9

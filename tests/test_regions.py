@@ -13,7 +13,6 @@ from rdcontrol import (
     VertexRegion,
     capacity_C,
 )
-from rdcontrol.regions import MAX_MAC_USERS
 
 MARGINAL_3_OVER_3 = 0.4036774610288021  # (1/2)log2(7) - 1
 
@@ -116,23 +115,44 @@ def test_mac_max_weight_examples():
     assert r[0] == pytest.approx(MARGINAL_3_OVER_3, abs=1e-12)
 
 
-def test_mac_user_cap():
-    # the cap guards the 2^n subset scan of membership, not construction
-    reg = GaussianMacRegion(tuple([1.0] * 17), 1.0)
-    with pytest.raises(DomainError, match="at most 16 users"):
-        reg.violation(np.zeros(17))
-    with pytest.raises(DomainError, match="at most 16 users"):
-        reg.contains(np.zeros(17))
-
-
 def test_mac_forty_users_schedule_without_subset_scan():
     powers = tuple(float(p) for p in np.linspace(0.5, 4.0, 40))
     reg = GaussianMacRegion(powers, 1.3)
     r = reg.max_weight(np.linspace(2.0, 0.1, 40))
     assert abs(float(np.sum(r)) - capacity_C(sum(powers), 1.3)) <= 1e-12
     assert np.all(r >= 0.0)
-    with pytest.raises(DomainError, match=f"at most {MAX_MAC_USERS} users"):
-        reg.violation(r)
+    assert reg.violation(r) <= 1e-12
+
+
+def subset_scan_violation(reg, r):
+    """Largest violation over r >= 0 and all 2^n - 1 subset constraints."""
+    worst = max(0.0, float(np.max(-r)))
+    for k in range(1, reg.dim + 1):
+        for S in itertools.combinations(range(reg.dim), k):
+            cap = capacity_C(sum(reg.powers[i] for i in S), reg.noise)
+            worst = max(worst, sum(r[i] for i in S) - cap)
+    return worst
+
+
+@st.composite
+def mac_and_rates(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    power = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(0.0, 10.0))
+    powers = draw(st.lists(power, min_size=n, max_size=n))
+    rates = draw(st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n))
+    # some users get rate t * P_i, so their ratios r_i / P_i tie at t
+    t = draw(st.floats(0.0, 1.0))
+    tied = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rates = [t * p if k else x for x, p, k in zip(rates, powers, tied)]
+    return GaussianMacRegion(tuple(powers), draw(st.floats(0.1, 5.0))), np.array(rates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mac_and_rates())
+def test_mac_prefix_violation_matches_subset_scan(case):
+    reg, r = case
+    scale = 1.0 + float(np.abs(r).sum()) + capacity_C(sum(reg.powers), reg.noise)
+    assert abs(reg.violation(r) - subset_scan_violation(reg, r)) <= 1e-12 * scale
 
 
 def test_mac_vertex_order_validation():
@@ -159,7 +179,7 @@ def test_mac_greedy_matches_order_enumeration(n, seed):
 def test_mac_alternating_sum_exhausts_capacity():
     reg = GaussianMacRegion((2.0, 5.0, 1.0), 0.7)
     r = reg.max_weight([1.0, 2.0, 3.0])
-    assert sum(r) == pytest.approx(reg.subset_capacity([0, 1, 2]), abs=1e-12)
+    assert sum(r) == pytest.approx(capacity_C(8.0, 0.7), abs=1e-12)
 
 
 def test_mac_tie_break_deterministic_and_scale_invariant():
