@@ -8,7 +8,8 @@ Subcommands:
   error.
 * ``verify`` — solve and cross-check against the grid-search oracle.
 * ``fig1``   — sweep the closed-form compression rule over a grid of
-  compressed rates and write (c, alpha_star, D, s_eff) rows.
+  compressed rates and write (c, alpha_star, D, s_eff) rows; at most
+  ``MAX_FIG1_STEPS`` grid points.
 * ``mac``    — solve the two-user MAC distortion program, cross-check the
   closed form against the LP vertex oracle (exit 3 on mismatch), and write
   plot-ready region/corner data.
@@ -35,6 +36,9 @@ from .orchestrator import Scenario, SolveReport, solve
 from .scenario import load_mac_scenario, load_scenario
 
 _GFMT = ".12g"
+
+# fig1 builds one grid array and one Python row per step before writing
+MAX_FIG1_STEPS = 10**6
 
 
 def fmt(x) -> str:
@@ -69,6 +73,7 @@ def write_trace_csv(path: str | Path, report: SolveReport, n: int) -> None:
 def _print_summary(report: SolveReport) -> None:
     print(f"converged: {'yes' if report.converged else 'no'}")
     print(f"iterations: {report.iterations}")
+    print(f"stop_reason: {report.stop_reason}")
     print(f"recovered_objective: {fmt(report.recovered_objective)}")
     print(f"best_dual: {fmt(report.best_dual)}")
     print(f"relative_gap: {fmt(report.gap)}")
@@ -127,8 +132,8 @@ def cmd_fig1(args) -> int:
         raise RdControlError(
             f"need 0 < c_min < c_max, got [{args.c_min}, {args.c_max}]"
         )
-    if args.steps < 2:
-        raise RdControlError(f"steps must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= MAX_FIG1_STEPS:
+        raise RdControlError(f"steps must be in [2, {MAX_FIG1_STEPS}], got {args.steps}")
     grid = np.linspace(args.c_min, args.c_max, args.steps)
     breakpoint_c = 1.0 / args.K
     if args.c_min < breakpoint_c < args.c_max:

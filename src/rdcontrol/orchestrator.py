@@ -240,7 +240,9 @@ class SolveReport:
     zero-capacity link, or a link whose capacity is below c_min, where
     the capped problem is infeasible), ``recovered`` is None,
     ``recovered_objective`` is -inf, ``gap`` is inf and ``converged`` is
-    False.
+    False.  ``stop_reason`` says why the loop ended: ``"gap"`` (the
+    certificate holds), ``"max_iters"`` (the budget ran out with an
+    incumbent) or ``"no_incumbent"`` (it ran out with none).
     """
 
     trace: Trace
@@ -250,6 +252,7 @@ class SolveReport:
     gap: float
     converged: bool
     iterations: int
+    stop_reason: str
 
 
 
@@ -416,7 +419,7 @@ def solve(scn: Scenario) -> SolveReport:
     best_point = None
     best_obj = -math.inf
     gap = math.inf
-    converged = False
+    stop_reason = "max_iters"
     t = 0
 
     with np.errstate(**_QUIET):
@@ -455,7 +458,7 @@ def solve(scn: Scenario) -> SolveReport:
             cols_viol.append(viol)
 
             if gap < tol_gap:
-                converged = True
+                stop_reason = "gap"
                 break
             gamma = step_size(t)
             mu = np.maximum(0.0, mu + gamma * g_mu)
@@ -474,12 +477,15 @@ def solve(scn: Scenario) -> SolveReport:
         dual_obj=np.asarray(cols_dobj),
         max_violation=np.asarray(cols_viol),
     )
+    if best_point is None:
+        stop_reason = "no_incumbent"
     return SolveReport(
         trace=trace,
         recovered=None if best_point is None else PrimalAllocation(*best_point),
         recovered_objective=best_obj,
         best_dual=best_dual,
         gap=gap,
-        converged=converged,
+        converged=stop_reason == "gap",
         iterations=t,
+        stop_reason=stop_reason,
     )

@@ -12,6 +12,9 @@ Three concrete families:
 ``max_weight(lam)`` maximizes ``lam . r`` over the region with a
 deterministic tie-break (descending weight, then ascending user index),
 so repeated solves of the same instance are bit-identical.
+``contains`` and ``violation`` raise :class:`DomainError` on a non-finite
+rate: a NaN coordinate would otherwise drop out of the max and hide a
+real violation elsewhere.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError
 
@@ -40,6 +42,22 @@ def _as_rate_vector(r: Sequence[float], dim: int, what: str) -> np.ndarray:
     if arr.shape != (dim,):
         raise DomainError(f"{what}: expected a vector of length {dim}, got shape {arr.shape}")
     return arr
+
+
+def _finite_rates(r: Sequence[float], dim: int, what: str) -> np.ndarray:
+    """The rate vector of a membership test; NaN and +-inf are refused."""
+    arr = _as_rate_vector(r, dim, what)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what}: rates must be finite, got {arr}")
+    return arr
+
+
+def _linprog(**lp):
+    """``scipy.optimize.linprog`` with HiGHS, imported on first use so that
+    importing the package loads no scipy."""
+    from scipy.optimize import linprog
+
+    return linprog(method="highs", **lp)
 
 
 def _check_weights(lam: Sequence[float], dim: int) -> np.ndarray:
@@ -67,13 +85,13 @@ class BoxRegion:
         return len(self.caps)
 
     def contains(self, r: Sequence[float], tol: float = 1e-9) -> bool:
-        arr = _as_rate_vector(r, self.dim, "contains")
+        arr = _finite_rates(r, self.dim, "contains")
         caps = np.asarray(self.caps)
         return bool(np.all(arr >= -tol) and np.all(arr <= caps + tol))
 
     def violation(self, r: Sequence[float]) -> float:
         """Largest additive constraint violation (0 when feasible)."""
-        arr = _as_rate_vector(r, self.dim, "violation")
+        arr = _finite_rates(r, self.dim, "violation")
         caps = np.asarray(self.caps)
         return float(max(0.0, np.max(arr - caps), np.max(-arr)))
 
@@ -133,7 +151,7 @@ class GaussianMacRegion:
     def violation(self, r: Sequence[float]) -> float:
         """Largest additive violation over all subset constraints and r >= 0,
         read off the prefixes of the users in r_i/P_i order."""
-        arr = _as_rate_vector(r, self.dim, "violation")
+        arr = _finite_rates(r, self.dim, "violation")
         P = np.asarray(self.powers)
         # P_i = 0 goes first if r_i > 0, else last; a subnormal P_i may give inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -161,7 +179,11 @@ class GaussianMacRegion:
 
 @dataclass(frozen=True)
 class VertexRegion:
-    """Convex hull of a finite set of nonnegative rate vectors (time sharing)."""
+    """Convex hull of a finite set of nonnegative rate vectors (time sharing).
+
+    ``contains`` and ``violation`` each solve one small LP with scipy's
+    HiGHS ``linprog``, imported on first use; ``max_weight`` needs no LP.
+    """
 
     vertices: tuple[tuple[float, ...], ...]
 
@@ -181,27 +203,26 @@ class VertexRegion:
         return len(self.vertices[0])
 
     def contains(self, r: Sequence[float], tol: float = 1e-9) -> bool:
-        arr = _as_rate_vector(r, self.dim, "contains")
+        arr = _finite_rates(r, self.dim, "contains")
         V = np.asarray(self.vertices, dtype=float)  # (m, dim)
         m = V.shape[0]
         # feasibility of convex weights theta >= 0, sum theta = 1,
         # |V^T theta - r|_inf <= tol
         A_ub = np.vstack([V.T, -V.T])
         b_ub = np.concatenate([arr + tol, -(arr - tol)])
-        res = linprog(
+        res = _linprog(
             c=np.zeros(m),
             A_ub=A_ub,
             b_ub=b_ub,
             A_eq=np.ones((1, m)),
             b_eq=np.array([1.0]),
             bounds=[(0, None)] * m,
-            method="highs",
         )
         return bool(res.status == 0)
 
     def violation(self, r: Sequence[float]) -> float:
         """Smallest t with r within sup-norm t of the hull."""
-        arr = _as_rate_vector(r, self.dim, "violation")
+        arr = _finite_rates(r, self.dim, "violation")
         V = np.asarray(self.vertices, dtype=float)
         m = V.shape[0]
         # variables (theta_1..theta_m, t): minimize t
@@ -212,14 +233,13 @@ class VertexRegion:
             ]
         )
         b_ub = np.concatenate([arr, -arr])
-        res = linprog(
+        res = _linprog(
             c=np.concatenate([np.zeros(m), [1.0]]),
             A_ub=A_ub,
             b_ub=b_ub,
             A_eq=np.concatenate([np.ones((1, m)), [[0.0]]], axis=1),
             b_eq=np.array([1.0]),
             bounds=[(0, None)] * m + [(0, None)],
-            method="highs",
         )
         if res.status != 0:
             raise DomainError("violation: hull distance LP failed")

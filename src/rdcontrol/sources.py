@@ -24,15 +24,15 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from scipy.optimize import bisect
-
 from .errors import DomainError, InfeasibleOffsetError
 
 _TWO_PI_E = 2.0 * math.pi * math.e
 
 # Bisection settings for the entropy inverse: the monotone branch
-# [0, 1/2] makes plain bisection unconditionally convergent.
+# [0, 1/2] makes plain bisection unconditionally convergent.  The
+# relative tolerance is the smallest one scipy.optimize.bisect accepts.
 _INV_ENTROPY_XTOL = 1e-12
+_INV_ENTROPY_RTOL = 4.0 * 2.0**-52
 _INV_ENTROPY_MAXITER = 200
 
 
@@ -107,20 +107,32 @@ def binary_entropy(p: float) -> float:
 def inverse_binary_entropy(y: float) -> float:
     """The unique D in [0, 1/2] with binary_entropy(D) = y.
 
-    Bisection on the increasing branch, absolute tolerance 1e-12.
+    Bisection on the increasing branch, the recurrence of
+    ``scipy.optimize.bisect`` (same iterates, same result): halve the step
+    ``dm``, probe ``xm = xa + dm``, move ``xa`` to ``xm`` while
+    H(xm) - y has the sign of H(xa) - y, and stop at an exact root or when
+    ``|dm| < xtol + rtol*|xm|`` (xtol 1e-12, rtol 4 machine epsilons).
     """
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"inverse_binary_entropy: y must be in [0,1], got {y}")
-    if y == 0.0:
+    if y == 0.0:  # an endpoint is the root
         return 0.0
     if y == 1.0:
         return 0.5
-    return bisect(
-        lambda d: binary_entropy(d) - y,
-        0.0,
-        0.5,
-        xtol=_INV_ENTROPY_XTOL,
-        maxiter=_INV_ENTROPY_MAXITER,
+    # f(d) = H(d) - y is -y < 0 at xa = 0 and at every later xa, so "f(xm)
+    # has the sign of f(xa)" is f(xm) < 0; a product fm*fa would underflow
+    # to -0.0 for y near 5e-324
+    xa, dm = 0.0, 0.5
+    for _ in range(_INV_ENTROPY_MAXITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = binary_entropy(xm) - y
+        if fm < 0.0:
+            xa = xm
+        if fm == 0.0 or dm < _INV_ENTROPY_XTOL + _INV_ENTROPY_RTOL * xm:
+            return xm
+    raise DomainError(
+        f"inverse_binary_entropy: no convergence in {_INV_ENTROPY_MAXITER} steps at y={y}"
     )
 
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rdcontrol import binary_entropy
-from rdcontrol.cli import fmt, main
+from rdcontrol.cli import MAX_FIG1_STEPS, fmt, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -53,6 +59,16 @@ def read_csv(path):
     return header, rows
 
 
+# ----------------------------------------------------------------- start-up
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this test process may have imported scipy already
+    probe = "import sys, rdcontrol, rdcontrol.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 # -------------------------------------------------------------------- solve
 
 def test_solve_exit_zero_and_trace(tmp_path, capsys):
@@ -62,6 +78,7 @@ def test_solve_exit_zero_and_trace(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "converged: yes" in stdout
+    assert "stop_reason: gap" in stdout.splitlines()
     header, rows = read_csv(out)
     assert header[:5] == ["iter", "mu_0", "mu_1", "lambda_0", "lambda_1"]
     assert header[-3:] == ["primal_obj", "dual_obj", "max_violation"]
@@ -84,6 +101,7 @@ def test_solve_without_finite_incumbent_exits_two(tmp_path, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert "recovered: none" in captured.out
+    assert "stop_reason: no_incumbent" in captured.out.splitlines()
     assert "Traceback" not in captured.err
 
 
@@ -188,6 +206,19 @@ def test_fig1_domain_violations_exit_one(tmp_path, args, capsys):
     code = main(["fig1", *args, "--out", str(tmp_path / "x.csv")])
     assert code == 1
     capsys.readouterr()
+
+
+def test_fig1_steps_cap_refused_before_allocating(tmp_path, monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("fig1 built its grid before checking --steps")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out = tmp_path / "x.csv"
+    code = main(["fig1", "--K", "1", "--p", "0.5", "--c-min", "0.1", "--c-max", "1.0",
+                 "--steps", str(MAX_FIG1_STEPS + 1), "--out", str(out)])
+    assert code == 1
+    assert str(MAX_FIG1_STEPS) in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------- mac

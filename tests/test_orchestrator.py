@@ -295,6 +295,14 @@ def test_solve_non_convergence_flag():
     assert len(report.trace) == 3
 
 
+def test_solve_stop_reason():
+    assert solve(cases.box_two_mixed()).stop_reason == "gap"
+    assert solve(single_source_scenario(max_iters=3)).stop_reason == "max_iters"
+    # LogRate on a zero-capacity link: no repaired point has c >= c_min
+    starved = solve(single_source_scenario(cap=0.0, max_iters=200))
+    assert (starved.stop_reason, starved.recovered, starved.converged) == ("no_incumbent", None, False)
+
+
 def test_solve_deterministic():
     scn = cases.box_two_mixed()
     r1 = solve(scn)

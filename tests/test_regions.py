@@ -245,3 +245,13 @@ def test_max_weight_beats_sampled_points(region):
             hits += 1
             assert score >= float(lam @ r) - 1e-9
     assert hits > 0  # the sampler actually exercised the region
+
+
+@pytest.mark.parametrize("method", ["violation", "contains"])
+@pytest.mark.parametrize("bad", [NAN, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize("region", REGIONS, ids=lambda r: type(r).__name__ + str(r.dim))
+def test_membership_rejects_non_finite_rate(region, bad, method):
+    # a NaN drops out of a max and would hide the 5.0 violation beside it
+    r = [bad, 5.0] + [0.0] * (region.dim - 2)
+    with pytest.raises(DomainError, match="finite"):
+        getattr(region, method)(r)

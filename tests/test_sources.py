@@ -65,6 +65,34 @@ def test_inverse_binary_entropy_domain(y):
         inverse_binary_entropy(y)
 
 
+def test_inverse_binary_entropy_is_scipy_bisect_bit_for_bit():
+    from scipy.optimize import bisect
+
+    from rdcontrol.sources import (
+        _INV_ENTROPY_MAXITER,
+        _INV_ENTROPY_RTOL,
+        _INV_ENTROPY_XTOL,
+    )
+
+    # the named settings are those of the reference call; rtol is scipy's default
+    assert (_INV_ENTROPY_XTOL, _INV_ENTROPY_MAXITER) == (1e-12, 200)
+    assert _INV_ENTROPY_RTOL == 4 * np.finfo(float).eps
+    rng = np.random.default_rng(20100801)
+    draws = np.concatenate([rng.uniform(0.0, 1.0, 10_000), 10.0 ** rng.uniform(-323.0, 0.0, 10_000)])
+    edges = [5e-324, 1e-300, 1e-16, 0.5, 1.0 - 1e-16]
+    for y in [*draws.tolist(), *edges]:
+        want = bisect(lambda d: binary_entropy(d) - y, 0.0, 0.5, xtol=1e-12, maxiter=200)
+        assert inverse_binary_entropy(y) == want, y
+
+
+def test_inverse_binary_entropy_out_of_steps_is_domain_error(monkeypatch):
+    import rdcontrol.sources
+
+    monkeypatch.setattr(rdcontrol.sources, "_INV_ENTROPY_MAXITER", 3)
+    with pytest.raises(DomainError, match="no convergence"):
+        inverse_binary_entropy(0.3)
+
+
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_entropy_round_trip(y):
     d = inverse_binary_entropy(y)
