@@ -3,9 +3,12 @@
 Subcommands:
 
 * ``solve``  — run the dual solver on a scenario file, write the iteration
-  trace as CSV.  Exit 0 on convergence, 2 on non-convergence (including a
-  run with no finite incumbent, printed as ``recovered: none``), 1 on input
-  error.
+  trace as CSV.  Each row is ``iter``, then ``mu_i``, ``lambda_i``,
+  ``alpha_i``, ``beta_i``, ``c_i`` and ``r_i`` for every source, and ends
+  in ``primal_obj,dual_obj`` (the best incumbent objective so far, -inf
+  before the first, and the dual value).  Exit 0 on convergence, 2 on
+  non-convergence (including a run with no finite incumbent, printed as
+  ``recovered: none``), 1 on input error.
 * ``verify`` — solve and cross-check against the grid-search oracle.
 * ``fig1``   — sweep the closed-form compression rule over a grid of
   compressed rates and write (c, alpha_star, D, s_eff) rows; at most
@@ -58,14 +61,14 @@ def write_trace_csv(path: str | Path, report: SolveReport, n: int) -> None:
     header = ["iter"]
     for name in ("mu", "lambda", "alpha", "beta", "c", "r"):
         header.extend(f"{name}_{i}" for i in range(n))
-    header += ["primal_obj", "dual_obj", "max_violation"]
+    header += ["primal_obj", "dual_obj"]
     tr = report.trace
     rows = []
     for k in range(len(tr)):
         row = [int(tr.t[k])]
         for col in (tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r):
             row.extend(col[k])
-        row += [tr.primal_obj[k], tr.dual_obj[k], tr.max_violation[k]]
+        row += [tr.primal_obj[k], tr.dual_obj[k]]
         rows.append(row)
     _write_csv(path, header, rows)
 

@@ -18,8 +18,8 @@ iteration is a handful of array operations.  :func:`solve` compiles the
 scenario once into plain float arrays -- K, 1/K, the rate weights w (0
 for a ``Zero`` utility), the ``LogRate`` sources, the cap scalars -- and
 binds ``region.max_weight`` and ``step.step_size``; the loop then runs
-the vector layer forms of :mod:`rdcontrol.layers`, the window sums, the
-repair, the objective and the Lagrangian on those arrays.
+the vector layer forms of :mod:`rdcontrol.layers`, the window sum of r,
+the repair, the objective and the Lagrangian on those arrays.
 :class:`PrimalAllocation` and :class:`DualState` are built only at the
 API boundary.  The public :func:`dual_iterate`, :func:`dual_objective`,
 :func:`primal_objective` and :func:`lagrangian_value` run the same
@@ -27,22 +27,27 @@ compiled kernel; the scalar ``compression_subproblem`` and
 ``congestion_subproblem`` stay in :mod:`rdcontrol.layers` as the
 per-source reference.
 
-A primal point is recovered by ergodic averaging of the subproblem
-iterates followed by a two-step repair: clip c to the scheduled rate, then
-recompute (alpha, beta) by the closed-form compression rule clipped to
-``alpha_max``.  The repaired point has c <= r with r a convex mix of
-region points, alpha + beta = min(c, alpha_max) <= c and alpha <=
-alpha_max; it counts as an incumbent only when also every c_i >= c_min,
-the last constraint of the capped problem.  An incumbent is feasible for
-the problem the duals bound, so by weak duality the relative gap between
-the best dual value and the best incumbent objective is a complete
-optimality certificate, and it is the only stopping test.  The average
-window restarts at power-of-two iteration counts, so at any time it spans
-at least the most recent half of the run; a from-start average would
-carry the early transient at O(1/t) and stall well above the gap
-tolerance.  The trace records, per iteration, the raw subproblem primal,
-the dual objective at the current prices, the best incumbent objective
-seen so far and the coupling residual of the raw window average.
+A primal point is recovered from the ergodic average of the scheduled
+rates alone: saturate c at the averaged scheduled rate, c = min(avg_r,
+c_max), then set (alpha, beta) by the closed-form compression rule
+clipped to ``alpha_max``.  The repaired point has c <= r with r a convex
+mix of region points, c <= c_max, alpha + beta = min(c, alpha_max) <= c
+and alpha <= alpha_max; it counts as an incumbent only when also every
+c_i >= c_min, the last constraint of the capped problem.  Under that
+rule the capped objective is nondecreasing in every c_i (slope K + w/c
+on the distortion branch, (1 + w)/c on the lossless one, w/c above
+``alpha_max``, 0 for a ``Zero`` source), so the largest feasible c
+given r is the best one, and the averages of the subproblem alpha, beta
+and c are not needed.  An incumbent is feasible for the problem the
+duals bound, so by weak duality the relative gap between the best dual
+value and the best incumbent objective is a complete optimality
+certificate, and it is the only stopping test.  The average window
+restarts at power-of-two iteration counts, so at any time it spans at
+least the most recent half of the run; a from-start average would carry
+the early transient at O(1/t) and stall well above the gap tolerance.
+The trace records, per iteration, the raw subproblem primal, the dual
+objective at the current prices and the best incumbent objective seen so
+far.
 """
 
 from __future__ import annotations
@@ -200,15 +205,6 @@ class Trace:
     stacks the rows once at the end, so the trace is as long as the run,
     never ``max_iters``; the six vector columns are views of that one
     block.
-
-    ``max_violation`` is the O(n) coupling residual of the raw window
-    average, max(0, alpha+beta-c, c-r, -(alpha+beta), -alpha, beta).  The
-    last three terms are <= 0 by construction (every iterate has alpha >
-    0 and beta in {0, -alpha}, and rounding keeps those signs in the
-    sums), so the solver evaluates only the first two.  It is a diagnostic
-    only: the region constraint is not evaluated, and the stopping test
-    does not read it (the solver never returns the raw average; see
-    :func:`primal_violation` for the full check).
     """
 
     t: np.ndarray
@@ -220,7 +216,6 @@ class Trace:
     r: np.ndarray
     primal_obj: np.ndarray
     dual_obj: np.ndarray
-    max_violation: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
@@ -230,10 +225,10 @@ class Trace:
 class SolveReport:
     """Outcome of :func:`solve`.
 
-    ``recovered`` is the incumbent: of the repaired window averages with
-    every c_i >= c_min, the one with the best finite objective seen
-    anywhere in the run.  It is feasible for the capped problem the duals
-    bound, so ``gap``, the relative distance
+    ``recovered`` is the incumbent: of the points repaired from the window
+    average of r with every c_i >= c_min, the one with the best finite
+    objective seen anywhere in the run.  It is feasible for the capped
+    problem the duals bound, so ``gap``, the relative distance
     ``(best_dual - recovered_objective) / (1 + |recovered_objective|)``,
     is >= 0 up to rounding.  ``converged`` means ``gap < tol_gap``.  When
     no repaired point qualified (e.g. a ``LogRate`` source on a
@@ -301,13 +296,11 @@ class _Kernel:
         g = self.objective(alpha, beta, c) - float(mu @ g_mu) - float(lam @ g_lam)
         return (alpha, beta, c, r), g, g_mu, g_lam
 
-    def repair(
-        self, c: np.ndarray, r: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Clip c to r, then (alpha, beta) by the compression rule under
-        alpha_max: alpha = min(max(1/K, c), alpha_max), beta =
-        min(c, alpha_max) - alpha."""
-        c = np.minimum(c, r)
+    def repair(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Saturate c at the scheduled rate, c = min(r, c_max), then
+        (alpha, beta) by the compression rule under alpha_max: alpha =
+        min(max(1/K, c), alpha_max), beta = min(c, alpha_max) - alpha."""
+        c = np.minimum(r, self.c_max)
         alpha = np.minimum(np.maximum(self.inv_K, c), self.alpha_max)
         return alpha, np.minimum(c, self.alpha_max) - alpha, c
 
@@ -377,10 +370,12 @@ def primal_violation(primal: PrimalAllocation, scn: Scenario) -> float:
     return max(0.0, worst)
 
 
-def _repair(avg: PrimalAllocation, scn: Scenario) -> PrimalAllocation:
-    """Make the averaged point feasible for the capped problem: clip c to r,
-    then re-derive (alpha, beta) by the compression rule under alpha_max."""
-    return PrimalAllocation(*_Kernel(scn).repair(avg.c, avg.r), avg.r.copy())
+def _repair(r: np.ndarray, scn: Scenario) -> PrimalAllocation:
+    """The point the solver builds from an averaged scheduled rate r:
+    c = min(r, c_max), then (alpha, beta) by the compression rule under
+    alpha_max."""
+    r = np.array(r, dtype=float)
+    return PrimalAllocation(*_Kernel(scn).repair(r), r)
 
 
 def solve(scn: Scenario) -> SolveReport:
@@ -390,11 +385,11 @@ def solve(scn: Scenario) -> SolveReport:
     and every iteration is a fixed handful of array operations over the
     sources.  The run stops as soon as the relative gap
     ``(best_dual - best_obj) / (1 + |best_obj|)`` drops below ``tol_gap``,
-    where ``best_obj`` is the best objective of an incumbent: a repaired
-    window average with every c_i >= c_min, hence feasible for the capped
-    problem.  By weak duality that point is then within ``tol_gap`` of the
-    capped optimum.  Hitting ``max_iters`` first returns
-    ``converged=False`` rather than raising.
+    where ``best_obj`` is the best objective of an incumbent: the point
+    repaired from the window average of r, when every c_i >= c_min, hence
+    feasible for the capped problem.  By weak duality that point is then
+    within ``tol_gap`` of the capped optimum.  Hitting ``max_iters`` first
+    returns ``converged=False`` rather than raising.
     """
     kernel = _Kernel(scn)
     dual_step, repair, objective = kernel.dual_step, kernel.repair, kernel.objective
@@ -405,15 +400,13 @@ def solve(scn: Scenario) -> SolveReport:
     n = scn.n
     mu = np.full(n, float(scn.dual_init))
     lam = mu.copy()
-    sums = np.zeros((4, n))  # window sums of the raw alpha, beta, c, r
-    sum_alpha, sum_beta, sum_c, sum_r = sums
+    sum_r = np.zeros(n)  # window sum of the scheduled rates
     count = 0
     next_restart = 2
 
     rows: list[np.ndarray] = []  # one (mu, lam, alpha, beta, c, r) row per iteration
     cols_pobj: list[float] = []
     cols_dobj: list[float] = []
-    cols_viol: list[float] = []
 
     best_dual = math.inf
     best_point = None
@@ -429,18 +422,14 @@ def solve(scn: Scenario) -> SolveReport:
                 best_dual = g
 
             if t == next_restart:
-                sums[:] = 0.0
+                sum_r[:] = 0.0
                 count = 0
                 next_restart *= 2
-            sum_alpha += alpha
-            sum_beta += beta
-            sum_c += c
             sum_r += r
             count += 1
-            avg_c = sum_c / count
             avg_r = sum_r / count
 
-            point = repair(avg_c, avg_r)
+            point = repair(avg_r)
             if point[2].min() >= c_min:  # c >= c_min: a point of the capped problem
                 obj = objective(*point)
                 if obj > best_obj:
@@ -448,14 +437,10 @@ def solve(scn: Scenario) -> SolveReport:
                     best_point = (*point, avg_r)
             if best_point is not None:
                 gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
-            # -(alpha+beta), -alpha and beta are <= 0 by construction (see Trace)
-            avg_s = sum_alpha / count + sum_beta / count
-            viol = max(0.0, float((avg_s - avg_c).max()), float((avg_c - avg_r).max()))
 
             rows.append(np.concatenate((mu, lam, alpha, beta, c, r)))
             cols_pobj.append(best_obj)
             cols_dobj.append(g)
-            cols_viol.append(viol)
 
             if gap < tol_gap:
                 stop_reason = "gap"
@@ -475,7 +460,6 @@ def solve(scn: Scenario) -> SolveReport:
         r=r_t,
         primal_obj=np.asarray(cols_pobj),
         dual_obj=np.asarray(cols_dobj),
-        max_violation=np.asarray(cols_viol),
     )
     if best_point is None:
         stop_reason = "no_incumbent"

@@ -81,7 +81,8 @@ def test_solve_exit_zero_and_trace(tmp_path, capsys):
     assert "stop_reason: gap" in stdout.splitlines()
     header, rows = read_csv(out)
     assert header[:5] == ["iter", "mu_0", "mu_1", "lambda_0", "lambda_1"]
-    assert header[-3:] == ["primal_obj", "dual_obj", "max_violation"]
+    assert header[-2:] == ["primal_obj", "dual_obj"]
+    assert len(header) == 1 + 6 * 2 + 2
     assert 1 <= len(rows) <= 20_000
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cases
 from rdcontrol import (
@@ -262,7 +264,8 @@ def test_solve_repair_respects_alpha_cap():
 
 
 def test_repair_matches_layer_rule_under_alpha_cap():
-    # the vectorized repair against the per-source closed form of the layer
+    # the vectorized repair against the per-source closed form of the layer;
+    # r up to twice c_max, so the saturation at c_max is exercised too
     from rdcontrol.layers import compression_given_rate
     from rdcontrol.orchestrator import _repair
 
@@ -276,15 +279,63 @@ def test_repair_matches_layer_rule_under_alpha_cap():
     )
     rng = np.random.default_rng(3)
     for _ in range(200):
-        c, r = rng.uniform(0.0, 40.0, (2, len(Ks)))
-        rep = _repair(PrimalAllocation(np.ones(len(Ks)), np.zeros(len(Ks)), c, r), scn)
+        r = rng.uniform(0.0, 40.0, len(Ks))
+        rep = _repair(r, scn)
         for i, K in enumerate(Ks):
-            ci = min(c[i], r[i])
+            ci = min(r[i], scn.caps.c_max)
             alpha = min(compression_given_rate(K, ci), scn.caps.alpha_max)
             assert rep.c[i] == ci
             assert rep.alpha[i] == alpha
             assert rep.beta[i] == min(ci, scn.caps.alpha_max) - alpha
         assert primal_violation(rep, scn) <= 1e-12
+
+
+@st.composite
+def repair_draws(draw):
+    """Sources (K, w; w = 0 is a Zero source), caps, an averaged c in
+    [c_min, c_max] and an averaged r >= 0."""
+    n = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0)
+    K = [10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(n)]
+    w = [draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) for _ in range(n)]
+    alpha_max = 10.0 ** draw(st.floats(-1.0, 2.0))
+    c_min = 10.0 ** draw(st.floats(-9.0, 0.0))
+    c_max = c_min + 10.0 ** draw(st.floats(-3.0, 2.0))
+    c = [draw(st.sampled_from([c_min, c_max])) if draw(st.booleans())
+         else c_min + draw(unit) * (c_max - c_min) for _ in range(n)]
+    r = [draw(st.sampled_from([0.0, c_min, c_max, c[i]])) if draw(st.booleans())
+         else 2.0 * c_max * draw(unit) for i in range(n)]
+    return K, w, alpha_max, c_min, c_max, np.array(c), np.array(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repair_draws())
+def test_saturated_repair_is_feasible_and_dominates_clipping(draw):
+    # the objective is nondecreasing in c under the compression rule, so
+    # c = min(r, c_max) beats the earlier repair, which clipped the averaged
+    # subproblem c to r, wherever both are points of the capped problem
+    from rdcontrol.orchestrator import _repair
+
+    K, w, alpha_max, c_min, c_max, c, r = draw
+    scn = Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(k), LogRate(wi) if wi > 0 else Zero())
+            for k, wi in zip(K, w)
+        ),
+        region=BoxRegion(tuple(r)),
+        caps=SolverCaps(alpha_max=alpha_max, c_max=c_max, c_min=c_min),
+    )
+    new = _repair(r, scn)
+    assert primal_violation(new, scn) <= 1e-12
+
+    clipped = np.minimum(c, r)
+    alpha = np.minimum(np.maximum(1.0 / np.array(K), clipped), alpha_max)
+    old = PrimalAllocation(alpha, np.minimum(clipped, alpha_max) - alpha, clipped, r)
+    assert np.array_equal(new.c, np.minimum(r, c_max))
+    assert np.all(new.c >= old.c)
+    if old.c.min() >= c_min and new.c.min() >= c_min:
+        old_obj = primal_objective(old, scn)
+        assert primal_objective(new, scn) >= old_obj - 1e-12 * (1.0 + abs(old_obj))
 
 
 def test_solve_non_convergence_flag():
@@ -319,8 +370,8 @@ PINNED_ITERATIONS = {
     "box_single_wide": 170,
     "box_single_tight": 1727,
     "box_two_mixed": 1478,
-    "mac_symmetric": 2049,
-    "mac_asymmetric": 4112,
+    "mac_symmetric": 941,
+    "mac_asymmetric": 1458,
 }
 
 
@@ -364,33 +415,15 @@ def test_incumbent_needs_c_at_least_c_min():
     assert report.iterations == 200
 
 
-def test_trace_max_violation_is_the_full_window_residual():
-    # rebuild the power-of-two restarted window average from the raw rows
-    # and evaluate all six coupling terms the trace column stands for
-    report = solve(cases.box_two_mixed())
-    tr = report.trace
-    n = tr.alpha.shape[1]
-    sums = np.zeros((4, n))
-    count, next_restart = 0, 2
-    for k, t in enumerate(tr.t):
-        if t == next_restart:
-            sums[:] = 0.0
-            count, next_restart = 0, 2 * next_restart
-        for row, col in zip(sums, (tr.alpha, tr.beta, tr.c, tr.r)):
-            row += col[k]
-        count += 1
-        a, b, c, r = (row / count for row in sums)
-        s = a + b
-        full = max(0.0, float(np.concatenate((s - c, c - r, -s, -a, b)).max()))
-        assert tr.max_violation[k] == full
-
-
 def test_trace_rows_are_the_subproblem_iterates():
+    # a dual-only rerun reproduces every row: the repair never feeds back
+    # into the prices
     scn = cases.mac_asymmetric()
     report = solve(scn)
     tr = report.trace
+    assert len(tr) == report.iterations
     state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
-    for k in range(50):
+    for k in range(len(tr)):
         assert np.array_equal(tr.mu[k], state.mu)
         assert np.array_equal(tr.lam[k], state.lam)
         assert tr.dual_obj[k] == dual_objective(state, scn)
@@ -398,6 +431,32 @@ def test_trace_rows_are_the_subproblem_iterates():
         raw = (primal.alpha, primal.beta, primal.c, primal.r)
         for got, want in zip((tr.alpha, tr.beta, tr.c, tr.r), raw):
             assert np.array_equal(got[k], want)
+
+
+def test_trace_primal_obj_is_the_best_repaired_window_average():
+    # rebuild the power-of-two restarted window average of r from the raw
+    # rows; the running best of its repaired points is the primal_obj column
+    from rdcontrol.orchestrator import _repair
+
+    scn = cases.mac_asymmetric()
+    report = solve(scn)
+    tr = report.trace
+    sum_r = np.zeros(scn.n)
+    count, next_restart = 0, 2
+    best, best_point = -math.inf, None
+    for k, t in enumerate(tr.t):
+        if t == next_restart:
+            sum_r[:] = 0.0
+            count, next_restart = 0, 2 * next_restart
+        sum_r += tr.r[k]
+        count += 1
+        point = _repair(sum_r / count, scn)
+        if point.c.min() >= scn.caps.c_min and primal_objective(point, scn) > best:
+            best, best_point = primal_objective(point, scn), point
+        assert tr.primal_obj[k] == best
+    assert report.recovered_objective == best
+    for name in ("alpha", "beta", "c", "r"):
+        assert np.array_equal(getattr(report.recovered, name), getattr(best_point, name))
 
 
 def test_primal_objective_domain_follows_the_utilities():

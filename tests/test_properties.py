@@ -1,0 +1,149 @@
+"""Property suite for the solver's certificate and the ``solve`` command.
+
+Random 1-3 source scenarios on box, Gaussian MAC and vertex regions, built
+as JSON documents so the library and the CLI see the same input, and run
+with small ``max_iters``.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rdcontrol import ScenarioError, primal_violation, solve
+from rdcontrol.cli import main
+from rdcontrol.scenario import scenario_from_dict
+
+rate = st.one_of(st.sampled_from([0.0, 1e-10, 5e-324]), st.floats(0.0, 5.0))
+
+
+@st.composite
+def scenario_docs(draw):
+    n = draw(st.integers(1, 3))
+    sources = [
+        {
+            "kind": "binary",
+            "s": 1.0,
+            "p": 0.3,
+            "V": {"kind": "log_linear", "K": draw(st.floats(0.1, 10.0))},
+            "U": draw(st.one_of(
+                st.just({"kind": "zero"}),
+                st.builds(lambda w: {"kind": "log_rate", "w": w}, st.floats(0.1, 3.0)),
+            )),
+        }
+        for _ in range(n)
+    ]
+    kind = draw(st.sampled_from(["box", "mac", "vertices"]))
+    if kind == "box":
+        region = {"kind": "box", "caps": draw(st.lists(rate, min_size=n, max_size=n))}
+    elif kind == "mac":
+        powers = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+        region = {"kind": "mac", "powers": powers, "noise": draw(st.floats(0.1, 5.0))}
+    else:
+        vertex = st.lists(rate, min_size=n, max_size=n)
+        region = {"kind": "vertices", "vertices": draw(st.lists(vertex, min_size=1, max_size=4))}
+    c_min = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    solver = {
+        "step": {
+            "kind": draw(st.sampled_from(["diminishing", "constant"])),
+            "gamma0": draw(st.floats(0.01, 1.0)),
+        },
+        "max_iters": draw(st.integers(1, 300)),
+        "tol_gap": draw(st.sampled_from([1e-3, 1e-2, 1e-1, 0.5])),
+        "caps": {
+            "alpha_max": draw(st.sampled_from([1.0, 20.0, 1e6])),
+            "c_max": c_min + draw(st.sampled_from([1.0, 20.0, 1e6])),
+            "c_min": c_min,
+        },
+    }
+    return {"sources": sources, "region": region, "solver": solver}
+
+
+def _leaves(doc, path=()):
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            yield from _leaves(val, path + (key,))
+    elif isinstance(doc, list):
+        for i, val in enumerate(doc):
+            yield from _leaves(val, path + (i,))
+    else:
+        yield path
+
+
+@st.composite
+def cli_docs(draw):
+    """A valid scenario document, or one with a single leaf replaced by junk."""
+    doc = draw(scenario_docs())
+    if draw(st.booleans()):
+        leaves = list(_leaves(doc))
+        path = draw(st.sampled_from(leaves))
+        junk = draw(st.sampled_from([math.nan, math.inf, -1.0, 0.0, "x", None, [], {}, True]))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = junk
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(scenario_docs())
+def test_certificate_holds_on_random_scenarios(doc):
+    scn = scenario_from_dict(doc)
+    report = solve(scn)
+    tr = report.trace
+    assert len(tr) == report.iterations <= scn.max_iters
+
+    # weak duality along the trace: every dual value bounds the best
+    # incumbent (the last primal_obj), so the relative gap is >= -1e-12 up
+    # to the rounding of g, whose price terms mu.(alpha+beta-c) and
+    # lam.(c-r) cancel to about eps * lam * c_max when c sits at c_max
+    if report.recovered is not None:
+        best = report.recovered_objective
+        assert tr.primal_obj[-1] == best
+        terms = tr.mu * (np.abs(tr.alpha) + np.abs(tr.beta) + tr.c) + tr.lam * (tr.c + tr.r)
+        rounding = 1e-14 * terms.sum(axis=1)
+        assert np.all(tr.dual_obj - best >= -1e-12 * (1.0 + abs(best)) - rounding)
+
+    if report.converged:
+        assert report.stop_reason == "gap"
+        assert report.gap < scn.tol_gap
+        assert primal_violation(report.recovered, scn) <= 1e-9
+    else:
+        assert report.iterations == scn.max_iters
+
+    again = solve(scn)
+    assert (again.iterations, again.stop_reason, again.converged) == (
+        report.iterations, report.stop_reason, report.converged
+    )
+    assert again.recovered_objective == report.recovered_objective
+    assert again.best_dual == report.best_dual
+    for name in ("mu", "lam", "alpha", "beta", "c", "r", "primal_obj", "dual_obj"):
+        assert np.array_equal(getattr(again.trace, name), getattr(tr, name))
+    if report.recovered is not None:
+        for name in ("alpha", "beta", "c", "r"):
+            assert np.array_equal(getattr(again.recovered, name), getattr(report.recovered, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_docs())
+def test_solve_command_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", str(path), "--out", str(Path(tmp) / "trace.csv")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    try:
+        scn = scenario_from_dict(doc)
+    except ScenarioError:
+        assert code == 1
+        return
+    assert code == (0 if solve(scn).converged else 2)
