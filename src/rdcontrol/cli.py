@@ -51,10 +51,14 @@ def fmt(x) -> str:
     return format(float(x), _GFMT)
 
 
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+
+
 def _write_csv(path: str | Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    _write_lines(path, lines)
 
 
 def write_trace_csv(path: str | Path, report: SolveReport, n: int) -> None:
@@ -63,14 +67,14 @@ def write_trace_csv(path: str | Path, report: SolveReport, n: int) -> None:
         header.extend(f"{name}_{i}" for i in range(n))
     header += ["primal_obj", "dual_obj"]
     tr = report.trace
-    rows = []
-    for k in range(len(tr)):
-        row = [int(tr.t[k])]
-        for col in (tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r):
-            row.extend(col[k])
-        row += [tr.primal_obj[k], tr.dual_obj[k]]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    # one %-format per row; "%.12g" renders a float exactly as fmt does
+    row = "%d," + ",".join(["%" + _GFMT] * (6 * n + 2))
+    table = np.column_stack(
+        (tr.t, tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r, tr.primal_obj, tr.dual_obj)
+    )
+    lines = [",".join(header)]
+    lines.extend(row % tuple(cells) for cells in table.tolist())
+    _write_lines(path, lines)
 
 
 def _print_summary(report: SolveReport) -> None:

@@ -17,14 +17,20 @@ Every layer is a closed form applied to each source independently, so an
 iteration is a handful of array operations.  :func:`solve` compiles the
 scenario once into plain float arrays -- K, 1/K, the rate weights w (0
 for a ``Zero`` utility), the ``LogRate`` sources, the cap scalars -- and
-binds ``region.max_weight`` and ``step.step_size``; the loop then runs
-the vector layer forms of :mod:`rdcontrol.layers`, the window sum of r,
-the repair, the objective and the Lagrangian on those arrays.
-:class:`PrimalAllocation` and :class:`DualState` are built only at the
-API boundary.  The public :func:`dual_iterate`, :func:`dual_objective`,
-:func:`primal_objective` and :func:`lagrangian_value` run the same
-compiled kernel; the scalar ``compression_subproblem`` and
-``congestion_subproblem`` stay in :mod:`rdcontrol.layers` as the
+binds ``region.max_weight`` and ``step.step_size``.  The prices read
+nothing but the three layers, so the loop runs in two stages.  Per
+iteration it solves the layers, writes the (mu, lam, alpha, beta, c, r)
+row into a block and takes the price step.  Once per block of up to 64
+rows it evaluates the dual values, the window sums of r, the repair, the
+incumbent objectives, the running best dual and incumbent, and the gap
+as row-wise array expressions, and stops at the first row that meets the
+gap; the block's later price steps are discarded.  The objective and the
+Lagrangian act row-wise on (rows, n) arrays, and the public
+:func:`dual_objective`, :func:`primal_objective` and
+:func:`lagrangian_value` call them on one row, so they give the same
+bits as the trace.  :class:`PrimalAllocation` and :class:`DualState` are
+built only at the API boundary.  The scalar ``compression_subproblem``
+and ``congestion_subproblem`` stay in :mod:`rdcontrol.layers` as the
 per-source reference.
 
 A primal point is recovered from the ergodic average of the scheduled
@@ -45,9 +51,9 @@ certificate, and it is the only stopping test.  The average window
 restarts at power-of-two iteration counts, so at any time it spans at
 least the most recent half of the run; a from-start average would carry
 the early transient at O(1/t) and stall well above the gap tolerance.
-The trace records, per iteration, the raw subproblem primal, the dual
-objective at the current prices and the best incumbent objective seen so
-far.
+A block never spans a restart.  The trace records, per iteration, the
+raw subproblem primal, the dual objective at the current prices and the
+best incumbent objective seen so far.
 """
 
 from __future__ import annotations
@@ -201,10 +207,11 @@ class Trace:
     Row k holds iteration ``t[k]``: the prices the subproblems saw, the
     raw subproblem primal, the best incumbent objective so far
     (``primal_obj``, -inf before the first) and the dual value
-    (``dual_obj``).  The solver appends one flat row per iteration and
-    stacks the rows once at the end, so the trace is as long as the run,
+    (``dual_obj``).  The solver fills one (mu, lam, alpha, beta, c, r)
+    block per certified block of iterations, cut at the stopping row, and
+    stacks the blocks once at the end, so the trace is as long as the run,
     never ``max_iters``; the six vector columns are views of that one
-    block.
+    array.
     """
 
     t: np.ndarray
@@ -255,12 +262,17 @@ class SolveReport:
 # at subnormal mu (then capped), and log(0) is -inf
 _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
+# most iterations :func:`solve` runs before it certifies them together
+_BLOCK = 64
+
 
 class _Kernel:
     """A :class:`Scenario` compiled to float arrays over sources.
 
-    The layers, the objective and the repair are array expressions on
-    these arrays; evaluate them under ``np.errstate(**_QUIET)``.
+    The layers act on one price vector; the objective, the Lagrangian and
+    the repair act row-wise on (rows, n) arrays, so one call covers a
+    block of iterates and a 1-row call gives the same bits per row.
+    Evaluate them under ``np.errstate(**_QUIET)``.
     """
 
     def __init__(self, scn: Scenario) -> None:
@@ -277,24 +289,27 @@ class _Kernel:
         self.max_weight = scn.region.max_weight
         self.step_size = scn.step.step_size
 
-    def objective(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray) -> float:
-        """sum ln(alpha) + K.beta + w.ln(c) over the LogRate sources."""
-        log_c = np.log(c[self.rate])
-        return float(np.log(alpha).sum() + self.K @ beta + self.w_rate @ log_c)
-
-    def dual_step(
-        self, mu: np.ndarray, lam: np.ndarray
-    ) -> tuple[tuple[np.ndarray, ...], float, np.ndarray, np.ndarray]:
-        """The three layers at (mu, lam): the primal (alpha, beta, c, r),
-        the dual value g(mu, lam) and its subgradients alpha+beta-c (mu)
-        and c-r (lam)."""
+    def dual_step(self, mu: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The three layers at (mu, lam): the subproblem primal (alpha,
+        beta, c, r)."""
         alpha, beta = compression_layer(mu, self.K, self.alpha_max)
         c = congestion_layer(lam, mu, self.w, self.c_min, self.c_max)
-        r = self.max_weight(lam)
-        g_mu = alpha + beta - c
-        g_lam = c - r
-        g = self.objective(alpha, beta, c) - float(mu @ g_mu) - float(lam @ g_lam)
-        return (alpha, beta, c, r), g, g_mu, g_lam
+        return alpha, beta, c, self.max_weight(lam)
+
+    def objective(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Per row, sum ln(alpha) + K.beta + w.ln(c) over the LogRate sources."""
+        obj = np.log(alpha).sum(axis=-1) + (self.K * beta).sum(axis=-1)
+        return obj + (self.w_rate * np.log(c[..., self.rate])).sum(axis=-1)
+
+    def lagrangian(
+        self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray, r: np.ndarray,
+        mu: np.ndarray, lam: np.ndarray,
+    ) -> np.ndarray:
+        """Per row, objective - mu.(alpha + beta - c) - lam.(c - r).
+        The c terms are collected as (mu - lam).c, so they cancel exactly
+        where the congestion layer puts c at c_max with lam = mu."""
+        penalty = -mu * (alpha + beta) + (mu - lam) * c + lam * r
+        return self.objective(alpha, beta, c) + penalty.sum(axis=-1)
 
     def repair(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Saturate c at the scheduled rate, c = min(r, c_max), then
@@ -305,10 +320,11 @@ class _Kernel:
         return alpha, np.minimum(c, self.alpha_max) - alpha, c
 
 
-def primal_objective(primal: PrimalAllocation, scn: Scenario) -> float:
-    """sum_i V_i(alpha_i, beta_i) + U_i(c_i); DomainError where a utility
-    is undefined (alpha <= 0, or c <= 0 for a LogRate source)."""
-    kernel = _Kernel(scn)
+def _rows(*vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(np.asarray(v, dtype=float)[None] for v in vectors)
+
+
+def _check_domain(primal: PrimalAllocation, kernel: _Kernel) -> None:
     alpha = primal.alpha
     if not np.all(alpha > 0):
         bad = alpha[~(alpha > 0)][0]
@@ -317,26 +333,35 @@ def primal_objective(primal: PrimalAllocation, scn: Scenario) -> float:
     if not np.all(c_rate > 0):
         bad = c_rate[~(c_rate > 0)][0]
         raise DomainError(f"LogRate undefined at c={bad} (needs c > 0)")
-    return kernel.objective(alpha, primal.beta, primal.c)
+
+
+def primal_objective(primal: PrimalAllocation, scn: Scenario) -> float:
+    """sum_i V_i(alpha_i, beta_i) + U_i(c_i); DomainError where a utility
+    is undefined (alpha <= 0, or c <= 0 for a LogRate source)."""
+    kernel = _Kernel(scn)
+    _check_domain(primal, kernel)
+    return float(kernel.objective(*_rows(primal.alpha, primal.beta, primal.c))[0])
 
 
 def lagrangian_value(primal: PrimalAllocation, dual: DualState, scn: Scenario) -> float:
     """Objective minus price-weighted constraint residuals."""
-    penalty_mu = float(np.dot(dual.mu, primal.alpha + primal.beta - primal.c))
-    penalty_lam = float(np.dot(dual.lam, primal.c - primal.r))
-    return primal_objective(primal, scn) - penalty_mu - penalty_lam
+    kernel = _Kernel(scn)
+    _check_domain(primal, kernel)
+    rows = _rows(primal.alpha, primal.beta, primal.c, primal.r, dual.mu, dual.lam)
+    return float(kernel.lagrangian(*rows)[0])
 
 
 def _subproblem_primal(dual: DualState, scn: Scenario) -> PrimalAllocation:
     with np.errstate(**_QUIET):
-        primal, _, _, _ = _Kernel(scn).dual_step(dual.mu, dual.lam)
-    return PrimalAllocation(*primal)
+        return PrimalAllocation(*_Kernel(scn).dual_step(dual.mu, dual.lam))
 
 
 def dual_objective(dual: DualState, scn: Scenario) -> float:
     """g(mu, lambda): the Lagrangian maximized layer by layer at the prices."""
+    kernel = _Kernel(scn)
     with np.errstate(**_QUIET):
-        return _Kernel(scn).dual_step(dual.mu, dual.lam)[1]
+        primal = kernel.dual_step(dual.mu, dual.lam)
+        return float(kernel.lagrangian(*_rows(*primal, dual.mu, dual.lam))[0])
 
 
 def dual_iterate(
@@ -347,10 +372,10 @@ def dual_iterate(
     if not gamma > 0:
         raise DomainError(f"dual_iterate: step must be > 0, got {gamma}")
     with np.errstate(**_QUIET):
-        primal, _, g_mu, g_lam = _Kernel(scn).dual_step(state.mu, state.lam)
-    mu = np.maximum(0.0, state.mu + gamma * g_mu)
-    lam = np.maximum(0.0, state.lam + gamma * g_lam)
-    return DualState(mu, lam), PrimalAllocation(*primal)
+        alpha, beta, c, r = _Kernel(scn).dual_step(state.mu, state.lam)
+        mu = np.maximum(0.0, state.mu + gamma * (alpha + beta - c))
+        lam = np.maximum(0.0, state.lam + gamma * (c - r))
+    return DualState(mu, lam), PrimalAllocation(alpha, beta, c, r)
 
 
 def primal_violation(primal: PrimalAllocation, scn: Scenario) -> float:
@@ -381,32 +406,33 @@ def _repair(r: np.ndarray, scn: Scenario) -> PrimalAllocation:
 def solve(scn: Scenario) -> SolveReport:
     """Run the dual iteration until the gap certificate holds.
 
-    The scenario is compiled once into arrays (see the module docstring),
-    and every iteration is a fixed handful of array operations over the
-    sources.  The run stops as soon as the relative gap
-    ``(best_dual - best_obj) / (1 + |best_obj|)`` drops below ``tol_gap``,
-    where ``best_obj`` is the best objective of an incumbent: the point
-    repaired from the window average of r, when every c_i >= c_min, hence
-    feasible for the capped problem.  By weak duality that point is then
-    within ``tol_gap`` of the capped optimum.  Hitting ``max_iters`` first
-    returns ``converged=False`` rather than raising.
+    The scenario is compiled once into arrays (see the module docstring).
+    Iterations run in blocks of at most ``_BLOCK`` that never span a
+    window restart.  Inside a block each iteration only solves the three
+    layers and takes the price step; then the dual values, the window
+    averages of r, their repaired points and objectives, and the relative
+    gap ``(best_dual - best_obj) / (1 + |best_obj|)`` are evaluated for
+    the whole block as row-wise array expressions.  ``best_obj`` is the
+    best objective of an incumbent: the point repaired from the window
+    average of r, when every c_i >= c_min, hence feasible for the capped
+    problem.  The run stops at the first iteration whose gap is below
+    ``tol_gap``, and the trace and report end there; the block's later
+    price steps are discarded.  By weak duality that point is within
+    ``tol_gap`` of the capped optimum.  Hitting ``max_iters`` first returns
+    ``converged=False`` rather than raising.
     """
     kernel = _Kernel(scn)
-    dual_step, repair, objective = kernel.dual_step, kernel.repair, kernel.objective
-    step_size = kernel.step_size
-    c_min = kernel.c_min
-    tol_gap = scn.tol_gap
-
-    n = scn.n
+    dual_step, step_size = kernel.dual_step, kernel.step_size
+    n, max_iters, tol_gap = scn.n, scn.max_iters, scn.tol_gap
     mu = np.full(n, float(scn.dual_init))
     lam = mu.copy()
     sum_r = np.zeros(n)  # window sum of the scheduled rates
     count = 0
     next_restart = 2
 
-    rows: list[np.ndarray] = []  # one (mu, lam, alpha, beta, c, r) row per iteration
-    cols_pobj: list[float] = []
-    cols_dobj: list[float] = []
+    blocks: list[np.ndarray] = []  # (mu, lam, alpha, beta, c, r) rows
+    cols_pobj: list[np.ndarray] = []
+    cols_dobj: list[np.ndarray] = []
 
     best_dual = math.inf
     best_point = None
@@ -416,40 +442,56 @@ def solve(scn: Scenario) -> SolveReport:
     t = 0
 
     with np.errstate(**_QUIET):
-        for t in range(1, scn.max_iters + 1):
-            (alpha, beta, c, r), g, g_mu, g_lam = dual_step(mu, lam)
-            if g < best_dual:
-                best_dual = g
-
-            if t == next_restart:
-                sum_r[:] = 0.0
+        while t < max_iters:
+            if t + 1 == next_restart:
+                sum_r = np.zeros(n)
                 count = 0
                 next_restart *= 2
-            sum_r += r
-            count += 1
-            avg_r = sum_r / count
+            m = min(_BLOCK, next_restart - 1 - t, max_iters - t)
+            blk = np.empty((m, 6 * n))
+            for j in range(m):
+                alpha, beta, c, r = dual_step(mu, lam)
+                np.concatenate((mu, lam, alpha, beta, c, r), out=blk[j])
+                gamma = step_size(t + j + 1)
+                mu = np.maximum(0.0, mu + gamma * (alpha + beta - c))
+                lam = np.maximum(0.0, lam + gamma * (c - r))
 
-            point = repair(avg_r)
-            if point[2].min() >= c_min:  # c >= c_min: a point of the capped problem
-                obj = objective(*point)
-                if obj > best_obj:
-                    best_obj = obj
-                    best_point = (*point, avg_r)
-            if best_point is not None:
-                gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
+            mu_b, lam_b, alpha_b, beta_b, c_b, r_b = blk.reshape(m, 6, n).transpose(1, 0, 2)
+            dual = kernel.lagrangian(alpha_b, beta_b, c_b, r_b, mu_b, lam_b)
+            # accumulate adds row by row, the same sums as a running +=
+            sums = np.add.accumulate(np.vstack((sum_r, r_b)))[1:]
+            avg_r = sums / np.arange(count + 1, count + m + 1)[:, None]
+            point = kernel.repair(avg_r)
+            # only c >= c_min makes a point of the capped problem
+            feasible = point[2].min(axis=-1) >= kernel.c_min
+            obj = np.where(feasible, kernel.objective(*point), -math.inf)
+            # running best dual and incumbent, carried in from earlier blocks
+            run_dual = np.fmin.accumulate(np.concatenate(([best_dual], dual)))[1:]
+            prev_obj = np.fmax.accumulate(np.concatenate(([best_obj], obj)))
+            run_obj = prev_obj[1:]
+            gaps = np.where(
+                run_obj > -math.inf, (run_dual - run_obj) / (1.0 + np.abs(run_obj)), math.inf
+            )
 
-            rows.append(np.concatenate((mu, lam, alpha, beta, c, r)))
-            cols_pobj.append(best_obj)
-            cols_dobj.append(g)
-
-            if gap < tol_gap:
+            hits = np.flatnonzero(gaps < tol_gap)
+            k = int(hits[0]) + 1 if hits.size else m  # rows kept
+            better = np.flatnonzero(run_obj[:k] > prev_obj[:k])
+            if better.size:
+                j = better[-1]
+                best_point = (point[0][j], point[1][j], point[2][j], avg_r[j])
+            best_dual, best_obj = float(run_dual[k - 1]), float(run_obj[k - 1])
+            gap = float(gaps[k - 1])
+            sum_r, count = sums[-1], count + m
+            blocks.append(blk[:k])
+            cols_dobj.append(dual[:k])
+            cols_pobj.append(run_obj[:k])
+            t += k
+            if hits.size:
                 stop_reason = "gap"
                 break
-            gamma = step_size(t)
-            mu = np.maximum(0.0, mu + gamma * g_mu)
-            lam = np.maximum(0.0, lam + gamma * g_lam)
 
-    mu_t, lam_t, alpha_t, beta_t, c_t, r_t = np.array(rows).reshape(t, 6, n).transpose(1, 0, 2)
+    rows = np.concatenate(blocks)
+    mu_t, lam_t, alpha_t, beta_t, c_t, r_t = rows.reshape(t, 6, n).transpose(1, 0, 2)
     trace = Trace(
         t=np.arange(1, t + 1),
         mu=mu_t,
@@ -458,8 +500,8 @@ def solve(scn: Scenario) -> SolveReport:
         beta=beta_t,
         c=c_t,
         r=r_t,
-        primal_obj=np.asarray(cols_pobj),
-        dual_obj=np.asarray(cols_dobj),
+        primal_obj=np.concatenate(cols_pobj),
+        dual_obj=np.concatenate(cols_dobj),
     )
     if best_point is None:
         stop_reason = "no_incumbent"

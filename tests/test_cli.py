@@ -7,8 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdcontrol import binary_entropy
-from rdcontrol.cli import MAX_FIG1_STEPS, fmt, main
+import cases
+from rdcontrol import (
+    BinarySource,
+    BoxRegion,
+    LogLinear,
+    LogRate,
+    Scenario,
+    SourceSpec,
+    binary_entropy,
+    solve,
+)
+from rdcontrol.cli import MAX_FIG1_STEPS, fmt, main, write_trace_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -324,3 +334,44 @@ def test_solve_link_below_c_min_exits_two(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "converged: no" in out
     assert "recovered: none" in out
+
+
+def per_cell_trace_csv(report, n):
+    """The trace CSV written one fmt() call per cell, as the reference."""
+    tr = report.trace
+    header = ["iter"] + [
+        f"{name}_{i}" for name in ("mu", "lambda", "alpha", "beta", "c", "r") for i in range(n)
+    ] + ["primal_obj", "dual_obj"]
+    lines = [",".join(header)]
+    for k in range(len(tr)):
+        cells = [str(int(tr.t[k]))]
+        for col in (tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r):
+            cells.extend(fmt(v) for v in col[k])
+        cells += [fmt(tr.primal_obj[k]), fmt(tr.dual_obj[k])]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def no_incumbent_scenario():
+    # LogRate on a zero-capacity link: every primal_obj cell is -inf
+    return Scenario(
+        sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0)),),
+        region=BoxRegion((0.0,)),
+        max_iters=200,
+    )
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [case[1] for case in cases.SOLVER_CASES] + [no_incumbent_scenario],
+    ids=[case[0] for case in cases.SOLVER_CASES] + ["no_incumbent"],
+)
+def test_trace_csv_matches_per_cell_writer(tmp_path, factory):
+    scn = factory()
+    report = solve(scn)
+    out = tmp_path / "trace.csv"
+    write_trace_csv(out, report, scn.n)
+    want = per_cell_trace_csv(report, scn.n)
+    assert out.read_bytes() == want
+    if report.recovered is None:
+        assert b",-inf," in want

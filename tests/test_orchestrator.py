@@ -174,7 +174,9 @@ def test_dual_iterate_converges_on_unit_cap():
 
 # -------------------------------------------------------------------- solve
 
-@pytest.mark.parametrize("name, factory, steps", cases.SOLVER_CASES, ids=lambda v: str(v))
+@pytest.mark.parametrize(
+    "name, factory, steps", cases.SOLVER_CASES, ids=[case[0] for case in cases.SOLVER_CASES]
+)
 def test_solve_matches_grid_oracle(name, factory, steps):
     scn = factory()
     report = solve(scn)
@@ -495,3 +497,122 @@ def test_solver_options_reject_non_finite(build):
     with pytest.raises(DomainError):
         build()
 
+
+def test_dual_value_is_exact_where_c_sits_at_c_max():
+    # lam = mu puts c at c_max = 1e6 and r = 0: the c terms of the
+    # Lagrangian must cancel exactly, or g drops below the objective of
+    # the repaired point (c = 0), a feasible point
+    scn = Scenario(
+        sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(0.25), Zero()),),
+        region=BoxRegion((0.0,)),
+        caps=SolverCaps(alpha_max=20.0, c_max=1e6, c_min=0.0),
+        max_iters=1,
+    )
+    report = solve(scn)
+    assert report.recovered is not None
+    assert report.gap >= 0.0
+    assert report.best_dual >= report.recovered_objective
+
+
+# ------------------------------------------------- the block certificate
+
+def sequential_solve(scn):
+    """The solve loop one iteration at a time through the public functions:
+    the reference for the blocked certificate in :func:`solve`."""
+    from rdcontrol.orchestrator import _repair
+
+    state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
+    rows, pobj, dobj = [], [], []
+    sum_r, count, next_restart = np.zeros(scn.n), 0, 2
+    best_dual, best_obj, best_point, gap = math.inf, -math.inf, None, math.inf
+    stop_reason = "max_iters"
+    for t in range(1, scn.max_iters + 1):
+        g = dual_objective(state, scn)
+        best_dual = min(best_dual, g)
+        new_state, primal = dual_iterate(state, scn, scn.step.step_size(t))
+        if t == next_restart:
+            sum_r, count, next_restart = np.zeros(scn.n), 0, 2 * next_restart
+        sum_r = sum_r + primal.r
+        count += 1
+        point = _repair(sum_r / count, scn)
+        if point.c.min() >= scn.caps.c_min:
+            obj = primal_objective(point, scn)
+            if obj > best_obj:
+                best_obj, best_point = obj, point
+        if best_point is not None:
+            gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
+        rows.append(np.concatenate((state.mu, state.lam, primal.alpha, primal.beta, primal.c, primal.r)))
+        pobj.append(best_obj)
+        dobj.append(g)
+        if gap < scn.tol_gap:
+            stop_reason = "gap"
+            break
+        state = new_state
+    if best_point is None:
+        stop_reason = "no_incumbent"
+    return dict(
+        iterations=t, stop_reason=stop_reason, gap=gap, best_dual=best_dual,
+        best_obj=best_obj, point=best_point, rows=np.array(rows), pobj=pobj, dobj=dobj,
+    )
+
+
+def box16():
+    # 16 links, so every row sum takes numpy's unrolled pairwise form (n >= 8)
+    Ks = (1.0, 2.0, 3.0)
+    return Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(Ks[j % 3]), LogRate(0.5 + 0.09 * j))
+            for j in range(16)
+        ),
+        region=BoxRegion(tuple((1.2 + 0.08 * ((5 * j) % 16)) / Ks[j % 3] for j in range(16))),
+        caps=cases.CAPS_20,
+        step=Diminishing(0.3),
+    )
+
+
+def starved_pair():
+    # LogRate on a zero-capacity link: no incumbent, ever
+    return Scenario(
+        sources=tuple(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0)) for _ in range(2)),
+        region=BoxRegion((0.0, 1.0)),
+        caps=cases.CAPS_20,
+        step=Diminishing(0.3),
+    )
+
+
+BLOCK_RUNS = [
+    (name, factory, max_iters)
+    for name, factory in (("two", cases.box_two_mixed), ("box16", box16))
+    for max_iters in (1, 2, 3, 63, 64, 65, 127, 128, 129, 50_000)
+] + [("starved", starved_pair, 130)]
+
+
+@pytest.mark.parametrize(
+    "name, factory, max_iters", BLOCK_RUNS, ids=[f"{run[0]}-{run[2]}" for run in BLOCK_RUNS]
+)
+def test_block_certificate_matches_sequential_loop(name, factory, max_iters):
+    # block edges at every power of two up to 128, a gap stop in the middle
+    # of a block (max_iters 50,000) and a run with no incumbent
+    from dataclasses import replace
+
+    scn = replace(factory(), max_iters=max_iters)
+    report = solve(scn)
+    ref = sequential_solve(scn)
+    assert report.iterations == ref["iterations"]
+    assert report.stop_reason == ref["stop_reason"]
+    if max_iters == 50_000:
+        assert report.stop_reason == "gap" and report.iterations % 64 not in (0, 63)
+    assert report.gap == ref["gap"]
+    assert report.best_dual == ref["best_dual"]
+    assert report.recovered_objective == ref["best_obj"]
+    if ref["point"] is None:
+        assert report.recovered is None
+    else:
+        for field in ("alpha", "beta", "c", "r"):
+            assert np.array_equal(getattr(report.recovered, field), getattr(ref["point"], field))
+    tr = report.trace
+    assert np.array_equal(tr.t, np.arange(1, ref["iterations"] + 1))
+    got = np.concatenate((tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r), axis=1)
+    assert np.array_equal(got, ref["rows"])
+    assert np.array_equal(tr.primal_obj, ref["pobj"])
+    assert np.array_equal(tr.dual_obj, ref["dobj"])

@@ -101,8 +101,7 @@ def test_certificate_holds_on_random_scenarios(doc):
 
     # weak duality along the trace: every dual value bounds the best
     # incumbent (the last primal_obj), so the relative gap is >= -1e-12 up
-    # to the rounding of g, whose price terms mu.(alpha+beta-c) and
-    # lam.(c-r) cancel to about eps * lam * c_max when c sits at c_max
+    # to the rounding of g, a few eps times the size of its price terms
     if report.recovered is not None:
         best = report.recovered_objective
         assert tr.primal_obj[-1] == best
