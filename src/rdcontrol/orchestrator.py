@@ -321,7 +321,8 @@ class _Kernel:
 
 
 def _rows(*vectors: np.ndarray) -> tuple[np.ndarray, ...]:
-    return tuple(np.asarray(v, dtype=float)[None] for v in vectors)
+    """Each vector as a 1-row array, the input the row-wise kernel takes."""
+    return tuple(v[None] for v in vectors)
 
 
 def _check_domain(primal: PrimalAllocation, kernel: _Kernel) -> None:
