@@ -11,8 +11,10 @@ Subcommands:
   ``recovered: none``), 1 on input error.
 * ``verify`` — solve and cross-check against the grid-search oracle.
 * ``fig1``   — sweep the closed-form compression rule over a grid of
-  compressed rates and write (c, alpha_star, D, s_eff) rows; at most
-  ``MAX_FIG1_STEPS`` grid points.
+  compressed rates and write (c, alpha_star, D, s_eff) rows.  The command
+  checks only its grid, ``0 < c_min < c_max`` and 2 to ``MAX_FIG1_STEPS``
+  points, before it allocates; ``compression_given_rate`` and
+  ``operating_point`` refuse a bad ``K`` or ``p``.
 * ``mac``    — solve the two-user MAC distortion program, cross-check the
   closed form against the LP vertex oracle (exit 3 on mismatch), and write
   plot-ready region/corner data.
@@ -25,7 +27,6 @@ as the first column of the ``mac`` CSV, are written verbatim.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -131,10 +132,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    if not args.K > 0:
-        raise RdControlError(f"K must be > 0, got {args.K}")
-    if not 0.0 < args.p < 1.0:
-        raise RdControlError(f"p must be in (0,1), got {args.p}")
     if not 0.0 < args.c_min < args.c_max:
         raise RdControlError(
             f"need 0 < c_min < c_max, got [{args.c_min}, {args.c_max}]"
@@ -142,7 +139,8 @@ def cmd_fig1(args) -> int:
     if not 2 <= args.steps <= MAX_FIG1_STEPS:
         raise RdControlError(f"steps must be in [2, {MAX_FIG1_STEPS}], got {args.steps}")
     grid = np.linspace(args.c_min, args.c_max, args.steps)
-    breakpoint_c = 1.0 / args.K
+    # max(1/K, c_min), so 1/K when it lies inside the grid; refuses K <= 0
+    breakpoint_c = compression_given_rate(args.K, args.c_min)
     if args.c_min < breakpoint_c < args.c_max:
         grid = np.unique(np.append(grid, breakpoint_c))
     rows = []
@@ -242,9 +240,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 1
     except (RdControlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -252,3 +247,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

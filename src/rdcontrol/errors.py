@@ -6,7 +6,16 @@ class RdControlError(Exception):
 
 
 class DomainError(RdControlError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    ``field`` names the argument at fault as a scenario document spells it,
+    with an index for a list item (``caps[2]``, ``vertices[1]``), or is None
+    when no single argument is at fault.
+    """
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class InfeasibleOffsetError(DomainError):

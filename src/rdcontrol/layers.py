@@ -54,7 +54,7 @@ class LogLinear:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.K) and self.K > 0):
-            raise DomainError(f"LogLinear: K must be finite and > 0, got {self.K}")
+            raise DomainError(f"LogLinear: K must be finite and > 0, got {self.K}", field="K")
 
     def value(self, alpha: float, beta: float) -> float:
         if not alpha > 0:
@@ -71,7 +71,8 @@ class LinearEntropyPenalty:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise DomainError(
-                f"LinearEntropyPenalty: delta must be finite and > 0, got {self.delta}"
+                f"LinearEntropyPenalty: delta must be finite and > 0, got {self.delta}",
+                field="delta",
             )
 
     def value(self, D: float) -> float:
@@ -89,7 +90,7 @@ class LogRate:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.w) and self.w > 0):
-            raise DomainError(f"LogRate: w must be finite and > 0, got {self.w}")
+            raise DomainError(f"LogRate: w must be finite and > 0, got {self.w}", field="w")
 
     def value(self, c: float) -> float:
         if not c > 0:
@@ -120,13 +121,17 @@ class SolverCaps:
         for name in ("alpha_max", "c_max", "c_min"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.alpha_max) and self.alpha_max > 0):
-            raise DomainError(f"alpha_max must be finite and > 0, got {self.alpha_max}")
-        if self.c_min < 0:
-            raise DomainError(f"c_min must be >= 0, got {self.c_min}")
+            raise DomainError(
+                f"alpha_max must be finite and > 0, got {self.alpha_max}", field="alpha_max"
+            )
+        if not self.c_min >= 0:
+            raise DomainError(f"c_min must be >= 0, got {self.c_min}", field="c_min")
         if not self.c_min < self.c_max:
-            raise DomainError(f"need c_min < c_max, got [{self.c_min}, {self.c_max}]")
+            raise DomainError(
+                f"need c_min < c_max, got [{self.c_min}, {self.c_max}]", field="c_max"
+            )
         if not math.isfinite(self.c_max):
-            raise DomainError(f"c_max must be finite, got {self.c_max}")
+            raise DomainError(f"c_max must be finite, got {self.c_max}", field="c_max")
 
 
 def compression_subproblem(

@@ -50,7 +50,7 @@ class MacScenario:
         object.__setattr__(self, "powers", region.powers)
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         if not all(math.isfinite(d) and d > 0 for d in self.deltas):
-            raise DomainError(f"deltas must be finite and > 0, got {self.deltas}")
+            raise DomainError(f"deltas must be finite and > 0, got {self.deltas}", field="deltas")
 
 
 @dataclass(frozen=True)

@@ -81,16 +81,18 @@ from .sources import SignFlags, SourceModel, sign_flags
 
 @dataclass(frozen=True)
 class Constant:
-    """Fixed step size gamma_t = gamma."""
+    """Fixed step size gamma_t = gamma0."""
 
-    gamma: float
+    gamma0: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise DomainError(f"Constant step: gamma must be finite and > 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
+            raise DomainError(
+                f"Constant step: gamma0 must be finite and > 0, got {self.gamma0}", field="gamma0"
+            )
 
     def step_size(self, t: int) -> float:
-        return self.gamma
+        return self.gamma0
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,8 @@ class Diminishing:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
             raise DomainError(
-                f"Diminishing step: gamma0 must be finite and > 0, got {self.gamma0}"
+                f"Diminishing step: gamma0 must be finite and > 0, got {self.gamma0}",
+                field="gamma0",
             )
 
     def step_size(self, t: int) -> float:
@@ -110,6 +113,9 @@ class Diminishing:
 
 
 StepRule = Union[Constant, Diminishing]
+
+# the trace keeps 6n + 2 floats per iteration, and `rdcontrol solve` writes each as a CSV row
+MAX_ITERS = 10**6
 
 
 @dataclass(frozen=True)
@@ -140,10 +146,11 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sources", tuple(self.sources))
         if len(self.sources) == 0:
-            raise DomainError("Scenario needs at least one source")
+            raise DomainError("Scenario needs at least one source", field="sources")
         if self.region.dim != len(self.sources):
             raise DomainError(
-                f"region dimension {self.region.dim} != number of sources {len(self.sources)}"
+                f"region dimension {self.region.dim} != number of sources {len(self.sources)}",
+                field="region",
             )
         for i, spec in enumerate(self.sources):
             if not isinstance(spec.V, LogLinear):
@@ -156,12 +163,19 @@ class Scenario:
                     f"sources[{i}]: the closed-form compression control supports "
                     f"sign flags (1,1) (binary sources) only"
                 )
-        if self.max_iters < 1:
-            raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
+            raise DomainError(
+                f"max_iters must be an integer, got {self.max_iters!r}", field="max_iters"
+            )
+        if not 1 <= self.max_iters <= MAX_ITERS:
+            msg = f"max_iters must be in [1, {MAX_ITERS}], got {self.max_iters}"
+            raise DomainError(msg, field="max_iters")
         if not (math.isfinite(self.dual_init) and self.dual_init >= 0):
-            raise DomainError(f"dual_init must be finite and >= 0, got {self.dual_init}")
+            raise DomainError(
+                f"dual_init must be finite and >= 0, got {self.dual_init}", field="dual_init"
+            )
         if not (math.isfinite(self.tol_gap) and self.tol_gap > 0):
-            raise DomainError(f"tol_gap must be finite and > 0, got {self.tol_gap}")
+            raise DomainError(f"tol_gap must be finite and > 0, got {self.tol_gap}", field="tol_gap")
 
     @property
     def n(self) -> int:

@@ -76,18 +76,18 @@ class BoxRegion:
     def __post_init__(self) -> None:
         object.__setattr__(self, "caps", tuple(float(c) for c in self.caps))
         if len(self.caps) == 0:
-            raise DomainError("BoxRegion needs at least one link")
-        if not all(math.isfinite(c) and c >= 0 for c in self.caps):
-            raise DomainError(f"BoxRegion caps must be finite and >= 0, got {self.caps}")
+            raise DomainError("BoxRegion needs at least one link", field="caps")
+        for i, c in enumerate(self.caps):
+            if not (math.isfinite(c) and c >= 0):
+                msg = f"BoxRegion caps must be finite and >= 0, got {self.caps}"
+                raise DomainError(msg, field=f"caps[{i}]")
 
     @property
     def dim(self) -> int:
         return len(self.caps)
 
     def contains(self, r: Sequence[float], tol: float = 1e-9) -> bool:
-        arr = _finite_rates(r, self.dim, "contains")
-        caps = np.asarray(self.caps)
-        return bool(np.all(arr >= -tol) and np.all(arr <= caps + tol))
+        return self.violation(r) <= tol
 
     def violation(self, r: Sequence[float]) -> float:
         """Largest additive constraint violation (0 when feasible)."""
@@ -118,11 +118,13 @@ class GaussianMacRegion:
     def __post_init__(self) -> None:
         object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
         if len(self.powers) == 0:
-            raise DomainError("GaussianMacRegion needs at least one user")
-        if not all(math.isfinite(p) and p >= 0 for p in self.powers):
-            raise DomainError(f"powers must be finite and >= 0, got {self.powers}")
+            raise DomainError("GaussianMacRegion needs at least one user", field="powers")
+        for i, p in enumerate(self.powers):
+            if not (math.isfinite(p) and p >= 0):
+                msg = f"powers must be finite and >= 0, got {self.powers}"
+                raise DomainError(msg, field=f"powers[{i}]")
         if not (math.isfinite(self.noise) and self.noise > 0):
-            raise DomainError(f"noise must be finite and > 0, got {self.noise}")
+            raise DomainError(f"noise must be finite and > 0, got {self.noise}", field="noise")
 
     @property
     def dim(self) -> int:
@@ -181,8 +183,8 @@ class GaussianMacRegion:
 class VertexRegion:
     """Convex hull of a finite set of nonnegative rate vectors (time sharing).
 
-    ``contains`` and ``violation`` each solve one small LP with scipy's
-    HiGHS ``linprog``, imported on first use; ``max_weight`` needs no LP.
+    ``violation`` (and ``contains``, which reads it) solves one small LP with
+    scipy's HiGHS ``linprog``, imported on first use; ``max_weight`` needs no LP.
     """
 
     vertices: tuple[tuple[float, ...], ...]
@@ -191,34 +193,22 @@ class VertexRegion:
         verts = tuple(tuple(float(x) for x in v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         if len(verts) == 0:
-            raise DomainError("VertexRegion needs at least one vertex")
-        d = len(verts[0])
-        if d == 0 or any(len(v) != d for v in verts):
-            raise DomainError("VertexRegion vertices must share a positive dimension")
-        if not all(math.isfinite(x) and x >= 0 for v in verts for x in v):
-            raise DomainError("VertexRegion vertices must be finite and nonnegative")
+            raise DomainError("VertexRegion needs at least one vertex", field="vertices")
+        for i, v in enumerate(verts):
+            if len(v) == 0 or len(v) != len(verts[0]):
+                msg = "VertexRegion vertices must share a positive dimension"
+                raise DomainError(msg, field=f"vertices[{i}]")
+            for j, x in enumerate(v):
+                if not (math.isfinite(x) and x >= 0):
+                    msg = "VertexRegion vertices must be finite and nonnegative"
+                    raise DomainError(msg, field=f"vertices[{i}][{j}]")
 
     @property
     def dim(self) -> int:
         return len(self.vertices[0])
 
     def contains(self, r: Sequence[float], tol: float = 1e-9) -> bool:
-        arr = _finite_rates(r, self.dim, "contains")
-        V = np.asarray(self.vertices, dtype=float)  # (m, dim)
-        m = V.shape[0]
-        # feasibility of convex weights theta >= 0, sum theta = 1,
-        # |V^T theta - r|_inf <= tol
-        A_ub = np.vstack([V.T, -V.T])
-        b_ub = np.concatenate([arr + tol, -(arr - tol)])
-        res = _linprog(
-            c=np.zeros(m),
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=np.ones((1, m)),
-            b_eq=np.array([1.0]),
-            bounds=[(0, None)] * m,
-        )
-        return bool(res.status == 0)
+        return self.violation(r) <= tol
 
     def violation(self, r: Sequence[float]) -> float:
         """Smallest t with r within sup-norm t of the hull."""

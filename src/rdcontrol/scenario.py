@@ -1,20 +1,26 @@
 """JSON scenario documents and their validation.
 
 Top-level keys: ``sources`` (required), ``region`` (required) and
-``solver`` (optional, defaults documented in the README).  Validation is
-strict: unknown keys and non-finite numbers (the NaN and Infinity that
-``json.loads`` accepts) are rejected, and every error message names the
-offending field by its path, e.g. ``region.powers[0]``.
+``solver`` (optional; omitted options keep the ``Scenario`` and
+``SolverCaps`` defaults).  This module checks the JSON shape only:
+objects and arrays where the schema has them, numbers (bool and str
+refused, and an integer too large for a float), integers, missing keys,
+unknown keys and each ``kind``.  The constructors the document feeds
+(``BinarySource``, ``LogLinear``, ``BoxRegion``, ``SolverCaps``,
+``Scenario``, ...) own every value rule, such as finiteness (the NaN and
+Infinity that ``json.loads`` accepts), signs and ranges, and name the
+argument at fault in ``DomainError.field``.  Every error is a
+:class:`ScenarioError` that names the offending field by its document
+path, e.g. ``region.powers[0]``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Any
 
-from .errors import ScenarioError, UnsupportedCombinationError
+from .errors import DomainError, ScenarioError, UnsupportedCombinationError
 from .layers import (
     LinearEntropyPenalty,
     LogLinear,
@@ -28,6 +34,9 @@ from .mac import MacScenario
 from .orchestrator import Constant, Diminishing, Scenario, SourceSpec, StepRule
 from .regions import BoxRegion, GaussianMacRegion, RateRegion, VertexRegion
 from .sources import BinarySource, GaussianSource, SourceModel
+
+# Scenario arguments that the document nests under "solver"
+_SOLVER_FIELDS = ("max_iters", "tol_gap", "dual_init")
 
 
 def _require_mapping(val: Any, path: str) -> dict:
@@ -48,61 +57,68 @@ def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
         raise ScenarioError(f"{path}: unknown key(s) {sorted(extra)}")
 
 
-def _number(obj: dict, key: str, path: str, *, positive=False, nonneg=False) -> float:
+def _name(path: str, field: str | None) -> str:
+    """The document path of ``field`` inside the object at ``path``."""
+    return ".".join(part for part in (path, field) if part)
+
+
+def _get(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
-        raise ScenarioError(f"{path}.{key}: missing required field")
-    val = obj[key]
+        raise ScenarioError(f"{_name(path, key)}: missing required field")
+    return obj[key]
+
+
+def _float(val: Any, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {val!r}")
-    x = float(val)
-    if not math.isfinite(x):
-        raise ScenarioError(f"{path}.{key}: must be finite, got {x}")
-    if positive and not x > 0:
-        raise ScenarioError(f"{path}.{key}: must be > 0, got {x}")
-    if nonneg and x < 0:
-        raise ScenarioError(f"{path}.{key}: must be >= 0, got {x}")
-    return x
+        raise ScenarioError(f"{path}: expected a number, got {val!r}")
+    try:
+        return float(val)
+    except OverflowError:  # a JSON integer past the float range
+        raise ScenarioError(f"{path}: integer too large for a float") from None
 
 
-def _integer(obj: dict, key: str, path: str, *, minimum: int) -> int:
-    if key not in obj:
-        raise ScenarioError(f"{path}.{key}: missing required field")
-    val = obj[key]
+def _number(obj: dict, key: str, path: str) -> float:
+    return _float(_get(obj, key, path), f"{path}.{key}")
+
+
+def _integer(obj: dict, key: str, path: str) -> int:
+    val = _get(obj, key, path)
     if isinstance(val, bool) or not isinstance(val, int):
         raise ScenarioError(f"{path}.{key}: expected an integer, got {val!r}")
-    if val < minimum:
-        raise ScenarioError(f"{path}.{key}: must be >= {minimum}, got {val}")
     return val
 
 
-def _number_list(val: Any, path: str, *, nonneg=False) -> list[float]:
-    items = _require_list(val, path)
-    out = []
-    for i, x in enumerate(items):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ScenarioError(f"{path}[{i}]: expected a number, got {x!r}")
-        if not math.isfinite(x):
-            raise ScenarioError(f"{path}[{i}]: must be finite, got {x}")
-        if nonneg and x < 0:
-            raise ScenarioError(f"{path}[{i}]: must be >= 0, got {x}")
-        out.append(float(x))
-    return out
+def _number_list(val: Any, path: str) -> list[float]:
+    return [_float(x, f"{path}[{i}]") for i, x in enumerate(_require_list(val, path))]
+
+
+def _construct(path: str, cls, **kwargs):
+    """``cls(**kwargs)``: the constructor checks every value of the document.
+
+    A refusal becomes a ScenarioError named ``{path}.{field}`` by the
+    error's ``field``; Scenario's solver options sit under ``solver``.
+    """
+    try:
+        return cls(**kwargs)
+    except (DomainError, UnsupportedCombinationError) as exc:
+        field = getattr(exc, "field", None)
+        if cls is Scenario and field in _SOLVER_FIELDS:
+            field = f"solver.{field}"
+        name = _name(path, field)
+        raise ScenarioError(f"{name}: {exc}" if name else str(exc)) from exc
 
 
 def _build_model(obj: dict, path: str) -> SourceModel:
     kind = obj.get("kind")
     if kind == "binary":
         _reject_unknown(obj, {"kind", "s", "p", "V", "U"}, path)
-        s = _number(obj, "s", path, positive=True)
-        p = _number(obj, "p", path)
-        if not 0.0 < p < 1.0:
-            raise ScenarioError(f"{path}.p: must be in (0,1), got {p}")
-        return BinarySource(s, p)
+        return _construct(
+            path, BinarySource, s=_number(obj, "s", path), p=_number(obj, "p", path)
+        )
     if kind == "gaussian":
         _reject_unknown(obj, {"kind", "s", "sigma2", "V", "U"}, path)
-        return GaussianSource(
-            _number(obj, "s", path, positive=True),
-            _number(obj, "sigma2", path, positive=True),
+        return _construct(
+            path, GaussianSource, s=_number(obj, "s", path), sigma2=_number(obj, "sigma2", path)
         )
     raise ScenarioError(f"{path}.kind: expected 'binary' or 'gaussian', got {kind!r}")
 
@@ -112,10 +128,10 @@ def _build_v(obj: Any, path: str) -> UtilityV:
     kind = obj.get("kind")
     if kind == "log_linear":
         _reject_unknown(obj, {"kind", "K"}, path)
-        return LogLinear(_number(obj, "K", path, positive=True))
+        return _construct(path, LogLinear, K=_number(obj, "K", path))
     if kind == "linear_entropy_penalty":
         _reject_unknown(obj, {"kind", "delta"}, path)
-        return LinearEntropyPenalty(_number(obj, "delta", path, positive=True))
+        return _construct(path, LinearEntropyPenalty, delta=_number(obj, "delta", path))
     raise ScenarioError(
         f"{path}.kind: expected 'log_linear' or 'linear_entropy_penalty', got {kind!r}"
     )
@@ -128,7 +144,7 @@ def _build_u(obj: Any, path: str) -> UtilityU:
     kind = obj.get("kind")
     if kind == "log_rate":
         _reject_unknown(obj, {"kind", "w"}, path)
-        return LogRate(_number(obj, "w", path, positive=True))
+        return _construct(path, LogRate, w=_number(obj, "w", path))
     if kind == "zero":
         _reject_unknown(obj, {"kind"}, path)
         return Zero()
@@ -138,9 +154,7 @@ def _build_u(obj: Any, path: str) -> UtilityU:
 def _build_source(obj: Any, path: str) -> SourceSpec:
     obj = _require_mapping(obj, path)
     model = _build_model(obj, path)
-    if "V" not in obj:
-        raise ScenarioError(f"{path}.V: missing required field")
-    V = _build_v(obj["V"], f"{path}.V")
+    V = _build_v(_get(obj, "V", path), f"{path}.V")
     U = _build_u(obj.get("U"), f"{path}.U")
     return SourceSpec(model, V, U)
 
@@ -150,101 +164,66 @@ def _build_region(obj: Any, path: str) -> RateRegion:
     kind = obj.get("kind")
     if kind == "box":
         _reject_unknown(obj, {"kind", "caps"}, path)
-        if "caps" not in obj:
-            raise ScenarioError(f"{path}.caps: missing required field")
-        return BoxRegion(tuple(_number_list(obj["caps"], f"{path}.caps", nonneg=True)))
+        caps = _number_list(_get(obj, "caps", path), f"{path}.caps")
+        return _construct(path, BoxRegion, caps=caps)
     if kind == "mac":
         _reject_unknown(obj, {"kind", "powers", "noise"}, path)
-        if "powers" not in obj:
-            raise ScenarioError(f"{path}.powers: missing required field")
-        powers = _number_list(obj["powers"], f"{path}.powers", nonneg=True)
-        noise = _number(obj, "noise", path, positive=True)
-        return GaussianMacRegion(tuple(powers), noise)
+        powers = _number_list(_get(obj, "powers", path), f"{path}.powers")
+        noise = _number(obj, "noise", path)
+        return _construct(path, GaussianMacRegion, powers=powers, noise=noise)
     if kind == "vertices":
         _reject_unknown(obj, {"kind", "vertices"}, path)
-        if "vertices" not in obj:
-            raise ScenarioError(f"{path}.vertices: missing required field")
-        rows = _require_list(obj["vertices"], f"{path}.vertices")
-        verts = tuple(
-            tuple(_number_list(row, f"{path}.vertices[{i}]", nonneg=True))
-            for i, row in enumerate(rows)
-        )
-        return VertexRegion(verts)
+        rows = _require_list(_get(obj, "vertices", path), f"{path}.vertices")
+        verts = [_number_list(row, f"{path}.vertices[{i}]") for i, row in enumerate(rows)]
+        return _construct(path, VertexRegion, vertices=verts)
     raise ScenarioError(f"{path}.kind: expected 'box', 'mac' or 'vertices', got {kind!r}")
 
 
 def _build_step(obj: Any, path: str) -> StepRule:
     obj = _require_mapping(obj, path)
     kind = obj.get("kind")
-    if kind == "constant":
+    if kind in ("constant", "diminishing"):
         _reject_unknown(obj, {"kind", "gamma0"}, path)
-        return Constant(_number(obj, "gamma0", path, positive=True))
-    if kind == "diminishing":
-        _reject_unknown(obj, {"kind", "gamma0"}, path)
-        return Diminishing(_number(obj, "gamma0", path, positive=True))
+        rule = Constant if kind == "constant" else Diminishing
+        return _construct(path, rule, gamma0=_number(obj, "gamma0", path))
     raise ScenarioError(f"{path}.kind: expected 'constant' or 'diminishing', got {kind!r}")
 
 
 def _build_caps(obj: Any, path: str) -> SolverCaps:
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, {"alpha_max", "c_max", "c_min"}, path)
-    defaults = SolverCaps()
-    return SolverCaps(
-        alpha_max=_number(obj, "alpha_max", path, positive=True)
-        if "alpha_max" in obj
-        else defaults.alpha_max,
-        c_max=_number(obj, "c_max", path, positive=True) if "c_max" in obj else defaults.c_max,
-        c_min=_number(obj, "c_min", path, nonneg=True) if "c_min" in obj else defaults.c_min,
-    )
+    return _construct(path, SolverCaps, **{key: _number(obj, key, path) for key in obj})
 
 
 def scenario_from_dict(doc: Any) -> Scenario:
     """Build a solver scenario from a parsed JSON document."""
     doc = _require_mapping(doc, "scenario")
     _reject_unknown(doc, {"sources", "region", "solver"}, "scenario")
-    if "sources" not in doc:
-        raise ScenarioError("sources: missing required field")
-    if "region" not in doc:
-        raise ScenarioError("region: missing required field")
-    entries = _require_list(doc["sources"], "sources")
-    if not entries:
-        raise ScenarioError("sources: must contain at least one source")
+    entries = _require_list(_get(doc, "sources", ""), "sources")
     sources = tuple(_build_source(e, f"sources[{i}]") for i, e in enumerate(entries))
-    region = _build_region(doc["region"], "region")
+    region = _build_region(_get(doc, "region", ""), "region")
 
     kwargs: dict[str, Any] = {}
     if "solver" in doc:
         solver = _require_mapping(doc["solver"], "solver")
-        _reject_unknown(
-            solver,
-            {"step", "max_iters", "tol_gap", "dual_init", "caps"},
-            "solver",
-        )
+        _reject_unknown(solver, {"step", *_SOLVER_FIELDS, "caps"}, "solver")
         if "step" in solver:
             kwargs["step"] = _build_step(solver["step"], "solver.step")
         if "max_iters" in solver:
-            kwargs["max_iters"] = _integer(solver, "max_iters", "solver", minimum=1)
-        if "tol_gap" in solver:
-            kwargs["tol_gap"] = _number(solver, "tol_gap", "solver", positive=True)
-        if "dual_init" in solver:
-            kwargs["dual_init"] = _number(solver, "dual_init", "solver", nonneg=True)
+            kwargs["max_iters"] = _integer(solver, "max_iters", "solver")
+        for key in ("tol_gap", "dual_init"):
+            if key in solver:
+                kwargs[key] = _number(solver, key, "solver")
         if "caps" in solver:
             kwargs["caps"] = _build_caps(solver["caps"], "solver.caps")
-    try:
-        return Scenario(sources=sources, region=region, **kwargs)
-    except (ValueError, UnsupportedCombinationError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    return _construct("", Scenario, sources=sources, region=region, **kwargs)
 
 
 def mac_scenario_from_dict(doc: Any) -> MacScenario:
     """Build a two-user MAC distortion scenario from a parsed JSON document."""
     doc = _require_mapping(doc, "scenario")
     _reject_unknown(doc, {"sources", "region", "solver"}, "scenario")
-    if "sources" not in doc:
-        raise ScenarioError("sources: missing required field")
-    if "region" not in doc:
-        raise ScenarioError("region: missing required field")
-    entries = _require_list(doc["sources"], "sources")
+    entries = _require_list(_get(doc, "sources", ""), "sources")
     if len(entries) != 2:
         raise ScenarioError(f"sources: the MAC distortion program needs exactly 2, got {len(entries)}")
     models = []
@@ -259,18 +238,18 @@ def mac_scenario_from_dict(doc: Any) -> MacScenario:
         spec = _build_source(entry, path)
         if not isinstance(spec.model, BinarySource):
             raise ScenarioError(f"{path}.kind: the MAC distortion program needs binary sources")
-        if not isinstance(spec.V, LinearEntropyPenalty):
-            raise ScenarioError(f"{path}.V.kind: must be 'linear_entropy_penalty'")
         if not isinstance(spec.U, Zero):
             raise ScenarioError(f"{path}.U: must be omitted or 'zero'")
         models.append(spec.model)
         deltas.append(spec.V.delta)
-    region = _build_region(doc["region"], "region")
+    region = _build_region(_get(doc, "region", ""), "region")
     if not isinstance(region, GaussianMacRegion):
         raise ScenarioError("region.kind: must be 'mac'")
     if region.dim != 2:
         raise ScenarioError(f"region.powers: need exactly 2 users, got {region.dim}")
-    return MacScenario(
+    return _construct(
+        "",
+        MacScenario,
         sources=(models[0], models[1]),
         powers=region.powers,
         noise=region.noise,
@@ -288,6 +267,8 @@ def load_json(path: str | Path) -> Any:
         return json.loads(text)
     except RecursionError as exc:
         raise ScenarioError(f"{path}: JSON nested too deeply to parse") from exc
+    except ValueError as exc:  # a syntax error, or an integer past int's digit limit
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -45,9 +45,9 @@ class BinarySource:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.s) and self.s > 0):
-            raise DomainError(f"uncompressed rate s must be finite and > 0, got {self.s}")
+            raise DomainError(f"uncompressed rate s must be finite and > 0, got {self.s}", field="s")
         if not 0.0 < self.p < 1.0:
-            raise DomainError(f"Bernoulli parameter p must be in (0,1), got {self.p}")
+            raise DomainError(f"Bernoulli parameter p must be in (0,1), got {self.p}", field="p")
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,11 @@ class GaussianSource:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.s) and self.s > 0):
-            raise DomainError(f"uncompressed rate s must be finite and > 0, got {self.s}")
+            raise DomainError(f"uncompressed rate s must be finite and > 0, got {self.s}", field="s")
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise DomainError(f"variance sigma2 must be finite and > 0, got {self.sigma2}")
+            raise DomainError(
+                f"variance sigma2 must be finite and > 0, got {self.sigma2}", field="sigma2"
+            )
 
 
 SourceModel = Union[BinarySource, GaussianSource]

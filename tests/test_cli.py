@@ -79,6 +79,19 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_module_run_exits_one_on_malformed_document(tmp_path):
+    doc = solver_doc()
+    doc["sources"] = "x"
+    path = write_scenario(tmp_path, doc)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdcontrol.cli", "solve", path, "--out", str(tmp_path / "t.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "sources" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # -------------------------------------------------------------------- solve
 
 def test_solve_exit_zero_and_trace(tmp_path, capsys):
@@ -125,6 +138,16 @@ def test_solve_schema_error_exit_one_names_field(tmp_path, capsys):
     assert "region.powers[0]" in capsys.readouterr().err
 
 
+def test_solve_oversized_integer_exit_one(tmp_path, capsys):
+    doc = solver_doc()
+    doc["sources"][0]["V"]["K"] = 10**400  # no float value
+    code = main(["solve", write_scenario(tmp_path, doc), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sources[0].V.K" in err
+    assert "Traceback" not in err
+
+
 def test_solve_invalid_json_exit_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
@@ -142,8 +165,9 @@ def test_missing_file_exit_one(tmp_path):
     [
         (b'{"sources": "\xff"}', "UTF-8"),
         (b"[" * 100_000 + b"]" * 100_000, "nested"),
+        (b'{"sources": [' + b"1" * 5000 + b"]}", "digits"),
     ],
-    ids=["not-utf8", "nested-100000"],
+    ids=["not-utf8", "nested-100000", "integer-5000-digits"],
 )
 def test_unreadable_scenario_file_exit_one(tmp_path, capsys, payload, word):
     path = tmp_path / "scenario.json"

@@ -30,6 +30,7 @@ from rdcontrol import (
     primal_violation,
     solve,
 )
+from rdcontrol.orchestrator import MAX_ITERS
 
 
 def single_source_scenario(cap=10.0, K=1.0, w=1.0, **kw):
@@ -60,6 +61,13 @@ def test_scenario_validation():
             sources=(SourceSpec(GaussianSource(1.0, 1.0), LogLinear(1.0)),),
             region=BoxRegion((1.0,)),
         )
+
+
+@pytest.mark.parametrize("max_iters", [10.5, True, "10", 0, MAX_ITERS + 1])
+def test_max_iters_must_be_an_integer_in_range(max_iters):
+    with pytest.raises(DomainError) as err:
+        single_source_scenario(max_iters=max_iters)
+    assert err.value.field == "max_iters"
 
 
 def test_dual_state_validation():

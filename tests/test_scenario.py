@@ -113,6 +113,34 @@ def test_region_kinds():
         pytest.param(
             lambda d: d["solver"].update(tol_feas=1e-6), "tol_feas", id="removed-tol_feas"
         ),
+        pytest.param(
+            lambda d: d.update(region={"kind": "vertices", "vertices": [[1.0], [1.0, 2.0]]}),
+            "region.vertices[1]",
+            id="ragged-vertices",
+        ),
+        pytest.param(
+            lambda d: d.update(region={"kind": "vertices", "vertices": []}),
+            "region.vertices",
+            id="empty-vertices",
+        ),
+        pytest.param(lambda d: d["region"].update(caps=[]), "region.caps", id="empty-caps"),
+        pytest.param(
+            lambda d: d.update(region={"kind": "mac", "powers": [], "noise": 1.0}),
+            "region.powers",
+            id="empty-powers",
+        ),
+        pytest.param(
+            lambda d: d["solver"]["caps"].update(c_min=50.0), "solver.caps.c_max", id="c_min-at-c_max"
+        ),
+        pytest.param(
+            lambda d: d["sources"][0]["V"].update(K=10**400), "sources[0].V.K", id="400-digit-K"
+        ),
+        pytest.param(
+            lambda d: d["region"].update(caps=[10**400]), "region.caps[0]", id="400-digit-cap"
+        ),
+        pytest.param(
+            lambda d: d["solver"].update(max_iters=10**400), "solver.max_iters", id="400-digit-max_iters"
+        ),
     ],
 )
 def test_schema_errors_name_the_field(mutate, fragment):
