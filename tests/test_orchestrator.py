@@ -393,6 +393,28 @@ def test_solve_iteration_counts_are_pinned(name, factory, steps):
     assert solve(factory()).iterations == PINNED_ITERATIONS[name]
 
 
+# SHA-256 of the raw little-endian float64 bytes of the (mu, lam, alpha,
+# beta, c, r) trace rows.  ``dual_iterate`` shares the layer code with
+# ``solve``, so only a fixed record catches drift in that shared code.  The
+# MAC cases are left out: their vertices go through ``math.log2``, whose
+# last bit may differ between platforms.
+GOLDEN_TRACE_SHA256 = {
+    "box_single_wide": "345a28b29866925afe0b159f539adcc134a276677ae887f977777770d8c09a4b",
+    "box_single_tight": "22ebcaa51e8f3b3b1c9d0d975dbb5d015cc620c3dde94c552c5129025dd8cdc1",
+    "box_two_mixed": "8678dfca634dc59656316a7b92d7deb34d1c64a22cfe1450074cc09e8b226510",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA256))
+def test_trace_rows_match_golden_bits(name):
+    import hashlib
+
+    tr = solve(getattr(cases, name)()).trace
+    rows = np.concatenate((tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r), axis=1)
+    digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
+    assert digest == GOLDEN_TRACE_SHA256[name]
+
+
 def test_solve_runs_no_scalar_layer(monkeypatch):
     # the per-source closed forms are the tested reference, not the solve path
     import rdcontrol.layers
