@@ -13,6 +13,7 @@ from rdcontrol import (
     Diminishing,
     DomainError,
     DualState,
+    GaussianMacRegion,
     GaussianSource,
     LinearEntropyPenalty,
     LogLinear,
@@ -22,6 +23,7 @@ from rdcontrol import (
     SolverCaps,
     SourceSpec,
     UnsupportedCombinationError,
+    VertexRegion,
     Zero,
     dual_iterate,
     dual_objective,
@@ -447,22 +449,95 @@ def test_incumbent_needs_c_at_least_c_min():
     assert report.iterations == 200
 
 
-def test_trace_rows_are_the_subproblem_iterates():
-    # a dual-only rerun reproduces every row: the repair never feeds back
+def vertex_trio():
+    # time sharing between three operating points of two links
+    return Scenario(
+        sources=tuple(SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), LogRate(1.0)) for K in (1.0, 2.0)),
+        region=VertexRegion(((1.0, 0.0), (0.0, 1.0), (0.6, 0.6))),
+        caps=cases.CAPS_20,
+        step=Diminishing(0.3),
+        max_iters=400,
+    )
+
+
+def mac_four():
+    return Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), LogRate(w))
+            for K, w in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (1.5, 1.0))
+        ),
+        region=GaussianMacRegion((3.0, 1.0, 2.0, 0.5), 1.0),
+        caps=cases.CAPS_20,
+        step=Diminishing(0.3),
+        max_iters=400,
+    )
+
+
+def zero_constant():
+    # w = 0 puts c at c_min or c_max, and lam = mu at the start
+    return Scenario(
+        sources=(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), Zero()),
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(2.0), LogRate(1.0)),
+        ),
+        region=BoxRegion((0.5, 0.8)),
+        caps=cases.CAPS_20,
+        step=Constant(0.05),
+        max_iters=400,
+    )
+
+
+def beyond_K():
+    # dual_init 1 > K: the first rows sit on the mu > K branch, beta < 0
+    return Scenario(
+        sources=(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(0.25), LogRate(1.0)),
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(2.0), LogRate(1.0)),
+        ),
+        region=BoxRegion((5.0, 1.0)),
+        caps=cases.CAPS_20,
+        step=Diminishing(0.3),
+        max_iters=400,
+    )
+
+
+TRACE_RUNS = {
+    "mac_asymmetric": (cases.mac_asymmetric, None),
+    "vertex_trio": (vertex_trio, None),
+    "mac_four": (mac_four, None),
+    # the branch each run exists for, asserted so a retuned case still reaches it
+    "zero_constant": (
+        zero_constant, lambda tr: (tr.mu[:, 0] == tr.lam[:, 0]).any() and (tr.c[:, 0] == 1e-9).any()
+    ),
+    "beyond_K": (beyond_K, lambda tr: (tr.beta < 0).any()),
+}
+
+
+@pytest.mark.parametrize("name", list(TRACE_RUNS))
+def test_trace_rows_are_the_subproblem_iterates(name):
+    # a dual-only rerun reproduces every row bit for bit, signed zeros
+    # included (the CSV prints -0.0 as -0): the repair never feeds back
     # into the prices
-    scn = cases.mac_asymmetric()
+    factory, reaches = TRACE_RUNS[name]
+    scn = factory()
     report = solve(scn)
     tr = report.trace
     assert len(tr) == report.iterations
+    if reaches is not None:
+        assert reaches(tr)
+
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.int64)
+
     state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
     for k in range(len(tr)):
-        assert np.array_equal(tr.mu[k], state.mu)
-        assert np.array_equal(tr.lam[k], state.lam)
-        assert tr.dual_obj[k] == dual_objective(state, scn)
+        assert np.array_equal(bits(tr.mu[k]), bits(state.mu))
+        assert np.array_equal(bits(tr.lam[k]), bits(state.lam))
+        assert bits(tr.dual_obj[k]) == bits(dual_objective(state, scn))
         state, primal = dual_iterate(state, scn, scn.step.step_size(k + 1))
         raw = (primal.alpha, primal.beta, primal.c, primal.r)
         for got, want in zip((tr.alpha, tr.beta, tr.c, tr.r), raw):
-            assert np.array_equal(got[k], want)
+            assert np.array_equal(bits(got[k]), bits(want))
 
 
 def test_trace_primal_obj_is_the_best_repaired_window_average():
