@@ -27,10 +27,14 @@ with the scalar forms element by element:
   c = clip(w/(lam - mu), c_min, c_max) where lam > mu else c_max, with
   w = 0 standing for ``Zero`` (the clip then gives c_min)
 
-Callers evaluate the vector forms under ``np.errstate(divide="ignore",
-invalid="ignore", over="ignore")``: the branch that ``np.where`` discards
-may divide by zero, and 1/mu overflows to inf (then capped) at a
-subnormal mu.
+Like a numpy ufunc, each vector form takes an optional ``out=`` and then
+writes its result there in place, in a fixed run of ufunc calls (the
+compression layer's one temporary is its mu <= K mask); the solver
+points ``out`` at the rows of its working vector and passes the caps as
+0-d arrays.  Callers evaluate the vector forms under
+``np.errstate(divide="ignore", invalid="ignore", over="ignore")``: the
+congestion layer divides by zero where lam <= mu, and 1/mu overflows to
+inf (then capped) at a subnormal mu.
 """
 
 from __future__ import annotations
@@ -182,29 +186,55 @@ def congestion_subproblem(U: UtilityU, lam: float, mu: float, caps: SolverCaps) 
     )
 
 
+# 0-d operands: a Python float costs every ufunc call a scalar conversion
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+
+
 def compression_layer(
-    mu: np.ndarray, K: np.ndarray, alpha_max: float
+    mu: np.ndarray,
+    K: np.ndarray,
+    alpha_max: float,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`compression_subproblem` for every source at once.
 
     ``mu`` and ``K`` hold one price and one ``LogLinear`` K per source
     (binary flags).  1/min(mu, K) is 1/mu on the branch mu <= K (inf at
     mu = 0, capped to alpha_max) and 1/K beyond it, where beta = -alpha.
+    ``out`` is an optional (alpha, beta) pair to write into.
     """
-    alpha = np.minimum(1.0 / np.minimum(mu, K), alpha_max)
-    beta = np.where(mu > K, -alpha, 0.0)
+    alpha, beta = (np.empty(np.shape(mu)), np.empty(np.shape(mu))) if out is None else out
+    # no call writes over its own input: numpy runs that slower on one source
+    np.minimum(mu, K, out=alpha)
+    np.divide(_ONE, alpha, out=beta)
+    np.minimum(beta, alpha_max, out=alpha)
+    np.negative(alpha, out=beta)
+    np.copyto(beta, _ZERO, where=mu <= K)
     return alpha, beta
 
 
 def congestion_layer(
-    lam: np.ndarray, mu: np.ndarray, w: np.ndarray, c_min: float, c_max: float
+    lam: np.ndarray,
+    mu: np.ndarray,
+    w: np.ndarray,
+    c_min: float,
+    c_max: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`congestion_subproblem` for every source at once.
 
-    ``w`` holds each ``LogRate`` weight, 0 for a ``Zero`` utility.
+    ``w`` holds each ``LogRate`` weight, 0 for a ``Zero`` utility.  The
+    price difference is floored at +0.0, so where lam <= mu the quotient
+    is w/0: inf, or NaN for w = 0, and ``fmin`` takes both to c_max.
+    ``out`` is an optional array to write c into.
     """
-    c = np.minimum(np.maximum(w / (lam - mu), c_min), c_max)
-    return np.where(lam > mu, c, c_max)
+    c = np.subtract(lam, mu, out=out)
+    np.maximum(c, _ZERO, out=c)
+    np.add(c, _ZERO, out=c)  # -0.0 + 0.0 is +0.0, so the quotient is never -inf
+    np.divide(w, c, out=c)
+    np.fmin(c, c_max, out=c)
+    return np.maximum(c, c_min, out=c)
 
 
 def compression_given_rate(K: float, c: float) -> float:

@@ -75,7 +75,7 @@ from .layers import (
     compression_layer,
     congestion_layer,
 )
-from .regions import RateRegion
+from .regions import RateRegion, _check_nonnegative
 from .sources import SignFlags, SourceModel, sign_flags
 
 
@@ -300,7 +300,7 @@ class _Kernel:
         self.alpha_max = scn.caps.alpha_max
         self.c_min = scn.caps.c_min
         self.c_max = scn.caps.c_max
-        self.max_weight = scn.region.max_weight
+        self.region = scn.region
         self.step_size = scn.step.step_size
 
     def dual_step(self, mu: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -308,7 +308,7 @@ class _Kernel:
         beta, c, r)."""
         alpha, beta = compression_layer(mu, self.K, self.alpha_max)
         c = congestion_layer(lam, mu, self.w, self.c_min, self.c_max)
-        return alpha, beta, c, self.max_weight(lam)
+        return alpha, beta, c, self.region.max_weight(lam)
 
     def objective(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Per row, sum ln(alpha) + K.beta + w.ln(c) over the LogRate sources."""
@@ -437,15 +437,28 @@ def solve(scn: Scenario) -> SolveReport:
     ``converged=False`` rather than raising.
     """
     kernel = _Kernel(scn)
-    dual_step, step_size = kernel.dual_step, kernel.step_size
+    K, w, step_size = kernel.K, kernel.w, kernel.step_size
+    # 0-d operands: a Python float costs every ufunc call a scalar conversion
+    alpha_max, c_min, c_max, zero = map(np.array, (kernel.alpha_max, kernel.c_min, kernel.c_max, 0.0))
+    maximizer = scn.region._maximizer
     n, max_iters, tol_gap = scn.n, scn.max_iters, scn.tol_gap
-    mu = np.full(n, float(scn.dual_init))
-    lam = mu.copy()
+    # the working row (mu, lam, alpha, beta, c, r, alpha + beta): the layers
+    # write into it, each iteration copies its first six rows into the
+    # block, and the price step updates (mu, lam) in place
+    x = np.empty((7, n))
+    mu, lam, alpha, beta, c, r, ab = x
+    x[:2] = float(scn.dual_init)
+    schedule = maximizer if callable(maximizer) else None
+    if schedule is None:
+        r[:] = maximizer  # a box schedules its caps at every price
+    prices, row = x[:2], x[:6]
+    ab_c, c_r = x[6:3:-2], x[4:6]  # (alpha + beta, c) and (c, r)
+    g, h = np.empty((2, 2, n))  # the subgradient (alpha + beta - c, c - r), then scratch
     sum_r = np.zeros(n)  # window sum of the scheduled rates
     count = 0
     next_restart = 2
 
-    blocks: list[np.ndarray] = []  # (mu, lam, alpha, beta, c, r) rows
+    blocks: list[np.ndarray] = []  # (rows, 6, n): mu, lam, alpha, beta, c, r
     cols_pobj: list[np.ndarray] = []
     cols_dobj: list[np.ndarray] = []
 
@@ -463,15 +476,22 @@ def solve(scn: Scenario) -> SolveReport:
                 count = 0
                 next_restart *= 2
             m = min(_BLOCK, next_restart - 1 - t, max_iters - t)
-            blk = np.empty((m, 6 * n))
+            blk = np.empty((m, 6, n))
             for j in range(m):
-                alpha, beta, c, r = dual_step(mu, lam)
-                np.concatenate((mu, lam, alpha, beta, c, r), out=blk[j])
-                gamma = step_size(t + j + 1)
-                mu = np.maximum(0.0, mu + gamma * (alpha + beta - c))
-                lam = np.maximum(0.0, lam + gamma * (c - r))
+                compression_layer(mu, K, alpha_max, out=(alpha, beta))
+                congestion_layer(lam, mu, w, c_min, c_max, out=c)
+                if schedule is not None:
+                    r[:] = schedule(lam)
+                blk[j] = row
+                np.add(alpha, beta, out=ab)
+                np.subtract(ab_c, c_r, out=g)
+                np.multiply(g, step_size(t + j + 1), out=h)
+                np.add(prices, h, out=g)
+                np.maximum(zero, g, out=prices)
 
-            mu_b, lam_b, alpha_b, beta_b, c_b, r_b = blk.reshape(m, 6, n).transpose(1, 0, 2)
+            mu_b, lam_b, alpha_b, beta_b, c_b, r_b = blk.transpose(1, 0, 2)
+            # the scheduler's weight rule, checked once for the block's prices
+            _check_nonnegative(lam_b)
             dual = kernel.lagrangian(alpha_b, beta_b, c_b, r_b, mu_b, lam_b)
             # accumulate adds row by row, the same sums as a running +=
             sums = np.add.accumulate(np.vstack((sum_r, r_b)))[1:]
@@ -505,8 +525,7 @@ def solve(scn: Scenario) -> SolveReport:
                 stop_reason = "gap"
                 break
 
-    rows = np.concatenate(blocks)
-    mu_t, lam_t, alpha_t, beta_t, c_t, r_t = rows.reshape(t, 6, n).transpose(1, 0, 2)
+    mu_t, lam_t, alpha_t, beta_t, c_t, r_t = np.concatenate(blocks).transpose(1, 0, 2)
     trace = Trace(
         t=np.arange(1, t + 1),
         mu=mu_t,

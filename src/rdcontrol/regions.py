@@ -11,7 +11,15 @@ Three concrete families:
 
 ``max_weight(lam)`` maximizes ``lam . r`` over the region with a
 deterministic tie-break (descending weight, then ascending user index),
-so repeated solves of the same instance are bit-identical.
+so repeated solves of the same instance are bit-identical.  It checks the
+weights and hands them to the region's one private, check-free maximizer,
+``_maximizer``, which the dual solver binds once, because its prices are
+nonnegative vectors of the right length by construction.  For a
+:class:`BoxRegion` the caps maximize every weight vector, so its
+``_maximizer`` is the caps array itself, built once; for the other
+regions it is a function of the weights (the greedy vertex of the
+descending-weight order, or the first best row of a vertex matrix built
+once).
 ``contains`` and ``violation`` raise :class:`DomainError` on a non-finite
 rate: a NaN coordinate would otherwise drop out of the max and hide a
 real violation elsewhere.
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -60,10 +69,15 @@ def _linprog(**lp):
     return linprog(method="highs", **lp)
 
 
+def _check_nonnegative(lam: np.ndarray) -> None:
+    """The weight rule of ``max_weight``, for one vector or a block of rows."""
+    if (lam < 0).any():
+        raise DomainError(f"max_weight: weights must be nonnegative, got {lam}")
+
+
 def _check_weights(lam: Sequence[float], dim: int) -> np.ndarray:
     arr = _as_rate_vector(lam, dim, "max_weight")
-    if (arr < 0).any():
-        raise DomainError(f"max_weight: weights must be nonnegative, got {arr}")
+    _check_nonnegative(arr)
     return arr
 
 
@@ -95,10 +109,14 @@ class BoxRegion:
         caps = np.asarray(self.caps)
         return float(max(0.0, np.max(arr - caps), np.max(-arr)))
 
+    @cached_property
+    def _maximizer(self) -> np.ndarray:
+        # every cap is a maximizer coordinate; zero weights tie-break to the cap
+        return np.array(self.caps)
+
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
         _check_weights(lam, self.dim)
-        # every cap is a maximizer coordinate; zero weights tie-break to the cap
-        return np.asarray(self.caps, dtype=float)
+        return self._maximizer.copy()
 
 
 @dataclass(frozen=True)
@@ -172,11 +190,14 @@ class GaussianMacRegion:
             raise DomainError(f"vertex: order must permute 0..{self.dim - 1}, got {order}")
         return self._vertex(order)
 
-    def max_weight(self, lam: Sequence[float]) -> np.ndarray:
-        w = _check_weights(lam, self.dim).tolist()
+    def _maximizer(self, lam: np.ndarray) -> np.ndarray:
+        w = lam.tolist()
         # descending weight, ties to the lower index (the sort is stable even
         # reversed); a permutation by construction, so no check
         return self._vertex(sorted(range(self.dim), key=w.__getitem__, reverse=True))
+
+    def max_weight(self, lam: Sequence[float]) -> np.ndarray:
+        return self._maximizer(_check_weights(lam, self.dim))
 
 
 @dataclass(frozen=True)
@@ -213,7 +234,7 @@ class VertexRegion:
     def violation(self, r: Sequence[float]) -> float:
         """Smallest t with r within sup-norm t of the hull."""
         arr = _finite_rates(r, self.dim, "violation")
-        V = np.asarray(self.vertices, dtype=float)
+        V = self._V
         m = V.shape[0]
         # variables (theta_1..theta_m, t): minimize t
         A_ub = np.vstack(
@@ -235,12 +256,16 @@ class VertexRegion:
             raise DomainError("violation: hull distance LP failed")
         return float(res.fun)
 
+    @cached_property
+    def _V(self) -> np.ndarray:
+        return np.array(self.vertices)
+
+    def _maximizer(self, lam: np.ndarray) -> np.ndarray:
+        V = self._V
+        return V[np.argmax(V @ lam)].copy()  # first index on exact ties
+
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
-        arr = _check_weights(lam, self.dim)
-        V = np.asarray(self.vertices, dtype=float)
-        scores = V @ arr
-        best = int(np.argmax(scores))  # first index on exact ties
-        return V[best].copy()
+        return self._maximizer(_check_weights(lam, self.dim))
 
 
 RateRegion = Union[BoxRegion, GaussianMacRegion, VertexRegion]
