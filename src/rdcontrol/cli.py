@@ -96,13 +96,12 @@ def _print_summary(report: SolveReport) -> None:
 def _apply_overrides(scn: Scenario, args) -> Scenario:
     from dataclasses import replace
 
-    from .orchestrator import Diminishing
-
     kwargs = {}
     if args.max_iters is not None:
         kwargs["max_iters"] = args.max_iters
     if getattr(args, "gamma0", None) is not None:
-        kwargs["step"] = Diminishing(args.gamma0)
+        # only the scale changes; the document keeps its step rule
+        kwargs["step"] = replace(scn.step, gamma0=args.gamma0)
     return replace(scn, **kwargs) if kwargs else scn
 
 

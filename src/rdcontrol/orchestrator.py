@@ -16,21 +16,30 @@ bounds the *capped* problem from above.
 Every layer is a closed form applied to each source independently, so an
 iteration is a handful of array operations.  :func:`solve` compiles the
 scenario once into plain float arrays -- K, 1/K, the rate weights w (0
-for a ``Zero`` utility), the ``LogRate`` sources, the cap scalars -- and
-binds ``region.max_weight`` and ``step.step_size``.  The prices read
-nothing but the three layers, so the loop runs in two stages.  Per
-iteration it solves the layers, writes the (mu, lam, alpha, beta, c, r)
-row into a block and takes the price step.  Once per block of up to 64
-rows it evaluates the dual values, the window sums of r, the repair, the
-incumbent objectives, the running best dual and incumbent, and the gap
-as row-wise array expressions, and stops at the first row that meets the
-gap; the block's later price steps are discarded.  The objective and the
-Lagrangian act row-wise on (rows, n) arrays, and the public
-:func:`dual_objective`, :func:`primal_objective` and
-:func:`lagrangian_value` call them on one row, so they give the same
-bits as the trace.  :class:`PrimalAllocation` and :class:`DualState` are
-built only at the API boundary.  The scalar ``compression_subproblem``
-and ``congestion_subproblem`` stay in :mod:`rdcontrol.layers` as the
+for a ``Zero`` utility), the ``LogRate`` sources, the caps -- and binds
+the region's check-free maximizer (see :mod:`rdcontrol.regions`) and
+``step.step_size``.  The prices read nothing but the three layers, so the
+loop runs in two stages.  Per iteration it is a fixed run of in-place
+numpy calls on one preallocated working row (mu, lam, alpha, beta, c, r):
+the layers write alpha, beta and c into it through their ``out=``
+parameters, the maximizer writes r (a box's r never changes, so it is
+written once per solve), the row is copied into the current block, and
+one projected step updates the stacked (mu, lam) in place.  Nothing is
+allocated but the compression layer's mu <= K mask.  The prices are
+nonnegative by projection, so the weight check of ``max_weight`` runs
+once per block, as one vectorized test of the block's lam.  Once per
+block of up to 64 rows the solver evaluates the dual values, the window
+sums of r, the repair, the incumbent objectives, the running best dual
+and incumbent, and the gap as row-wise array expressions, and stops at
+the first row that meets the gap; the block's later price steps are
+discarded.  The objective and the Lagrangian act row-wise on (rows, n)
+arrays, and the public :func:`dual_objective`, :func:`primal_objective`
+and :func:`lagrangian_value` call them on one row, so they give the same
+bits as the trace.  :func:`dual_iterate` and :func:`dual_objective` call
+the same layers but the public, checked ``max_weight``.
+:class:`PrimalAllocation` and :class:`DualState` are built only at the
+API boundary.  The scalar ``compression_subproblem`` and
+``congestion_subproblem`` stay in :mod:`rdcontrol.layers` as the
 per-source reference.
 
 A primal point is recovered from the ergodic average of the scheduled
@@ -283,10 +292,12 @@ _BLOCK = 64
 class _Kernel:
     """A :class:`Scenario` compiled to float arrays over sources.
 
-    The layers act on one price vector; the objective, the Lagrangian and
-    the repair act row-wise on (rows, n) arrays, so one call covers a
-    block of iterates and a 1-row call gives the same bits per row.
-    Evaluate them under ``np.errstate(**_QUIET)``.
+    :meth:`dual_step` is the allocating one-price reference the public
+    functions use; :func:`solve` runs the same layers in place on its
+    working row instead.  The objective, the Lagrangian and the repair act
+    row-wise on (rows, n) arrays, so one call covers a block of iterates
+    and a 1-row call gives the same bits per row.  Evaluate them under
+    ``np.errstate(**_QUIET)``.
     """
 
     def __init__(self, scn: Scenario) -> None:
@@ -453,7 +464,10 @@ def solve(scn: Scenario) -> SolveReport:
         r[:] = maximizer  # a box schedules its caps at every price
     prices, row = x[:2], x[:6]
     ab_c, c_r = x[6:3:-2], x[4:6]  # (alpha + beta, c) and (c, r)
-    g, h = np.empty((2, 2, n))  # the subgradient (alpha + beta - c, c - r), then scratch
+    # g: the subgradient (alpha + beta - c, c - r), then the unprojected
+    # prices; h: the scaled step.  No call writes over its own input, which
+    # numpy runs slower on one-element arrays.
+    g, h = np.empty((2, 2, n))
     sum_r = np.zeros(n)  # window sum of the scheduled rates
     count = 0
     next_restart = 2

@@ -129,6 +129,20 @@ def test_solve_without_finite_incumbent_exits_two(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_gamma0_override_keeps_the_step_rule(tmp_path):
+    # --gamma0 rescales the document's rule: a constant step stays constant
+    def run(kind, gamma0, *extra):
+        doc = solver_doc(caps=(2.0, 0.6), max_iters=300)
+        doc["solver"]["step"] = {"kind": kind, "gamma0": gamma0}
+        out = tmp_path / f"{kind}-{gamma0}-{len(extra)}.csv"
+        main(["solve", write_scenario(tmp_path, doc), "--out", str(out), *extra])
+        return out.read_bytes()
+
+    overridden = run("constant", 0.3, "--gamma0", "0.05")
+    assert overridden == run("constant", 0.05)
+    assert overridden != run("diminishing", 0.05)
+
+
 def test_solve_schema_error_exit_one_names_field(tmp_path, capsys):
     doc = solver_doc()
     doc["region"] = {"kind": "mac", "powers": [-3.0], "noise": 1.0}

@@ -165,6 +165,35 @@ def test_vector_layers_equal_scalar_reference(batch):
         assert c[i] == congestion_subproblem(U_i, lam_i, mu_i, caps)
 
 
+@settings(max_examples=100, deadline=None)
+@given(layer_batches())
+def test_vector_layers_write_into_out(batch):
+    # the in-place form the solver runs gives the allocating form's bits,
+    # with beta's zero always +0.0 (the trace CSV would print -0.0 as -0)
+    caps, sources = batch
+    K = np.array([s[0] for s in sources])
+    w = np.array([s[1].w if isinstance(s[1], LogRate) else 0.0 for s in sources])
+    mu = np.array([s[2] for s in sources])
+    lam = np.array([s[3] for s in sources])
+    alpha, beta, c = np.full((3, len(sources)), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        got = compression_layer(mu, K, np.array(caps.alpha_max), out=(alpha, beta))
+        got_c = congestion_layer(lam, mu, w, np.array(caps.c_min), np.array(caps.c_max), out=c)
+        want = compression_layer(mu, K, caps.alpha_max)
+        want_c = congestion_layer(lam, mu, w, caps.c_min, caps.c_max)
+    assert got[0] is alpha and got[1] is beta and got_c is c
+    for x, y in zip((alpha, beta, c), (*want, want_c)):
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
+    assert not np.signbit(beta[beta == 0.0]).any()
+
+
+def test_congestion_layer_reads_a_negative_zero_difference_as_lam_equal_mu():
+    # lam = -0.0, mu = +0.0 gives lam - mu = -0.0; w/(-0.0) would be -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = congestion_layer(np.array([-0.0, -0.0]), np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.1, 5.0)
+    assert np.array_equal(c, [5.0, 5.0])
+
+
 # ------------------------------------------------- rule given the rate
 
 def test_compression_given_rate_branches():

@@ -255,3 +255,45 @@ def test_membership_rejects_non_finite_rate(region, bad, method):
     r = [bad, 5.0] + [0.0] * (region.dim - 2)
     with pytest.raises(DomainError, match="finite"):
         getattr(region, method)(r)
+
+
+MAXIMIZER_REGIONS = REGIONS + [
+    BoxRegion((0.0, 1.5, 1.5, 4.0)),
+    GaussianMacRegion((2.0, 0.0, 2.0, 1.0, 0.5), 1.0),
+    VertexRegion(((1.0, 0.0, 0.5), (0.0, 1.0, 0.5), (1.0, 0.0, 0.5), (0.5, 0.5, 0.0))),
+]
+
+
+@pytest.mark.parametrize("region", MAXIMIZER_REGIONS, ids=lambda r: type(r).__name__ + str(r.dim))
+def test_private_maximizer_is_the_public_max_weight(region):
+    # the solver binds ``_maximizer`` and checks its prices once per block,
+    # so it must give max_weight's point bit for bit, ties and zeros included
+    def maximize(lam):
+        m = region._maximizer
+        return m(lam) if callable(m) else m
+
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.int64)
+
+    rng = np.random.default_rng(3)
+    draws = [np.zeros(region.dim), np.ones(region.dim)]
+    for _ in range(200):
+        # a few distinct levels make ties and zeros common
+        draws.append(rng.choice([0.0, 0.5, 1.0, 2.0], region.dim))
+        draws.append(rng.uniform(0.0, 3.0, region.dim))
+    for lam in draws:
+        assert np.array_equal(bits(maximize(lam)), bits(region.max_weight(lam)))
+    with pytest.raises(DomainError, match="nonnegative"):
+        region.max_weight(-draws[-1])
+    with pytest.raises(DomainError, match="length"):
+        region.max_weight(np.ones(region.dim + 1))
+
+
+def test_max_weight_result_does_not_alias_the_region():
+    # the box maximizer is one array built once; the public copy may be edited
+    box = BoxRegion((5.0, 7.0))
+    box.max_weight([1.0, 1.0])[0] = -1.0
+    assert np.array_equal(box.max_weight([1.0, 1.0]), [5.0, 7.0])
+    reg = VertexRegion(((1.0, 0.0), (0.0, 1.0)))
+    reg.max_weight([1.0, 0.0])[0] = -1.0
+    assert np.array_equal(reg.max_weight([1.0, 0.0]), [1.0, 0.0])
