@@ -17,7 +17,6 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .layers import (
-    LinearEntropyPenalty,
     LogLinear,
     LogRate,
     SolverCaps,
@@ -62,15 +61,11 @@ from .scenario import (
 )
 from .sources import (
     BinarySource,
-    GaussianSource,
-    SignFlags,
     alpha_beta,
     binary_entropy,
     distortion_from_beta,
     inverse_binary_entropy,
     rd_binary,
-    rd_gaussian,
-    sign_flags,
     source_entropy,
 )
 
@@ -86,7 +81,6 @@ __all__ = [
     "DomainError",
     "DualState",
     "GaussianMacRegion",
-    "GaussianSource",
     "GridSearchResult",
     "GridSpec",
     "GridTooLargeError",
@@ -94,7 +88,6 @@ __all__ = [
     "InfeasibleError",
     "InfeasibleOffsetError",
     "KktReport",
-    "LinearEntropyPenalty",
     "LogLinear",
     "LogRate",
     "MacScenario",
@@ -102,7 +95,6 @@ __all__ = [
     "RdControlError",
     "Scenario",
     "ScenarioError",
-    "SignFlags",
     "SolveReport",
     "SolverCaps",
     "SourceSpec",
@@ -133,9 +125,7 @@ __all__ = [
     "primal_objective",
     "primal_violation",
     "rd_binary",
-    "rd_gaussian",
     "scenario_from_dict",
-    "sign_flags",
     "solve",
     "solve_corner",
     "source_entropy",

@@ -23,7 +23,7 @@ class InfeasibleOffsetError(DomainError):
 
 
 class UnsupportedCombinationError(RdControlError, TypeError):
-    """A utility / sign-flag / region combination has no closed-form solver."""
+    """A source / utility / region combination has no closed-form solver."""
 
 
 class InconsistencyError(RdControlError):

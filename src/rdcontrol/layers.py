@@ -3,12 +3,14 @@
 The compression layer picks (alpha, beta) against the rate-distortion
 price mu, the congestion layer picks the compressed rate c against the
 price difference lambda - mu, and the scheduling layer is handled by the
-region's ``max_weight``.  The utility catalog is deliberately closed so
-every subproblem has a checkable closed form:
+region's ``max_weight``.  The utility catalog is closed so every
+subproblem has a checkable closed form, and ``SourceSpec`` admits no
+other: a binary source's compression utility V is
 
 * ``LogLinear(K)``:  V(alpha, beta) = ln(alpha) + K * beta
-* ``LinearEntropyPenalty(delta)``:  V(D) = -delta * H(D)  (distortion
-  program only, see :mod:`rdcontrol.mac`)
+
+and its rate utility U is one of
+
 * ``LogRate(w)``:  U(c) = w * ln(c)
 * ``Zero``:  U(c) = 0
 
@@ -46,7 +48,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, InfeasibleOffsetError, UnsupportedCombinationError
-from .sources import SignFlags, binary_entropy, inverse_binary_entropy
+from .sources import binary_entropy, inverse_binary_entropy
 
 
 @dataclass(frozen=True)
@@ -64,26 +66,6 @@ class LogLinear:
         if not alpha > 0:
             raise DomainError(f"LogLinear undefined at alpha={alpha} (needs alpha > 0)")
         return math.log(alpha) + self.K * beta
-
-
-@dataclass(frozen=True)
-class LinearEntropyPenalty:
-    """V(D) = -delta * H(D): utility linear in the entropy of the distortion."""
-
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise DomainError(
-                f"LinearEntropyPenalty: delta must be finite and > 0, got {self.delta}",
-                field="delta",
-            )
-
-    def value(self, D: float) -> float:
-        return -self.delta * binary_entropy(D)
-
-
-UtilityV = Union[LogLinear, LinearEntropyPenalty]
 
 
 @dataclass(frozen=True)
@@ -138,14 +120,11 @@ class SolverCaps:
             raise DomainError(f"c_max must be finite, got {self.c_max}", field="c_max")
 
 
-def compression_subproblem(
-    V: UtilityV, mu: float, flags: SignFlags, caps: SolverCaps
-) -> tuple[float, float]:
-    """Maximize V(alpha, beta) - mu*(alpha + beta) under the sign constraints.
+def compression_subproblem(V: LogLinear, mu: float, caps: SolverCaps) -> tuple[float, float]:
+    """Maximize V(alpha, beta) - mu*(alpha + beta) for a binary source.
 
-    Constraints: a*alpha >= 0, b*beta <= 0, alpha + beta >= 0, plus the
-    alpha <= alpha_max regularizer.  Closed form for LogLinear with binary
-    flags (a=b=1):
+    Constraints: alpha >= 0, beta <= 0, alpha + beta >= 0, plus the
+    alpha <= alpha_max regularizer.  Closed form:
 
     * mu = 0:      (alpha_max, 0) — the cap binds.
     * 0 < mu <= K: beta = 0, alpha = min(1/mu, alpha_max).
@@ -154,15 +133,6 @@ def compression_subproblem(
     """
     if mu < 0:
         raise DomainError(f"compression_subproblem: mu must be >= 0, got {mu}")
-    if not isinstance(V, LogLinear):
-        raise UnsupportedCombinationError(
-            f"compression_subproblem has no closed form for {type(V).__name__}"
-        )
-    if (flags.a, flags.b) != (1, 1):
-        raise UnsupportedCombinationError(
-            f"LogLinear compression control needs sign flags (1,1), got "
-            f"({flags.a},{flags.b}); free-signed sources are not in the catalog"
-        )
     if mu == 0.0:
         return caps.alpha_max, 0.0
     if mu <= V.K:
@@ -199,9 +169,9 @@ def compression_layer(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`compression_subproblem` for every source at once.
 
-    ``mu`` and ``K`` hold one price and one ``LogLinear`` K per source
-    (binary flags).  1/min(mu, K) is 1/mu on the branch mu <= K (inf at
-    mu = 0, capped to alpha_max) and 1/K beyond it, where beta = -alpha.
+    ``mu`` and ``K`` hold one price and one ``LogLinear`` K per source.
+    1/min(mu, K) is 1/mu on the branch mu <= K (inf at mu = 0, capped to
+    alpha_max) and 1/K beyond it, where beta = -alpha.
     ``out`` is an optional (alpha, beta) pair to write into.
     """
     alpha, beta = (np.empty(np.shape(mu)), np.empty(np.shape(mu))) if out is None else out

@@ -49,8 +49,11 @@ class MacScenario:
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "powers", region.powers)
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        if not all(math.isfinite(d) and d > 0 for d in self.deltas):
-            raise DomainError(f"deltas must be finite and > 0, got {self.deltas}", field="deltas")
+        for i, d in enumerate(self.deltas):
+            if not (math.isfinite(d) and d > 0):
+                raise DomainError(
+                    f"deltas[{i}] must be finite and > 0, got {d}", field=f"deltas[{i}]"
+                )
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 The coupled utility maximization
 
     max  sum_i V_i(alpha_i, beta_i) + U_i(c_i)
-    s.t. alpha_i + beta_i <= c_i,   a_i*alpha_i >= 0,  b_i*beta_i <= 0,
-         alpha_i + beta_i >= 0,     c_i <= r_i,        r in region
+    s.t. alpha_i + beta_i <= c_i,   alpha_i >= 0,  beta_i <= 0,
+         alpha_i + beta_i >= 0,     c_i <= r_i,    r in region
 
 is relaxed with prices mu (rate-distortion constraint) and lambda
 (capacity constraint).  Each iteration solves the three per-layer
@@ -79,13 +79,12 @@ from .layers import (
     LogRate,
     SolverCaps,
     UtilityU,
-    UtilityV,
     Zero,
     compression_layer,
     congestion_layer,
 )
 from .regions import RateRegion, _check_nonnegative
-from .sources import SignFlags, SourceModel, sign_flags
+from .sources import BinarySource
 
 
 @dataclass(frozen=True)
@@ -129,15 +128,26 @@ MAX_ITERS = 10**6
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """One source's model and utilities, bundled for a scenario."""
+    """One source of a scenario: a binary source with a ``LogLinear``
+    compression utility V and a ``LogRate`` or ``Zero`` rate utility U.
 
-    model: SourceModel
-    V: UtilityV
+    These are the combinations the closed-form layers solve, and this
+    constructor is the one place that says so: a field of any other type
+    raises :class:`UnsupportedCombinationError`, whose message names it.
+    """
+
+    model: BinarySource
+    V: LogLinear
     U: UtilityU = Zero()
 
-    @property
-    def flags(self) -> SignFlags:
-        return sign_flags(self.model)
+    def __post_init__(self) -> None:
+        for name, allowed in (("model", BinarySource), ("V", LogLinear), ("U", (LogRate, Zero))):
+            value = getattr(self, name)
+            if not isinstance(value, allowed):
+                raise UnsupportedCombinationError(
+                    f"SourceSpec.{name}: the dual solver has no closed form for "
+                    f"{type(value).__name__}"
+                )
 
 
 @dataclass(frozen=True)
@@ -161,17 +171,6 @@ class Scenario:
                 f"region dimension {self.region.dim} != number of sources {len(self.sources)}",
                 field="region",
             )
-        for i, spec in enumerate(self.sources):
-            if not isinstance(spec.V, LogLinear):
-                raise UnsupportedCombinationError(
-                    f"sources[{i}]: the dual solver needs a LogLinear compression "
-                    f"utility, got {type(spec.V).__name__}"
-                )
-            if (spec.flags.a, spec.flags.b) != (1, 1):
-                raise UnsupportedCombinationError(
-                    f"sources[{i}]: the closed-form compression control supports "
-                    f"sign flags (1,1) (binary sources) only"
-                )
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
             raise DomainError(
                 f"max_iters must be an integer, got {self.max_iters!r}", field="max_iters"
@@ -183,6 +182,8 @@ class Scenario:
             raise DomainError(
                 f"dual_init must be finite and >= 0, got {self.dual_init}", field="dual_init"
             )
+        # -0.0 passes the check, and the compression layer reads 1/-0.0 as -inf
+        object.__setattr__(self, "dual_init", self.dual_init + 0.0)
         if not (math.isfinite(self.tol_gap) and self.tol_gap > 0):
             raise DomainError(f"tol_gap must be finite and > 0, got {self.tol_gap}", field="tol_gap")
 
@@ -199,8 +200,9 @@ class DualState:
     lam: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
+        # + 0.0 turns a -0.0 price into +0.0, which the layers read as 0
+        mu = np.asarray(self.mu, dtype=float) + 0.0
+        lam = np.asarray(self.lam, dtype=float) + 0.0
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "lam", lam)
         if mu.shape != lam.shape:
@@ -409,7 +411,6 @@ def primal_violation(primal: PrimalAllocation, scn: Scenario) -> float:
     a = primal.alpha
     b = primal.beta
     c = primal.c
-    # every source has sign flags (1, 1): Scenario admits no other
     worst = max(
         float(np.max(a + b - c)),
         float(np.max(c - primal.r)),

@@ -20,23 +20,21 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .errors import DomainError, ScenarioError, UnsupportedCombinationError
-from .layers import (
-    LinearEntropyPenalty,
-    LogLinear,
-    LogRate,
-    SolverCaps,
-    UtilityU,
-    UtilityV,
-    Zero,
-)
+from .errors import DomainError, ScenarioError
+from .layers import LogLinear, LogRate, SolverCaps, UtilityU, Zero
 from .mac import MacScenario
 from .orchestrator import Constant, Diminishing, Scenario, SourceSpec, StepRule
 from .regions import BoxRegion, GaussianMacRegion, RateRegion, VertexRegion
-from .sources import BinarySource, GaussianSource, SourceModel
+from .sources import BinarySource
 
 # Scenario arguments that the document nests under "solver"
 _SOLVER_FIELDS = ("max_iters", "tol_gap", "dual_init")
+
+# constructor fields that the document spells at another path
+_DOC_PATHS = {
+    **{(Scenario, key): f"solver.{key}" for key in _SOLVER_FIELDS},
+    **{(MacScenario, f"deltas[{i}]"): f"sources[{i}].V.delta" for i in range(2)},
+}
 
 
 def _require_mapping(val: Any, path: str) -> dict:
@@ -96,45 +94,34 @@ def _construct(path: str, cls, **kwargs):
     """``cls(**kwargs)``: the constructor checks every value of the document.
 
     A refusal becomes a ScenarioError named ``{path}.{field}`` by the
-    error's ``field``; Scenario's solver options sit under ``solver``.
+    error's ``field``, or by the document path ``_DOC_PATHS`` gives it.
     """
     try:
         return cls(**kwargs)
-    except (DomainError, UnsupportedCombinationError) as exc:
-        field = getattr(exc, "field", None)
-        if cls is Scenario and field in _SOLVER_FIELDS:
-            field = f"solver.{field}"
-        name = _name(path, field)
+    except DomainError as exc:
+        name = _name(path, _DOC_PATHS.get((cls, exc.field), exc.field))
         raise ScenarioError(f"{name}: {exc}" if name else str(exc)) from exc
 
 
-def _build_model(obj: dict, path: str) -> SourceModel:
+def _build_model(obj: dict, path: str) -> BinarySource:
     kind = obj.get("kind")
-    if kind == "binary":
-        _reject_unknown(obj, {"kind", "s", "p", "V", "U"}, path)
-        return _construct(
-            path, BinarySource, s=_number(obj, "s", path), p=_number(obj, "p", path)
-        )
-    if kind == "gaussian":
-        _reject_unknown(obj, {"kind", "s", "sigma2", "V", "U"}, path)
-        return _construct(
-            path, GaussianSource, s=_number(obj, "s", path), sigma2=_number(obj, "sigma2", path)
-        )
-    raise ScenarioError(f"{path}.kind: expected 'binary' or 'gaussian', got {kind!r}")
-
-
-def _build_v(obj: Any, path: str) -> UtilityV:
-    obj = _require_mapping(obj, path)
-    kind = obj.get("kind")
-    if kind == "log_linear":
-        _reject_unknown(obj, {"kind", "K"}, path)
-        return _construct(path, LogLinear, K=_number(obj, "K", path))
-    if kind == "linear_entropy_penalty":
-        _reject_unknown(obj, {"kind", "delta"}, path)
-        return _construct(path, LinearEntropyPenalty, delta=_number(obj, "delta", path))
-    raise ScenarioError(
-        f"{path}.kind: expected 'log_linear' or 'linear_entropy_penalty', got {kind!r}"
+    if kind != "binary":
+        raise ScenarioError(f"{path}.kind: expected 'binary', got {kind!r}")
+    _reject_unknown(obj, {"kind", "s", "p", "V", "U"}, path)
+    return _construct(
+        path, BinarySource, s=_number(obj, "s", path), p=_number(obj, "p", path)
     )
+
+
+def _v_number(source: dict, path: str, kind: str, key: str) -> float:
+    """The number ``key`` of the ``V`` object of the source at ``path``;
+    that object must be of ``kind`` and hold nothing else."""
+    v_path = f"{path}.V"
+    obj = _require_mapping(_get(source, "V", path), v_path)
+    if obj.get("kind") != kind:
+        raise ScenarioError(f"{v_path}.kind: expected {kind!r}, got {obj.get('kind')!r}")
+    _reject_unknown(obj, {"kind", key}, v_path)
+    return _number(obj, key, v_path)
 
 
 def _build_u(obj: Any, path: str) -> UtilityU:
@@ -154,7 +141,7 @@ def _build_u(obj: Any, path: str) -> UtilityU:
 def _build_source(obj: Any, path: str) -> SourceSpec:
     obj = _require_mapping(obj, path)
     model = _build_model(obj, path)
-    V = _build_v(_get(obj, "V", path), f"{path}.V")
+    V = _construct(f"{path}.V", LogLinear, K=_v_number(obj, path, "log_linear", "K"))
     U = _build_u(obj.get("U"), f"{path}.U")
     return SourceSpec(model, V, U)
 
@@ -230,18 +217,11 @@ def mac_scenario_from_dict(doc: Any) -> MacScenario:
     deltas = []
     for i, entry in enumerate(entries):
         path = f"sources[{i}]"
-        # check V's kind first: the generic build would report a wrong kind's
-        # leftover keys (e.g. 'delta' on log_linear) instead of the real fault
-        V = _require_mapping(entry, path).get("V")
-        if isinstance(V, dict) and V.get("kind") != "linear_entropy_penalty":
-            raise ScenarioError(f"{path}.V.kind: must be 'linear_entropy_penalty'")
-        spec = _build_source(entry, path)
-        if not isinstance(spec.model, BinarySource):
-            raise ScenarioError(f"{path}.kind: the MAC distortion program needs binary sources")
-        if not isinstance(spec.U, Zero):
+        entry = _require_mapping(entry, path)
+        models.append(_build_model(entry, path))
+        deltas.append(_v_number(entry, path, "linear_entropy_penalty", "delta"))
+        if not isinstance(_build_u(entry.get("U"), f"{path}.U"), Zero):
             raise ScenarioError(f"{path}.U: must be omitted or 'zero'")
-        models.append(spec.model)
-        deltas.append(spec.V.delta)
     region = _build_region(_get(doc, "region", ""), "region")
     if not isinstance(region, GaussianMacRegion):
         raise ScenarioError("region.kind: must be 'mac'")

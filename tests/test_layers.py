@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 from rdcontrol import (
     BinarySource,
     DomainError,
-    GaussianSource,
-    LinearEntropyPenalty,
     LogLinear,
     LogRate,
-    SignFlags,
     SolverCaps,
-    UnsupportedCombinationError,
     Zero,
     binary_entropy,
     compression_given_rate,
@@ -24,7 +20,6 @@ from rdcontrol import (
 )
 from rdcontrol.layers import compression_layer, congestion_layer
 
-F11 = SignFlags(1, 1)
 CAPS = SolverCaps()
 
 
@@ -35,9 +30,9 @@ def lagrangian_term(K, mu, a, b):
 # ----------------------------------------------------- compression layer
 
 def test_compression_subproblem_examples():
-    assert compression_subproblem(LogLinear(2.0), 1.0, F11, CAPS) == (1.0, 0.0)
-    assert compression_subproblem(LogLinear(1.0), 2.0, F11, CAPS) == (1.0, -1.0)
-    assert compression_subproblem(LogLinear(1.0), 0.0, F11, SolverCaps(alpha_max=10.0)) == (
+    assert compression_subproblem(LogLinear(2.0), 1.0, CAPS) == (1.0, 0.0)
+    assert compression_subproblem(LogLinear(1.0), 2.0, CAPS) == (1.0, -1.0)
+    assert compression_subproblem(LogLinear(1.0), 0.0, SolverCaps(alpha_max=10.0)) == (
         10.0,
         0.0,
     )
@@ -45,18 +40,14 @@ def test_compression_subproblem_examples():
 
 def test_compression_subproblem_rejects_bad_input():
     with pytest.raises(DomainError):
-        compression_subproblem(LogLinear(1.0), -0.1, F11, CAPS)
-    with pytest.raises(UnsupportedCombinationError):
-        compression_subproblem(LogLinear(1.0), 1.0, SignFlags(0, 0), CAPS)
-    with pytest.raises(UnsupportedCombinationError):
-        compression_subproblem(LinearEntropyPenalty(1.0), 1.0, F11, CAPS)
+        compression_subproblem(LogLinear(1.0), -0.1, CAPS)
 
 
 def test_compression_subproblem_grid_oracle():
     # dense grid over the feasible triangle confirms the KKT cases
     caps = SolverCaps(alpha_max=5.0)
     for K, mu in [(2.0, 1.0), (1.0, 2.0), (0.7, 0.7), (3.0, 0.2)]:
-        a_star, b_star = compression_subproblem(LogLinear(K), mu, F11, caps)
+        a_star, b_star = compression_subproblem(LogLinear(K), mu, caps)
         best = -math.inf
         for a in np.linspace(1e-4, caps.alpha_max, 801):
             for b in np.linspace(-a, 0.0, 81):
@@ -71,7 +62,7 @@ def test_compression_subproblem_grid_oracle():
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_compression_subproblem_beats_samples(K, mu, seed):
-    a_star, b_star = compression_subproblem(LogLinear(K), mu, F11, CAPS)
+    a_star, b_star = compression_subproblem(LogLinear(K), mu, CAPS)
     rng = np.random.default_rng(seed)
     a = rng.uniform(1e-6, CAPS.alpha_max, 2000)
     b = rng.uniform(-1.0, 0.0, 2000) * a
@@ -82,7 +73,7 @@ def test_compression_subproblem_beats_samples(K, mu, seed):
 def test_compression_subproblem_million_samples():
     rng = np.random.default_rng(123)
     for K, mu in [(2.0, 0.5), (0.5, 2.0), (1.0, 1.0)]:
-        a_star, b_star = compression_subproblem(LogLinear(K), mu, F11, CAPS)
+        a_star, b_star = compression_subproblem(LogLinear(K), mu, CAPS)
         a = rng.uniform(1e-6, CAPS.alpha_max, 1_000_000)
         b = rng.uniform(-1.0, 0.0, 1_000_000) * a
         vals = np.log(a) + K * b - mu * (a + b)
@@ -160,7 +151,7 @@ def test_vector_layers_equal_scalar_reference(batch):
         alpha, beta = compression_layer(mu, K, caps.alpha_max)
         c = congestion_layer(lam, mu, w, caps.c_min, caps.c_max)
     for i, (K_i, U_i, mu_i, lam_i) in enumerate(sources):
-        ref = compression_subproblem(LogLinear(K_i), mu_i, F11, caps)
+        ref = compression_subproblem(LogLinear(K_i), mu_i, caps)
         assert (alpha[i], beta[i]) == ref
         assert c[i] == congestion_subproblem(U_i, lam_i, mu_i, caps)
 
@@ -264,17 +255,14 @@ def test_operating_point_entropy_is_affine_below_breakpoint(K, p):
         lambda: LogLinear(math.nan),
         lambda: LogRate(math.inf),
         lambda: LogRate(math.nan),
-        lambda: LinearEntropyPenalty(math.inf),
         lambda: SolverCaps(c_max=math.inf),
         lambda: SolverCaps(c_min=math.nan),
         lambda: SolverCaps(alpha_max=math.inf),
         lambda: BinarySource(math.inf, 0.5),
-        lambda: GaussianSource(1.0, math.inf),
     ],
     ids=[
         "LogLinear-inf", "LogLinear-nan", "LogRate-inf", "LogRate-nan",
-        "LinearEntropyPenalty-inf", "c_max-inf", "c_min-nan", "alpha_max-inf",
-        "BinarySource-s-inf", "GaussianSource-sigma2-inf",
+        "c_max-inf", "c_min-nan", "alpha_max-inf", "BinarySource-s-inf",
     ],
 )
 def test_constructor_rejects_non_finite_field(build):
@@ -287,8 +275,6 @@ def test_utility_validation():
         LogLinear(0.0)
     with pytest.raises(DomainError):
         LogRate(-1.0)
-    with pytest.raises(DomainError):
-        LinearEntropyPenalty(0.0)
     with pytest.raises(DomainError):
         SolverCaps(c_min=2.0, c_max=1.0)
     with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from rdcontrol import (
     DomainError,
     DualState,
     GaussianMacRegion,
-    GaussianSource,
-    LinearEntropyPenalty,
     LogLinear,
     LogRate,
     PrimalAllocation,
@@ -53,16 +52,22 @@ def test_scenario_validation():
         Scenario(sources=(), region=BoxRegion((1.0,)))
     with pytest.raises(DomainError):
         Scenario(sources=(src,), region=BoxRegion((1.0, 2.0)))
-    with pytest.raises(UnsupportedCombinationError):
-        Scenario(
-            sources=(SourceSpec(BinarySource(1.0, 0.5), LinearEntropyPenalty(1.0)),),
-            region=BoxRegion((1.0,)),
-        )
-    with pytest.raises(UnsupportedCombinationError):
-        Scenario(
-            sources=(SourceSpec(GaussianSource(1.0, 1.0), LogLinear(1.0)),),
-            region=BoxRegion((1.0,)),
-        )
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("model", lambda: SourceSpec(LogLinear(1.0), LogLinear(1.0))),
+        ("V", lambda: SourceSpec(BinarySource(1.0, 0.5), LogRate(1.0))),
+        ("U", lambda: SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogLinear(1.0))),
+    ],
+    ids=["model", "V", "U"],
+)
+def test_source_spec_refuses_a_field_of_the_wrong_type(field, build):
+    # the one place that says which source and utility combinations exist
+    with pytest.raises(UnsupportedCombinationError) as err:
+        build()
+    assert str(err.value).startswith(f"SourceSpec.{field}:")
 
 
 @pytest.mark.parametrize("max_iters", [10.5, True, "10", 0, MAX_ITERS + 1])
@@ -75,6 +80,23 @@ def test_max_iters_must_be_an_integer_in_range(max_iters):
 def test_dual_state_validation():
     with pytest.raises(DomainError):
         DualState(np.array([-0.1]), np.array([0.0]))
+
+
+def test_negative_zero_prices_are_zero_prices():
+    # -0.0 passes the >= 0 checks, and the compression layer would read
+    # 1/min(-0.0, K) as -inf: both entry points store +0.0 instead
+    scn = cases.box_two_mixed()
+    dual = DualState([-0.0, -0.0], [1.0, 1.0])
+    assert not np.signbit(dual.mu).any()
+    assert dual_objective(dual, scn) == dual_objective(DualState([0.0, 0.0], [1.0, 1.0]), scn)
+    assert math.isfinite(dual_objective(dual, scn))
+
+    def first_row(dual_init):
+        tr = solve(replace(scn, dual_init=dual_init, max_iters=1)).trace
+        rows = np.concatenate((tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r), axis=1)
+        return np.append(rows[0], tr.dual_obj[0]).view(np.int64)
+
+    assert np.array_equal(first_row(-0.0), first_row(0.0))
 
 
 def test_step_rules():
@@ -698,8 +720,6 @@ BLOCK_RUNS = [
 def test_block_certificate_matches_sequential_loop(name, factory, max_iters):
     # block edges at every power of two up to 128, a gap stop in the middle
     # of a block (max_iters 50,000) and a run with no incumbent
-    from dataclasses import replace
-
     scn = replace(factory(), max_iters=max_iters)
     report = solve(scn)
     ref = sequential_solve(scn)

@@ -159,7 +159,7 @@ def test_negative_power_names_field():
     assert "region.powers[0]" in str(err.value)
 
 
-def test_gaussian_source_parses_but_solver_rejects():
+def test_gaussian_source_kind_is_refused():
     doc = base_doc()
     doc["sources"][0] = {
         "kind": "gaussian",
@@ -168,8 +168,8 @@ def test_gaussian_source_parses_but_solver_rejects():
         "V": {"kind": "log_linear", "K": 1.0},
     }
     with pytest.raises(ScenarioError) as err:
-        scenario_from_dict(doc)  # sign flags (0,0) have no closed-form solver
-    assert "sources[0]" in str(err.value)
+        scenario_from_dict(doc)  # refused by kind, before its unknown key sigma2
+    assert str(err.value).startswith("sources[0].kind:")
 
 
 def test_mac_document_builds():
@@ -186,6 +186,9 @@ def test_mac_document_builds():
         (lambda d: d["sources"][0]["V"].update(kind="log_linear", K=1.0), "linear_entropy_penalty"),
         (lambda d: d["region"].update(kind="box", caps=[1.0, 1.0], powers=None, noise=None), "region"),
         (lambda d: d["sources"][0].update(U={"kind": "log_rate", "w": 1.0}), "sources[0].U"),
+        (lambda d: d["sources"][1]["V"].update(delta=-1.0), "sources[1].V.delta"),
+        (lambda d: d["sources"][0]["V"].update(delta=math.nan), "sources[0].V.delta"),
+        (lambda d: d["sources"][0].update(kind="gaussian", sigma2=2.0), "sources[0].kind"),
     ],
 )
 def test_mac_schema_errors(mutate, fragment):

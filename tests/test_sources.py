@@ -1,5 +1,3 @@
-import math
-
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -8,16 +6,12 @@ from hypothesis import given
 from rdcontrol import (
     BinarySource,
     DomainError,
-    GaussianSource,
     InfeasibleOffsetError,
-    SignFlags,
     alpha_beta,
     binary_entropy,
     distortion_from_beta,
     inverse_binary_entropy,
     rd_binary,
-    rd_gaussian,
-    sign_flags,
     source_entropy,
 )
 
@@ -123,29 +117,15 @@ def test_rd_binary_domain():
         rd_binary(src, -0.01)
 
 
-def test_rd_gaussian_examples():
-    assert rd_gaussian(GaussianSource(2.0, 4.0), 1.0) == 2.0
-    assert rd_gaussian(GaussianSource(2.0, 4.0), 4.0) == 0.0
-    assert rd_gaussian(GaussianSource(1.0, 4.0), 2.0) == 0.5
-
-
-def test_rd_gaussian_domain():
-    with pytest.raises(DomainError):
-        rd_gaussian(GaussianSource(1.0, 1.0), 0.0)
-
-
 @pytest.mark.parametrize(
     "src, ds",
     [
         (BinarySource(3.0, 0.3), np.linspace(0.0, 0.5, 101)),
-        (GaussianSource(2.0, 2.5), np.linspace(0.05, 5.0, 101)),
+        (BinarySource(2.0, 0.05), np.linspace(0.0, 0.5, 101)),  # clipped past D = 0.05
     ],
 )
 def test_rd_nonincreasing(src, ds):
-    if isinstance(src, BinarySource):
-        vals = [rd_binary(src, float(d)) for d in ds]
-    else:
-        vals = [rd_gaussian(src, float(d)) for d in ds]
+    vals = [rd_binary(src, float(d)) for d in ds]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -159,30 +139,11 @@ def test_alpha_beta_binary_examples():
     assert b == pytest.approx(-81.12781244591328, abs=1e-9)
 
 
-def test_alpha_beta_gaussian_example():
-    src = GaussianSource(2.0, 4.0)
-    a, b = alpha_beta(src, 1.0)
-    assert a == pytest.approx(math.log2(8 * math.pi * math.e), abs=1e-12)
-    assert a + b == pytest.approx(rd_gaussian(src, 1.0), abs=1e-12)
-
-
 @given(st.floats(min_value=1e-4, max_value=0.5))
 def test_alpha_beta_consistency_binary(d):
     src = BinarySource(7.0, 0.5)  # H(p)=1 keeps the formula positive on (0, 1/2)
     a, b = alpha_beta(src, d)
     assert a + b == pytest.approx(rd_binary(src, d), abs=1e-12)
-
-
-@given(st.floats(min_value=1e-3, max_value=3.0))
-def test_alpha_beta_consistency_gaussian(d):
-    src = GaussianSource(2.0, 3.0)
-    a, b = alpha_beta(src, d)
-    assert a + b == pytest.approx(rd_gaussian(src, d), abs=1e-12)
-
-
-def test_alpha_beta_gaussian_can_be_negative():
-    a, b = alpha_beta(GaussianSource(1.0, 1e-4), 1e-5)
-    assert a < 0 and b > 0  # differential entropies flip sign at small variance
 
 
 # ---------------------------------------------------- offset -> distortion
@@ -198,25 +159,11 @@ def test_distortion_from_beta_binary_infeasible():
         distortion_from_beta(BinarySource(1.0, 0.5), -3.0, 2.0)
 
 
-def test_distortion_from_beta_gaussian_round_trip():
-    src = GaussianSource(2.0, 4.0)
-    d0 = 0.7
-    _, b = alpha_beta(src, d0)
-    assert distortion_from_beta(src, b, src.s) == pytest.approx(d0, rel=1e-12)
-
-
 @given(st.floats(min_value=1e-4, max_value=0.5), st.floats(min_value=0.1, max_value=20.0))
 def test_round_trip_binary(d, s):
     src = BinarySource(s, 0.37)
     _, b = alpha_beta(src, d)
     assert distortion_from_beta(src, b, s) == pytest.approx(d, abs=1e-9)
-
-
-@given(st.floats(min_value=1e-3, max_value=10.0), st.floats(min_value=0.1, max_value=20.0))
-def test_round_trip_gaussian(d, s):
-    src = GaussianSource(s, 2.0)
-    _, b = alpha_beta(src, d)
-    assert distortion_from_beta(src, b, s) == pytest.approx(d, rel=1e-9)
 
 
 # ----------------------------------------------------------- model plumbing
@@ -226,18 +173,9 @@ def test_source_validation():
         BinarySource(0.0, 0.5)
     with pytest.raises(DomainError):
         BinarySource(1.0, 0.0)
-    with pytest.raises(DomainError):
-        GaussianSource(1.0, 0.0)
-
-
-def test_sign_flags():
-    assert sign_flags(BinarySource(1.0, 0.5)) == SignFlags(1, 1)
-    assert sign_flags(GaussianSource(1.0, 1.0)) == SignFlags(0, 0)
-    with pytest.raises(DomainError):
-        SignFlags(2, 0)
 
 
 def test_source_entropy():
     assert source_entropy(BinarySource(100.0, 0.5)) == 100.0
-    g = GaussianSource(2.0, 4.0)
-    assert source_entropy(g) == alpha_beta(g, 1.0)[0]
+    src = BinarySource(2.0, 0.25)
+    assert source_entropy(src) == alpha_beta(src, 0.1)[0]
