@@ -12,10 +12,12 @@ other: a binary source's compression utility V is
 and its rate utility U is one of
 
 * ``LogRate(w)``:  U(c) = w * ln(c)
-* ``Zero``:  U(c) = 0
+* ``Zero``:  U(c) = 0, whose class constant ``w`` is 0
 
-Subproblems that are unbounded at degenerate prices (mu = 0, or
-lambda <= mu) are regularized by :class:`SolverCaps`.
+The layers read nothing of a utility but its parameter, K or w, and a
+``Zero`` source is the ``LogRate`` formula at w = 0, where w * ln(c)
+reads as 0 at every c.  Subproblems that are unbounded at degenerate
+prices (mu = 0, or lambda <= mu) are regularized by :class:`SolverCaps`.
 
 Each layer acts on every source independently, so the closed forms come
 twice: the scalar per-source reference (``compression_subproblem``,
@@ -26,8 +28,8 @@ with the scalar forms element by element:
 * ``compression_layer(mu, K, alpha_max)``:
   alpha = min(1/min(mu, K), alpha_max), beta = -alpha where mu > K else 0
 * ``congestion_layer(lam, mu, w, c_min, c_max)``:
-  c = clip(w/(lam - mu), c_min, c_max) where lam > mu else c_max, with
-  w = 0 standing for ``Zero`` (the clip then gives c_min)
+  c = clip(w/(lam - mu), c_min, c_max) where lam > mu else c_max (at
+  w = 0 the clip gives c_min)
 
 Like a numpy ufunc, each vector form takes an optional ``out=`` and then
 writes its result there in place, in a fixed run of ufunc calls (the
@@ -43,11 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleOffsetError, UnsupportedCombinationError
+from .errors import DomainError, InfeasibleOffsetError
 from .sources import binary_entropy, inverse_binary_entropy
 
 
@@ -62,11 +64,6 @@ class LogLinear:
         if not (math.isfinite(self.K) and self.K > 0):
             raise DomainError(f"LogLinear: K must be finite and > 0, got {self.K}", field="K")
 
-    def value(self, alpha: float, beta: float) -> float:
-        if not alpha > 0:
-            raise DomainError(f"LogLinear undefined at alpha={alpha} (needs alpha > 0)")
-        return math.log(alpha) + self.K * beta
-
 
 @dataclass(frozen=True)
 class LogRate:
@@ -78,18 +75,12 @@ class LogRate:
         if not (math.isfinite(self.w) and self.w > 0):
             raise DomainError(f"LogRate: w must be finite and > 0, got {self.w}", field="w")
 
-    def value(self, c: float) -> float:
-        if not c > 0:
-            raise DomainError(f"LogRate undefined at c={c} (needs c > 0)")
-        return self.w * math.log(c)
-
 
 @dataclass(frozen=True)
 class Zero:
-    """U(c) = 0: the rate utility absorbed into V."""
+    """U(c) = 0: the rate utility absorbed into V; w * ln(c) at w = 0."""
 
-    def value(self, c: float) -> float:
-        return 0.0
+    w: ClassVar[float] = 0.0
 
 
 UtilityU = Union[LogRate, Zero]
@@ -131,7 +122,7 @@ def compression_subproblem(V: LogLinear, mu: float, caps: SolverCaps) -> tuple[f
     * mu > K:      the beta coefficient turns negative, the constraint
       alpha + beta >= 0 activates, and the point is (1/K, -1/K) (capped).
     """
-    if mu < 0:
+    if not mu >= 0:  # NaN fails too
         raise DomainError(f"compression_subproblem: mu must be >= 0, got {mu}")
     if mu == 0.0:
         return caps.alpha_max, 0.0
@@ -142,18 +133,13 @@ def compression_subproblem(V: LogLinear, mu: float, caps: SolverCaps) -> tuple[f
 
 
 def congestion_subproblem(U: UtilityU, lam: float, mu: float, caps: SolverCaps) -> float:
-    """Maximize U(c) - (lambda - mu)*c over [c_min, c_max]."""
-    if lam < 0 or mu < 0:
+    """Maximize w*ln(c) - (lambda - mu)*c over [c_min, c_max], with w = 0
+    for ``Zero``: the clip takes w/(lam - mu) = 0 to c_min."""
+    if not (lam >= 0 and mu >= 0):  # NaN fails too
         raise DomainError(f"congestion_subproblem: duals must be >= 0, got ({lam}, {mu})")
-    if isinstance(U, LogRate):
-        if lam > mu:
-            return min(max(U.w / (lam - mu), caps.c_min), caps.c_max)
-        return caps.c_max
-    if isinstance(U, Zero):
-        return caps.c_min if lam > mu else caps.c_max
-    raise UnsupportedCombinationError(
-        f"congestion_subproblem has no closed form for {type(U).__name__}"
-    )
+    if lam > mu:
+        return min(max(U.w / (lam - mu), caps.c_min), caps.c_max)
+    return caps.c_max
 
 
 # 0-d operands: a Python float costs every ufunc call a scalar conversion
@@ -194,7 +180,7 @@ def congestion_layer(
 ) -> np.ndarray:
     """:func:`congestion_subproblem` for every source at once.
 
-    ``w`` holds each ``LogRate`` weight, 0 for a ``Zero`` utility.  The
+    ``w`` holds each source's rate weight ``U.w``.  The
     price difference is floored at +0.0, so where lam <= mu the quotient
     is w/0: inf, or NaN for w = 0, and ``fmin`` takes both to c_max.
     ``out`` is an optional array to write c into.

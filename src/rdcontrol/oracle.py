@@ -20,11 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, GridTooLargeError, UnsupportedCombinationError
-from .layers import LogRate, Zero
 from .orchestrator import (
     DualState,
     PrimalAllocation,
     Scenario,
+    _check_domain,
+    _Kernel,
     _subproblem_primal,
     primal_violation,
 )
@@ -158,13 +159,11 @@ def grid_search_num(scn: Scenario, grid: GridSpec) -> GridSearchResult:
     for i, spec in enumerate(scn.sources):
         a_pts = grid.alpha[i].points()
         c_pts = grid.c[i].points()
-        K = spec.V.K
+        K, w = spec.V.K, spec.U.w
         with np.errstate(divide="ignore", invalid="ignore"):
             va = np.where(a_pts > 0, np.log(a_pts), -np.inf)
-            if isinstance(spec.U, LogRate):
-                uc = np.where(c_pts > 0, spec.U.w * np.log(c_pts), -np.inf)
-            else:
-                uc = np.zeros_like(c_pts)
+            # U = w*ln(c): -inf at c <= 0 where w > 0, 0 at every c where w = 0
+            uc = np.where(c_pts > 0, w * np.log(c_pts), -np.inf) if w > 0 else np.zeros_like(c_pts)
         # objective[a, c] = ln(alpha) + K*(c - alpha) + U(c)
         obj = (va - K * a_pts)[:, None] + (K * c_pts + uc)[None, :]
         feasible = (
@@ -177,15 +176,11 @@ def grid_search_num(scn: Scenario, grid: GridSpec) -> GridSearchResult:
         obj = np.where(feasible, obj, -np.inf)
         best_per_c = obj.max(axis=0)
         arg_per_c = obj.argmax(axis=0)  # first maximizer on ties
-        # prefix maxima over c, keeping the smallest c on ties
+        # prefix maxima over c and where each was last raised, which keeps
+        # the smallest c on ties
         prefix_best = np.maximum.accumulate(best_per_c)
-        prefix_arg = np.empty(len(c_pts), dtype=int)
-        cur = 0
-        prefix_arg[0] = 0
-        for j in range(1, len(c_pts)):
-            if best_per_c[j] > prefix_best[j - 1]:
-                cur = j
-            prefix_arg[j] = cur
+        new = np.concatenate(([True], best_per_c[1:] > prefix_best[:-1]))
+        prefix_arg = np.maximum.accumulate(np.where(new, np.arange(len(c_pts)), 0))
         per_source.append((a_pts, c_pts, prefix_best, prefix_arg, arg_per_c))
 
     best_total = -math.inf
@@ -242,24 +237,22 @@ def kkt_residuals(primal: PrimalAllocation, dual: DualState, scn: Scenario) -> K
     viol = primal_violation(primal, scn)
     if viol > 1e-6:
         raise DomainError(f"kkt_residuals needs a feasible primal, violation {viol}")
+    kernel = _Kernel(scn)
+    _check_domain(primal, kernel)
     slack_mu = float(np.max(np.abs(dual.mu * (primal.alpha + primal.beta - primal.c))))
     slack_lam = float(np.max(np.abs(dual.lam * (primal.c - primal.r))))
 
     opt = _subproblem_primal(dual, scn)
-    comp_margin = 0.0
-    cong_margin = 0.0
-    for i, spec in enumerate(scn.sources):
-        mu_i = float(dual.mu[i])
-        lam_i = float(dual.lam[i])
-        best = spec.V.value(float(opt.alpha[i]), float(opt.beta[i])) - mu_i * float(
-            opt.alpha[i] + opt.beta[i]
-        )
-        got = spec.V.value(float(primal.alpha[i]), float(primal.beta[i])) - mu_i * float(
-            primal.alpha[i] + primal.beta[i]
-        )
-        comp_margin = max(comp_margin, best - got)
-        best_c = spec.U.value(float(opt.c[i])) - (lam_i - mu_i) * float(opt.c[i])
-        got_c = spec.U.value(float(primal.c[i])) - (lam_i - mu_i) * float(primal.c[i])
-        cong_margin = max(cong_margin, best_c - got_c)
+    K, w, mu, lam = kernel.K, kernel.w, dual.mu, dual.lam
+
+    def layer_values(p: PrimalAllocation) -> tuple[np.ndarray, np.ndarray]:
+        """Per source, V - mu*(alpha + beta) and U - (lam - mu)*c, with
+        U = w*ln(c) read as 0 where w = 0."""
+        u = w * np.log(p.c, out=np.zeros_like(p.c), where=w > 0)
+        return np.log(p.alpha) + K * p.beta - mu * (p.alpha + p.beta), u - (lam - mu) * p.c
+
+    (best, best_c), (got, got_c) = layer_values(opt), layer_values(primal)
+    comp_margin = max(0.0, float(np.max(best - got)))
+    cong_margin = max(0.0, float(np.max(best_c - got_c)))
     sched_margin = float(np.dot(dual.lam, opt.r) - np.dot(dual.lam, primal.r))
     return KktReport(slack_mu, slack_lam, comp_margin, cong_margin, max(0.0, sched_margin))

@@ -14,12 +14,14 @@ The subproblems carry the :class:`SolverCaps` box, so every dual value
 bounds the *capped* problem from above.
 
 Every layer is a closed form applied to each source independently, so an
-iteration is a handful of array operations.  :func:`solve` compiles the
-scenario once into plain float arrays -- K, 1/K, the rate weights w (0
-for a ``Zero`` utility), the ``LogRate`` sources, the caps -- and binds
-the region's check-free maximizer (see :mod:`rdcontrol.regions`) and
-``step.step_size``.  The prices read nothing but the three layers, so the
-loop runs in two stages.  Per iteration it is a fixed run of in-place
+iteration is a handful of array operations.  :class:`SourceSpec` is the
+one place that tests a utility's type; past it a source is its
+parameters.  :func:`solve` compiles the scenario once into plain float
+arrays -- K, 1/K, the rate weights w (``U.w``, 0 for ``Zero``), the
+sources with w > 0, the caps -- and binds the region's check-free
+maximizer (see :mod:`rdcontrol.regions`) and ``step.step_size``.  The
+prices read nothing but the three layers, so the loop runs in two
+stages.  Per iteration it is a fixed run of in-place
 numpy calls on one preallocated working row (mu, lam, alpha, beta, c, r):
 the layers write alpha, beta and c into it through their ``out=``
 parameters, the maximizer writes r (a box's r never changes, so it is
@@ -83,7 +85,7 @@ from .layers import (
     compression_layer,
     congestion_layer,
 )
-from .regions import RateRegion, _check_nonnegative
+from .regions import RateRegion, _check_finite_nonnegative
 from .sources import BinarySource
 
 
@@ -207,6 +209,8 @@ class DualState:
         object.__setattr__(self, "lam", lam)
         if mu.shape != lam.shape:
             raise DomainError(f"dual shapes differ: {mu.shape} vs {lam.shape}")
+        if not (np.isfinite(mu).all() and np.isfinite(lam).all()):
+            raise DomainError(f"dual variables must be finite, got mu={mu}, lam={lam}")
         if np.any(mu < 0) or np.any(lam < 0):
             raise DomainError("dual variables must be componentwise nonnegative")
 
@@ -306,8 +310,8 @@ class _Kernel:
         sources = scn.sources
         self.K = np.array([spec.V.K for spec in sources])
         self.inv_K = 1.0 / self.K
-        self.w = np.array([spec.U.w if isinstance(spec.U, LogRate) else 0.0 for spec in sources])
-        rate = np.array([isinstance(spec.U, LogRate) for spec in sources])
+        self.w = np.array([spec.U.w for spec in sources])
+        rate = self.w > 0
         self.rate = slice(None) if rate.all() else np.flatnonzero(rate)
         self.w_rate = self.w[self.rate]
         self.alpha_max = scn.caps.alpha_max
@@ -324,7 +328,8 @@ class _Kernel:
         return alpha, beta, c, self.region.max_weight(lam)
 
     def objective(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Per row, sum ln(alpha) + K.beta + w.ln(c) over the LogRate sources."""
+        """Per row, sum ln(alpha) + K.beta + w.ln(c), the last over the
+        sources with w > 0 (w.ln(c) reads as 0 where w = 0)."""
         obj = np.log(alpha).sum(axis=-1) + (self.K * beta).sum(axis=-1)
         return obj + (self.w_rate * np.log(c[..., self.rate])).sum(axis=-1)
 
@@ -353,6 +358,7 @@ def _rows(*vectors: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _check_domain(primal: PrimalAllocation, kernel: _Kernel) -> None:
+    """The objective's domain: alpha > 0, and c > 0 where w > 0."""
     alpha = primal.alpha
     if not np.all(alpha > 0):
         bad = alpha[~(alpha > 0)][0]
@@ -365,7 +371,7 @@ def _check_domain(primal: PrimalAllocation, kernel: _Kernel) -> None:
 
 def primal_objective(primal: PrimalAllocation, scn: Scenario) -> float:
     """sum_i V_i(alpha_i, beta_i) + U_i(c_i); DomainError where a utility
-    is undefined (alpha <= 0, or c <= 0 for a LogRate source)."""
+    is undefined (alpha <= 0, or c <= 0 where w > 0)."""
     kernel = _Kernel(scn)
     _check_domain(primal, kernel)
     return float(kernel.objective(*_rows(primal.alpha, primal.beta, primal.c))[0])
@@ -506,7 +512,7 @@ def solve(scn: Scenario) -> SolveReport:
 
             mu_b, lam_b, alpha_b, beta_b, c_b, r_b = blk.transpose(1, 0, 2)
             # the scheduler's weight rule, checked once for the block's prices
-            _check_nonnegative(lam_b)
+            _check_finite_nonnegative(lam_b)
             dual = kernel.lagrangian(alpha_b, beta_b, c_b, r_b, mu_b, lam_b)
             # accumulate adds row by row, the same sums as a running +=
             sums = np.add.accumulate(np.vstack((sum_r, r_b)))[1:]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,11 +37,15 @@ def test_compression_subproblem_examples():
         10.0,
         0.0,
     )
+    # an infinite price is the limit mu > K
+    assert compression_subproblem(LogLinear(1.0), math.inf, CAPS) == (1.0, -1.0)
 
 
 def test_compression_subproblem_rejects_bad_input():
-    with pytest.raises(DomainError):
-        compression_subproblem(LogLinear(1.0), -0.1, CAPS)
+    # NaN passes a test written mu < 0
+    for mu in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            compression_subproblem(LogLinear(1.0), mu, CAPS)
 
 
 def test_compression_subproblem_grid_oracle():
@@ -92,11 +97,17 @@ def test_congestion_subproblem_zero_utility():
     caps = SolverCaps(c_min=0.25, c_max=8.0)
     assert congestion_subproblem(Zero(), 2.0, 1.0, caps) == 0.25
     assert congestion_subproblem(Zero(), 1.0, 1.0, caps) == 8.0
+    assert congestion_subproblem(Zero(), math.inf, 1.0, caps) == 0.25
+    # Zero is the LogRate formula at w = 0, with w a class constant
+    assert Zero().w == 0.0 and not dataclasses.fields(Zero)
 
 
 def test_congestion_subproblem_domain():
-    with pytest.raises(DomainError):
-        congestion_subproblem(LogRate(1.0), -1.0, 0.0, CAPS)
+    # NaN passes a test written lam < 0 or mu < 0
+    for lam, mu in [(-1.0, 0.0), (math.nan, 0.0), (1.0, math.nan)]:
+        with pytest.raises(DomainError):
+            congestion_subproblem(LogRate(1.0), lam, mu, CAPS)
+    assert congestion_subproblem(LogRate(1.0), math.inf, 0.0, CAPS) == CAPS.c_min
 
 
 @settings(max_examples=60)
@@ -144,7 +155,7 @@ def layer_batches(draw):
 def test_vector_layers_equal_scalar_reference(batch):
     caps, sources = batch
     K = np.array([s[0] for s in sources])
-    w = np.array([s[1].w if isinstance(s[1], LogRate) else 0.0 for s in sources])
+    w = np.array([s[1].w for s in sources])
     mu = np.array([s[2] for s in sources])
     lam = np.array([s[3] for s in sources])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -163,7 +174,7 @@ def test_vector_layers_write_into_out(batch):
     # with beta's zero always +0.0 (the trace CSV would print -0.0 as -0)
     caps, sources = batch
     K = np.array([s[0] for s in sources])
-    w = np.array([s[1].w if isinstance(s[1], LogRate) else 0.0 for s in sources])
+    w = np.array([s[1].w for s in sources])
     mu = np.array([s[2] for s in sources])
     lam = np.array([s[3] for s in sources])
     alpha, beta, c = np.full((3, len(sources)), np.nan)
@@ -277,5 +288,3 @@ def test_utility_validation():
         LogRate(-1.0)
     with pytest.raises(DomainError):
         SolverCaps(c_min=2.0, c_max=1.0)
-    with pytest.raises(DomainError):
-        LogLinear(1.0).value(0.0, 0.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ from rdcontrol import (
     GridTooLargeError,
     LogLinear,
     LogRate,
+    PrimalAllocation,
     Scenario,
     SolverCaps,
     SourceSpec,
     UnsupportedCombinationError,
     VertexRegion,
+    Zero,
     default_grid,
     grid_search_num,
     kkt_residuals,
@@ -102,8 +106,6 @@ def test_oracle_near_solver_on_simple_box():
 
 def test_kkt_residuals_requires_feasible_point():
     scn = cases.box_single_wide()
-    from rdcontrol import PrimalAllocation
-
     bad = PrimalAllocation([5.0], [0.0], [1.0], [1.0])  # alpha+beta > c
     with pytest.raises(DomainError):
         kkt_residuals(bad, DualState([1.0], [1.0]), scn)
@@ -129,12 +131,45 @@ def test_kkt_residuals_grow_under_perturbed_duals():
 
 def test_kkt_slackness_zero_at_zero_duals():
     scn = cases.box_single_wide()
-    from rdcontrol import PrimalAllocation
-
     interior = PrimalAllocation([1.0], [-0.5], [1.0], [5.0])
     rep = kkt_residuals(interior, DualState([0.0], [0.0]), scn)
     assert rep.comp_slack_mu == 0.0
     assert rep.comp_slack_lam == 0.0
+
+
+def _zero_and_log_rate_box() -> Scenario:
+    return Scenario(
+        sources=(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(2.0), Zero()),
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0)),
+        ),
+        region=BoxRegion((1.0, 1.0)),
+        caps=SolverCaps(alpha_max=10.0, c_max=5.0, c_min=0.0),
+    )
+
+
+def test_kkt_residuals_with_a_zero_source_at_c_zero():
+    # the Zero source sits at c = 0 = c_min in the primal and in the
+    # subproblem (lam > mu), where w.ln(c) must read as 0, not 0 * -inf
+    scn = _zero_and_log_rate_box()
+    primal = PrimalAllocation([0.5, 1.0], [-0.5, 0.0], [0.0, 1.0], [0.0, 1.0])
+    rep = kkt_residuals(primal, DualState([1.0, 0.5], [2.0, 1.0]), scn)
+    # compression: source 0 gets (1, 0) against (0.5, -0.5), margin ln 2;
+    # congestion: source 1 gets c = 2 against 1, margin ln 2 - 1/2;
+    # scheduling: lam.r is 3 at the caps against 1
+    assert (rep.comp_slack_mu, rep.comp_slack_lam) == (0.0, 0.0)
+    assert rep.compression_margin == pytest.approx(math.log(2.0), abs=1e-12)
+    assert rep.congestion_margin == pytest.approx(math.log(2.0) - 0.5, abs=1e-12)
+    assert rep.scheduling_margin == 2.0
+
+
+def test_kkt_residuals_refuse_a_feasible_primal_at_alpha_zero():
+    # alpha = beta = c = 0 meets every constraint, but ln(alpha) is undefined
+    scn = _zero_and_log_rate_box()
+    primal = PrimalAllocation([0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0])
+    assert primal_violation(primal, scn) == 0.0
+    with pytest.raises(DomainError, match="alpha"):
+        kkt_residuals(primal, DualState([1.0, 0.5], [2.0, 1.0]), scn)
 
 
 def test_kkt_residuals_on_a_mac_above_sixteen_users():

@@ -78,8 +78,13 @@ def test_max_iters_must_be_an_integer_in_range(max_iters):
 
 
 def test_dual_state_validation():
-    with pytest.raises(DomainError):
-        DualState(np.array([-0.1]), np.array([0.0]))
+    # NaN passes a test written mu < 0, and an infinite price makes the
+    # dual value NaN
+    nan, inf = math.nan, math.inf
+    for mu, lam in [([-0.1], [0.0]), ([nan, 1.0], [1.0, nan]), ([inf, 1.0], [1.0, inf]),
+                    ([1.0], [-inf])]:
+        with pytest.raises(DomainError):
+            DualState(np.array(mu), np.array(lam))
 
 
 def test_negative_zero_prices_are_zero_prices():

@@ -94,6 +94,15 @@ def test_negative_weight_rejected():
         GaussianMacRegion((1.0,), 1.0).max_weight([-0.1])
     with pytest.raises(DomainError):
         VertexRegion(((1.0,),)).max_weight([-0.1])
+    # a NaN weight fails every comparison: the greedy would serve it first,
+    # and the vertex scan would warn and return row 0
+    for bad in (NAN, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            GaussianMacRegion((1.0, 2.0), 1.0).max_weight([bad, 1.0])
+        with pytest.raises(DomainError, match="finite"):
+            VertexRegion(((1.0, 0.0), (0.0, 1.0))).max_weight([bad, 1.0])
+        with pytest.raises(DomainError, match="finite"):
+            BoxRegion((1.0, 2.0)).max_weight([bad, 1.0])
 
 
 # --------------------------------------------------------------------- MAC
@@ -285,6 +294,9 @@ def test_private_maximizer_is_the_public_max_weight(region):
         assert np.array_equal(bits(maximize(lam)), bits(region.max_weight(lam)))
     with pytest.raises(DomainError, match="nonnegative"):
         region.max_weight(-draws[-1])
+    for bad in (NAN, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            region.max_weight(np.append(bad, np.ones(region.dim - 1)))
     with pytest.raises(DomainError, match="length"):
         region.max_weight(np.ones(region.dim + 1))
 
