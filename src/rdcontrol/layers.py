@@ -32,10 +32,10 @@ with the scalar forms element by element:
   w = 0 the clip gives c_min)
 
 Like a numpy ufunc, each vector form takes an optional ``out=`` and then
-writes its result there in place, in a fixed run of ufunc calls (the
-compression layer's one temporary is its mu <= K mask); the solver
-points ``out`` at the rows of its working vector and passes the caps as
-0-d arrays.  Callers evaluate the vector forms under
+writes its result there in place, in a fixed run of ufunc calls with
+one temporary each (the compression layer's mu <= K mask, the congestion
+layer's price difference); the solver points ``out`` at the rows of its
+working vector and passes the caps as 0-d arrays.  Callers evaluate the vector forms under
 ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``: the
 congestion layer divides by zero where lam <= mu, and 1/mu overflows to
 inf (then capped) at a subnormal mu.
@@ -185,12 +185,14 @@ def congestion_layer(
     is w/0: inf, or NaN for w = 0, and ``fmin`` takes both to c_max.
     ``out`` is an optional array to write c into.
     """
-    c = np.subtract(lam, mu, out=out)
-    np.maximum(c, _ZERO, out=c)
-    np.add(c, _ZERO, out=c)  # -0.0 + 0.0 is +0.0, so the quotient is never -inf
-    np.divide(w, c, out=c)
-    np.fmin(c, c_max, out=c)
-    return np.maximum(c, c_min, out=c)
+    # no call writes over its own input: numpy runs that slower on one source
+    tmp = np.subtract(lam, mu)
+    c = np.empty_like(tmp) if out is None else out
+    np.maximum(tmp, _ZERO, out=c)
+    np.add(c, _ZERO, out=tmp)  # -0.0 + 0.0 is +0.0, so the quotient is never -inf
+    np.divide(w, tmp, out=c)
+    np.fmin(c, c_max, out=tmp)
+    return np.maximum(tmp, c_min, out=c)
 
 
 def compression_given_rate(K: float, c: float) -> float:

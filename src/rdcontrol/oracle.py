@@ -3,8 +3,12 @@
 :func:`grid_search_num` exhaustively scans per-source (alpha, c) grids
 (with beta = c - alpha, the equality that strictly increasing utilities
 force at the optimum) against every candidate scheduled-rate vector, and
-returns the best feasible point.  It never calls the closed-form layer
-solvers or the dual iteration, so it is an independent check of both.
+returns the best feasible point.  The scan is exhaustive and takes
+linear time per source: the objective ln(alpha) + K*(c - alpha) + U(c)
+separates into f(alpha) + g(c), so a suffix maximum of f gives every c
+column's best alpha with no steps x steps matrix.  It never calls the
+closed-form layer solvers or the dual iteration, so it is an independent
+check of both.
 
 :func:`kkt_residuals` reports complementary-slackness products and
 per-layer optimality margins of a (primal, dual) pair.
@@ -20,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, GridTooLargeError, UnsupportedCombinationError
+from .layers import SolverCaps
 from .orchestrator import (
     DualState,
     PrimalAllocation,
@@ -137,11 +142,53 @@ def _rate_candidates(scn: Scenario) -> list[np.ndarray]:
     )
 
 
+def _source_scan(a_pts: np.ndarray, c_pts: np.ndarray, K: float, w: float, caps: SolverCaps):
+    """One source's scan of the objective ln(alpha) + K*(c - alpha) + U(c),
+    split as f(alpha) + g(c), on ascending alpha and c points.
+
+    Column c's feasible alphas are the index range [lo[c], hi): alpha >= c
+    (beta <= 0) and alpha <= alpha_max.  Rounding x + g is nondecreasing
+    in x, so the column maximum is the suffix maximum of f at lo[c], plus
+    g(c), bit for bit.  Returns the prefix maxima of the column maxima,
+    the column where each was reached, and ``pick(column)``: its
+    (alpha, c) point.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        va = np.where(a_pts > 0, np.log(a_pts), -np.inf)
+        # U = w*ln(c): -inf at c <= 0 where w > 0, 0 at every c where w = 0
+        uc = np.where(c_pts > 0, w * np.log(c_pts), -np.inf) if w > 0 else np.zeros_like(c_pts)
+    f = va - K * a_pts  # -inf where alpha <= 0, which is infeasible
+    g = K * c_pts + uc
+    lo = np.searchsorted(a_pts, c_pts, side="left")
+    hi = int(np.searchsorted(a_pts, caps.alpha_max + _FEAS_SLACK, side="right"))
+    # suffix maxima of f[:hi], with -inf at hi for a column with no alpha
+    suffix = np.full(hi + 1, -np.inf)
+    suffix[:hi] = np.maximum.accumulate(f[:hi][::-1])[::-1]
+    in_range = (c_pts >= caps.c_min - _FEAS_SLACK) & (c_pts <= caps.c_max + _FEAS_SLACK)
+    best_per_c = np.where(in_range, suffix[np.minimum(lo, hi)] + g, -np.inf)
+    # prefix maxima over c and where each was last raised, which keeps
+    # the smallest c on ties
+    prefix_best = np.maximum.accumulate(best_per_c)
+    new = np.concatenate(([True], best_per_c[1:] > prefix_best[:-1]))
+    prefix_arg = np.maximum.accumulate(np.where(new, np.arange(len(c_pts)), 0))
+
+    def pick(jj: int) -> tuple[float, float]:
+        """(alpha, c) at column jj: the first maximizing alpha, as argmax
+        picks it over the whole column."""
+        a0 = int(lo[jj])
+        return float(a_pts[a0 + int(np.argmax(f[a0:hi] + g[jj]))]), float(c_pts[jj])
+
+    return prefix_best, prefix_arg, pick
+
+
 def grid_search_num(scn: Scenario, grid: GridSpec) -> GridSearchResult:
     """Exhaustive feasible-point scan; the independent optimum estimate.
 
-    Dyadic grid refinement (``grid.refined()``) never loses points, so the
-    best objective is nondecreasing under refinement.
+    Every grid point counts, through the separable suffix maximum of
+    :func:`_source_scan`; each rate candidate takes, per source, the best
+    c at or below its rate.  No layer or solver code is called.  Dyadic
+    grid refinement (``grid.refined()``) never loses points, so the best
+    objective is nondecreasing under refinement.
     """
     if scn.n > 2:
         raise UnsupportedCombinationError(
@@ -154,61 +201,37 @@ def grid_search_num(scn: Scenario, grid: GridSpec) -> GridSearchResult:
             f"grid has {grid.total_points()} points, cap is {MAX_GRID_POINTS}"
         )
 
-    caps = scn.caps
-    per_source = []
+    candidates = _rate_candidates(scn)
+    rates = np.array(candidates)  # (candidates, n)
+    totals = np.zeros(len(candidates))
+    ok = np.ones(len(candidates), dtype=bool)
+    columns = []
+    picks = []
     for i, spec in enumerate(scn.sources):
-        a_pts = grid.alpha[i].points()
         c_pts = grid.c[i].points()
-        K, w = spec.V.K, spec.U.w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            va = np.where(a_pts > 0, np.log(a_pts), -np.inf)
-            # U = w*ln(c): -inf at c <= 0 where w > 0, 0 at every c where w = 0
-            uc = np.where(c_pts > 0, w * np.log(c_pts), -np.inf) if w > 0 else np.zeros_like(c_pts)
-        # objective[a, c] = ln(alpha) + K*(c - alpha) + U(c)
-        obj = (va - K * a_pts)[:, None] + (K * c_pts + uc)[None, :]
-        feasible = (
-            (a_pts[:, None] >= c_pts[None, :])  # beta = c - alpha <= 0
-            & (a_pts[:, None] > 0)
-            & (a_pts[:, None] <= caps.alpha_max + _FEAS_SLACK)
-            & (c_pts[None, :] >= caps.c_min - _FEAS_SLACK)
-            & (c_pts[None, :] <= caps.c_max + _FEAS_SLACK)
+        prefix_best, prefix_arg, pick = _source_scan(
+            grid.alpha[i].points(), c_pts, spec.V.K, spec.U.w, scn.caps
         )
-        obj = np.where(feasible, obj, -np.inf)
-        best_per_c = obj.max(axis=0)
-        arg_per_c = obj.argmax(axis=0)  # first maximizer on ties
-        # prefix maxima over c and where each was last raised, which keeps
-        # the smallest c on ties
-        prefix_best = np.maximum.accumulate(best_per_c)
-        new = np.concatenate(([True], best_per_c[1:] > prefix_best[:-1]))
-        prefix_arg = np.maximum.accumulate(np.where(new, np.arange(len(c_pts)), 0))
-        per_source.append((a_pts, c_pts, prefix_best, prefix_arg, arg_per_c))
+        # the last c at or below each candidate's rate
+        j = np.searchsorted(c_pts, rates[:, i] + _FEAS_SLACK, side="right") - 1
+        best = np.where(j >= 0, prefix_best[j], -np.inf)
+        ok &= np.isfinite(best)
+        totals = totals + best  # summed source by source, from 0.0
+        columns.append(prefix_arg[j])
+        picks.append(pick)
 
-    best_total = -math.inf
-    best_alloc = None
-    for r in _rate_candidates(scn):
-        total = 0.0
-        picks = []
-        ok = True
-        for i in range(scn.n):
-            a_pts, c_pts, prefix_best, prefix_arg, arg_per_c = per_source[i]
-            j = int(np.searchsorted(c_pts, r[i] + _FEAS_SLACK, side="right")) - 1
-            if j < 0 or not math.isfinite(prefix_best[j]):
-                ok = False
-                break
-            jj = int(prefix_arg[j])
-            total += float(prefix_best[j])
-            picks.append((float(a_pts[arg_per_c[jj]]), float(c_pts[jj])))
-        if ok and total > best_total:
-            alpha = np.array([p[0] for p in picks])
-            c = np.array([p[1] for p in picks])
-            best_total = total
-            best_alloc = PrimalAllocation(alpha, c - alpha, c, np.asarray(r, dtype=float))
-
-    if best_alloc is None:
+    # the first maximal total, as a strict > scan from -inf keeps it
+    totals = np.where(ok & (totals > -np.inf), totals, -np.inf)
+    k = int(np.argmax(totals))
+    if totals[k] == -np.inf:
         return GridSearchResult(False, None, -math.inf)
+    points = [pick(int(col[k])) for pick, col in zip(picks, columns)]
+    alpha = np.array([p[0] for p in points])
+    c = np.array([p[1] for p in points])
+    best_alloc = PrimalAllocation(alpha, c - alpha, c, np.asarray(candidates[k], dtype=float))
     if primal_violation(best_alloc, scn) > 1e-12:
         raise DomainError("grid_search_num produced an infeasible point")
-    return GridSearchResult(True, best_alloc, best_total)
+    return GridSearchResult(True, best_alloc, float(totals[k]))
 
 
 @dataclass(frozen=True)

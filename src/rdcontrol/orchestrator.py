@@ -126,6 +126,8 @@ StepRule = Union[Constant, Diminishing]
 
 # the trace keeps 6n + 2 floats per iteration, and `rdcontrol solve` writes each as a CSV row
 MAX_ITERS = 10**6
+# max_iters * (6n + 2) trace floats at most: 800 MB of float64
+MAX_TRACE_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,13 @@ class Scenario:
             )
         if not 1 <= self.max_iters <= MAX_ITERS:
             msg = f"max_iters must be in [1, {MAX_ITERS}], got {self.max_iters}"
+            raise DomainError(msg, field="max_iters")
+        cells = self.max_iters * (6 * len(self.sources) + 2)
+        if cells > MAX_TRACE_CELLS:
+            msg = (
+                f"max_iters {self.max_iters} with {len(self.sources)} sources keeps "
+                f"{cells} trace floats, cap is {MAX_TRACE_CELLS}"
+            )
             raise DomainError(msg, field="max_iters")
         if not (math.isfinite(self.dual_init) and self.dual_init >= 0):
             raise DomainError(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rdcontrol import (
     primal_violation,
     solve,
 )
+from rdcontrol.oracle import _FEAS_SLACK, GridSearchResult, _rate_candidates
 
 
 def test_axis_validation_and_refinement():
@@ -100,6 +102,161 @@ def test_oracle_near_solver_on_simple_box():
     report = solve(scn)
     result = grid_search_num(scn, default_grid(scn, steps=500))
     assert abs(result.objective - report.recovered_objective) <= 0.01 * abs(result.objective)
+
+
+# ------------------------------------------- against the dense matrix scan
+
+def _matrix_grid_search(scn: Scenario, grid: GridSpec) -> GridSearchResult:
+    """The oracle's former scan, kept as the reference: a steps x steps
+    objective matrix per source, masked to its feasible points, whose
+    column maxima feed the rate-candidate loop."""
+    caps = scn.caps
+    per_source = []
+    for i, spec in enumerate(scn.sources):
+        a_pts = grid.alpha[i].points()
+        c_pts = grid.c[i].points()
+        K, w = spec.V.K, spec.U.w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            va = np.where(a_pts > 0, np.log(a_pts), -np.inf)
+            # U = w*ln(c): -inf at c <= 0 where w > 0, 0 at every c where w = 0
+            uc = np.where(c_pts > 0, w * np.log(c_pts), -np.inf) if w > 0 else np.zeros_like(c_pts)
+        # objective[a, c] = ln(alpha) + K*(c - alpha) + U(c)
+        obj = (va - K * a_pts)[:, None] + (K * c_pts + uc)[None, :]
+        feasible = (
+            (a_pts[:, None] >= c_pts[None, :])  # beta = c - alpha <= 0
+            & (a_pts[:, None] > 0)
+            & (a_pts[:, None] <= caps.alpha_max + _FEAS_SLACK)
+            & (c_pts[None, :] >= caps.c_min - _FEAS_SLACK)
+            & (c_pts[None, :] <= caps.c_max + _FEAS_SLACK)
+        )
+        obj = np.where(feasible, obj, -np.inf)
+        best_per_c = obj.max(axis=0)
+        arg_per_c = obj.argmax(axis=0)  # first maximizer on ties
+        # prefix maxima over c and where each was last raised, which keeps
+        # the smallest c on ties
+        prefix_best = np.maximum.accumulate(best_per_c)
+        new = np.concatenate(([True], best_per_c[1:] > prefix_best[:-1]))
+        prefix_arg = np.maximum.accumulate(np.where(new, np.arange(len(c_pts)), 0))
+        per_source.append((a_pts, c_pts, prefix_best, prefix_arg, arg_per_c))
+
+    best_total = -math.inf
+    best_alloc = None
+    for r in _rate_candidates(scn):
+        total = 0.0
+        picks = []
+        ok = True
+        for i in range(scn.n):
+            a_pts, c_pts, prefix_best, prefix_arg, arg_per_c = per_source[i]
+            j = int(np.searchsorted(c_pts, r[i] + _FEAS_SLACK, side="right")) - 1
+            if j < 0 or not math.isfinite(prefix_best[j]):
+                ok = False
+                break
+            jj = int(prefix_arg[j])
+            total += float(prefix_best[j])
+            picks.append((float(a_pts[arg_per_c[jj]]), float(c_pts[jj])))
+        if ok and total > best_total:
+            alpha = np.array([p[0] for p in picks])
+            c = np.array([p[1] for p in picks])
+            best_total = total
+            best_alloc = PrimalAllocation(alpha, c - alpha, c, np.asarray(r, dtype=float))
+
+    if best_alloc is None:
+        return GridSearchResult(False, None, -math.inf)
+    if primal_violation(best_alloc, scn) > 1e-12:
+        raise DomainError("grid_search_num produced an infeasible point")
+    return GridSearchResult(True, best_alloc, best_total)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_same_result(scn: Scenario, grid: GridSpec) -> bool:
+    """Assert the oracle gives the reference's result bit for bit; return
+    whether it found a point."""
+    got, want = grid_search_num(scn, grid), _matrix_grid_search(scn, grid)
+    assert got.found == want.found
+    assert _bits(got.objective) == _bits(want.objective)
+    if want.found:
+        for name in ("alpha", "beta", "c", "r"):
+            assert _bits(getattr(got.allocation, name)) == _bits(getattr(want.allocation, name)), name
+    else:
+        assert got.allocation is None
+    return want.found
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["steps", "refined"])
+@pytest.mark.parametrize("name,factory,steps", cases.SOLVER_CASES, ids=[c[0] for c in cases.SOLVER_CASES])
+def test_oracle_matches_matrix_scan_on_the_paper_cases(name, factory, steps, refine):
+    scn = factory()
+    grid = default_grid(scn, steps=steps)
+    assert _assert_same_result(scn, grid.refined() if refine else grid)
+
+
+def _random_draw(rng: np.random.Generator) -> tuple[Scenario, GridSpec]:
+    """A box or 2-user MAC with LogRate and Zero sources, caps that can
+    leave every c column without a feasible alpha, zero-capacity links,
+    and default or free-standing grids of 2 to 101 steps."""
+    n = int(rng.integers(1, 3))
+    mac = n == 2 and rng.random() < 0.5
+    sources = tuple(
+        SourceSpec(
+            BinarySource(1.0, 0.5),
+            LogLinear(float(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0]))),
+            LogRate(float(rng.choice([0.5, 1.0, 2.0]))) if rng.random() < 0.6 else Zero(),
+        )
+        for _ in range(n)
+    )
+    if mac:
+        region = GaussianMacRegion(
+            tuple(float(rng.choice([0.0, 0.5, 1.0, 5.0])) for _ in range(n)),
+            float(rng.choice([0.5, 1.0])),
+        )
+    else:
+        region = BoxRegion(tuple(float(rng.choice([0.0, 0.3, 1.0, 2.5, 10.0])) for _ in range(n)))
+    c_min = float(rng.choice([0.0, 1e-9, 0.05]))
+    caps = SolverCaps(
+        alpha_max=float(rng.choice([0.02, 0.4, 1.5, 20.0])),
+        c_max=float(rng.choice([0.5, 3.0, 20.0])),
+        c_min=c_min,
+    )
+    scn = Scenario(sources=sources, region=region, caps=caps)
+    steps = int(rng.choice([2, 3, 17, 101]))
+    if rng.random() < 0.5:
+        return scn, default_grid(scn, steps=steps)
+
+    def axis() -> Axis:
+        lo = float(rng.choice([-0.5, 0.0, c_min, 0.01, 0.3]))
+        return Axis(lo, lo + float(rng.choice([0.5, 2.0, 8.0, 25.0])), steps)
+
+    return scn, GridSpec(tuple(axis() for _ in range(n)), tuple(axis() for _ in range(n)))
+
+
+def test_oracle_matches_matrix_scan_on_random_draws():
+    rng = np.random.default_rng(20100801)
+    kinds = set()
+    found = 0
+    for _ in range(240):
+        scn, grid = _random_draw(rng)
+        found += _assert_same_result(scn, grid)
+        kinds.add((type(scn.region).__name__, grid.c[0].steps))
+    # the draws reach both regions at every step count, with and without a point
+    assert len(kinds) == 8
+    assert 0 < found < 240
+
+
+def test_oracle_allocates_no_steps_by_steps_matrix():
+    scn = cases.mac_asymmetric()
+    grid = default_grid(scn, steps=1200)
+    grid_search_num(scn, grid)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        grid_search_num(scn, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 1200 x 1200 float matrix alone is 11.5 MB
+    assert peak < 1_000_000
 
 
 # --------------------------------------------------------------- KKT report

@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from rdcontrol import (
     BoxRegion,
     Diminishing,
+    DomainError,
     GaussianMacRegion,
     LogLinear,
     LogRate,
@@ -16,6 +18,7 @@ from rdcontrol import (
     mac_scenario_from_dict,
     scenario_from_dict,
 )
+from rdcontrol.orchestrator import MAX_TRACE_CELLS
 
 
 def base_doc():
@@ -208,3 +211,30 @@ def test_round_trips_through_json(tmp_path):
     path.write_text(json.dumps(base_doc()))
     scn = load_scenario(path)
     assert scn.n == 1
+
+
+def _box_doc(n: int, max_iters: int) -> dict:
+    doc = base_doc()
+    doc["sources"] = doc["sources"] * n
+    doc["region"]["caps"] = [10.0] * n
+    doc["solver"]["max_iters"] = max_iters
+    return doc
+
+
+def test_trace_memory_bound_refuses_a_wide_long_solve():
+    # 64 sources at 10^6 iterations would keep 3.9e8 trace floats (3.1 GB)
+    with pytest.raises(ScenarioError, match=r"^solver\.max_iters:"):
+        scenario_from_dict(_box_doc(64, 10**6))
+    # an override goes through the same check
+    scn = scenario_from_dict(_box_doc(64, 1000))
+    with pytest.raises(DomainError) as err:
+        replace(scn, max_iters=10**6)
+    assert err.value.field == "max_iters"
+
+
+def test_trace_memory_bound_admits_a_solve_exactly_at_it():
+    # 33 sources keep 6 * 33 + 2 = 200 floats per iteration
+    scn = scenario_from_dict(_box_doc(33, 500_000))
+    assert scn.max_iters * (6 * scn.n + 2) == MAX_TRACE_CELLS
+    with pytest.raises(ScenarioError, match=r"^solver\.max_iters:"):
+        scenario_from_dict(_box_doc(33, 500_001))
