@@ -12,9 +12,10 @@ Subcommands:
 * ``verify`` — solve and cross-check against the grid-search oracle.
 * ``fig1``   — sweep the closed-form compression rule over a grid of
   compressed rates and write (c, alpha_star, D, s_eff) rows.  The command
-  checks only its grid, ``0 < c_min < c_max`` and 2 to ``MAX_FIG1_STEPS``
-  points, before it allocates; ``compression_given_rate`` and
-  ``operating_point`` refuse a bad ``K`` or ``p``.
+  checks only its grid, finite bounds with ``0 < c_min < c_max`` and 2
+  to ``MAX_FIG1_STEPS`` points, before it allocates;
+  ``compression_given_rate`` and ``operating_point`` refuse a bad ``K``
+  or ``p``.
 * ``mac``    — solve the two-user MAC distortion program, cross-check the
   closed form against the LP vertex oracle (exit 3 on mismatch), and write
   plot-ready region/corner data.
@@ -27,6 +28,7 @@ as the first column of the ``mac`` CSV, are written verbatim.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -131,6 +133,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fig1(args) -> int:
+    for flag, bound in (("--c-min", args.c_min), ("--c-max", args.c_max)):
+        if not math.isfinite(bound):  # linspace would warn and fill the grid with NaN
+            raise RdControlError(f"{flag} must be finite, got {bound}")
     if not 0.0 < args.c_min < args.c_max:
         raise RdControlError(
             f"need 0 < c_min < c_max, got [{args.c_min}, {args.c_max}]"

@@ -229,5 +229,12 @@ def operating_point(p: float, K: float, c: float) -> tuple[float, float]:
             raise InfeasibleOffsetError(
                 f"operating_point: H(D) = {y} falls outside [0,1]"
             )
-        return 1.0 / (K * hp), inverse_binary_entropy(y)
-    return c / hp, 0.0
+        # K * H(p) can underflow to 0 for a tiny K and p
+        s_eff, D = (1.0 / (K * hp) if K * hp > 0 else math.inf), inverse_binary_entropy(y)
+    else:
+        s_eff, D = c / hp, 0.0
+    if not math.isfinite(s_eff):
+        raise DomainError(
+            f"operating_point: the symbol rate overflows at p={p}, K={K}, c={c}"
+        )
+    return s_eff, D

@@ -28,8 +28,9 @@ parameters, the maximizer writes r (a box's r never changes, so it is
 written once per solve), the row is copied into the current block, and
 one projected step updates the stacked (mu, lam) in place.  Nothing is
 allocated but the compression layer's mu <= K mask.  The prices are
-nonnegative by projection, so the weight check of ``max_weight`` runs
-once per block, as one vectorized test of the block's lam.  Once per
+nonnegative by projection, so the maximizer skips the weight check of
+``max_weight``; once per block one vectorized test refuses prices that a
+too-large step overflowed to inf or NaN.  Once per
 block of up to 64 rows the solver evaluates the dual values, the window
 sums of r, the repair, the incumbent objectives, the running best dual
 and incumbent, and the gap as row-wise array expressions, and stops at
@@ -85,7 +86,7 @@ from .layers import (
     compression_layer,
     congestion_layer,
 )
-from .regions import RateRegion, _check_finite_nonnegative
+from .regions import RateRegion
 from .sources import BinarySource
 
 
@@ -162,7 +163,8 @@ class Scenario:
     region: RateRegion
     caps: SolverCaps = SolverCaps()
     step: StepRule = Diminishing(1.0)
-    max_iters: int = 50_000
+    # None: 50,000, or fewer where the trace of n sources would pass MAX_TRACE_CELLS
+    max_iters: int | None = None
     tol_gap: float = 1e-3
     dual_init: float = 1.0
 
@@ -170,6 +172,9 @@ class Scenario:
         object.__setattr__(self, "sources", tuple(self.sources))
         if len(self.sources) == 0:
             raise DomainError("Scenario needs at least one source", field="sources")
+        if self.max_iters is None:
+            default = min(50_000, MAX_TRACE_CELLS // (6 * len(self.sources) + 2))
+            object.__setattr__(self, "max_iters", default)
         if self.region.dim != len(self.sources):
             raise DomainError(
                 f"region dimension {self.region.dim} != number of sources {len(self.sources)}",
@@ -519,9 +524,17 @@ def solve(scn: Scenario) -> SolveReport:
                 np.add(prices, h, out=g)
                 np.maximum(zero, g, out=prices)
 
+            # the prices are nonnegative by projection, but a step too large
+            # for the scale of the problem overflows them
+            finite = np.isfinite(blk[:, :2])
+            if not finite.all():
+                bad = t + int(np.argmin(finite.all(axis=(1, 2)))) + 1
+                raise DomainError(
+                    f"solve: the prices of iteration {bad} are not finite; "
+                    f"the step (gamma0 = {scn.step.gamma0}) is too large",
+                    field="gamma0",
+                )
             mu_b, lam_b, alpha_b, beta_b, c_b, r_b = blk.transpose(1, 0, 2)
-            # the scheduler's weight rule, checked once for the block's prices
-            _check_finite_nonnegative(lam_b)
             dual = kernel.lagrangian(alpha_b, beta_b, c_b, r_b, mu_b, lam_b)
             # accumulate adds row by row, the same sums as a running +=
             sums = np.add.accumulate(np.vstack((sum_r, r_b)))[1:]

@@ -69,17 +69,13 @@ def _linprog(**lp):
     return linprog(method="highs", **lp)
 
 
-def _check_finite_nonnegative(lam: np.ndarray) -> None:
-    """The weight rule of ``max_weight``, for one vector or a block of rows.
-    A NaN weight compares false with every weight, so the greedy would sort
-    it anywhere and the vertex scan would warn and pick row 0."""
-    if not (np.isfinite(lam).all() and (lam >= 0).all()):
-        raise DomainError(f"max_weight: weights must be finite and nonnegative, got {lam}")
-
-
 def _check_weights(lam: Sequence[float], dim: int) -> np.ndarray:
+    """The weight rule of ``max_weight``.  A NaN weight compares false with
+    every weight, so the greedy would sort it anywhere and the vertex scan
+    would warn and pick row 0."""
     arr = _as_rate_vector(lam, dim, "max_weight")
-    _check_finite_nonnegative(arr)
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise DomainError(f"max_weight: weights must be finite and nonnegative, got {arr}")
     return arr
 
 

@@ -2,37 +2,39 @@
 
 Top-level keys: ``sources`` (required), ``region`` (required) and
 ``solver`` (optional; omitted options keep the ``Scenario`` and
-``SolverCaps`` defaults).  This module checks the JSON shape only:
-objects and arrays where the schema has them, numbers (bool and str
-refused, and an integer too large for a float), integers, missing keys,
-unknown keys and each ``kind``.  The constructors the document feeds
-(``BinarySource``, ``LogLinear``, ``BoxRegion``, ``SolverCaps``,
-``Scenario``, ...) own every value rule, such as finiteness (the NaN and
-Infinity that ``json.loads`` accepts), signs and ranges, and name the
-argument at fault in ``DomainError.field``.  Every error is a
-:class:`ScenarioError` that names the offending field by its document
-path, e.g. ``region.powers[0]``.
+``SolverCaps`` defaults); a MAC distortion document has no ``solver``.
+Each kinded object (a source's model, ``V`` and ``U``, the region and
+``solver.step``) has one table that maps each ``kind`` to its
+constructor and the readers of its keys, and one reader, :func:`_kinded`,
+reads them all.  :func:`_fields` reads the unkinded ``solver`` and
+``solver.caps``, whose keys are all optional.  This module checks the
+JSON shape only: objects and arrays where the schema has them, numbers
+(bool and str refused, and an integer too large for a float), integers,
+missing keys, unknown keys and each ``kind``.  The constructors the
+document feeds (``BinarySource``, ``LogLinear``, ``BoxRegion``,
+``SolverCaps``, ``Scenario``, ...) own every value rule, such as
+finiteness (the NaN and Infinity that ``json.loads`` accepts), signs and
+ranges, and name the argument at fault in ``DomainError.field``.  Every
+error is a :class:`ScenarioError` that names the offending field by its
+document path, e.g. ``region.powers[0]``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import DomainError, ScenarioError
-from .layers import LogLinear, LogRate, SolverCaps, UtilityU, Zero
+from .layers import LogLinear, LogRate, SolverCaps, Zero
 from .mac import MacScenario
-from .orchestrator import Constant, Diminishing, Scenario, SourceSpec, StepRule
-from .regions import BoxRegion, GaussianMacRegion, RateRegion, VertexRegion
+from .orchestrator import Constant, Diminishing, Scenario, SourceSpec
+from .regions import BoxRegion, GaussianMacRegion, VertexRegion
 from .sources import BinarySource
-
-# Scenario arguments that the document nests under "solver"
-_SOLVER_FIELDS = ("max_iters", "tol_gap", "dual_init")
 
 # constructor fields that the document spells at another path
 _DOC_PATHS = {
-    **{(Scenario, key): f"solver.{key}" for key in _SOLVER_FIELDS},
+    **{(Scenario, key): f"solver.{key}" for key in ("max_iters", "tol_gap", "dual_init")},
     **{(MacScenario, f"deltas[{i}]"): f"sources[{i}].V.delta" for i in range(2)},
 }
 
@@ -75,19 +77,18 @@ def _float(val: Any, path: str) -> float:
         raise ScenarioError(f"{path}: integer too large for a float") from None
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    return _float(_get(obj, key, path), f"{path}.{key}")
-
-
-def _integer(obj: dict, key: str, path: str) -> int:
-    val = _get(obj, key, path)
+def _integer(val: Any, path: str) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer, got {val!r}")
+        raise ScenarioError(f"{path}: expected an integer, got {val!r}")
     return val
 
 
 def _number_list(val: Any, path: str) -> list[float]:
     return [_float(x, f"{path}[{i}]") for i, x in enumerate(_require_list(val, path))]
+
+
+def _number_rows(val: Any, path: str) -> list[list[float]]:
+    return [_number_list(row, f"{path}[{i}]") for i, row in enumerate(_require_list(val, path))]
 
 
 def _construct(path: str, cls, **kwargs):
@@ -103,137 +104,97 @@ def _construct(path: str, cls, **kwargs):
         raise ScenarioError(f"{name}: {exc}" if name else str(exc)) from exc
 
 
-def _build_model(obj: dict, path: str) -> BinarySource:
+# a reader takes (value, document path) and returns what the constructor takes
+_Reader = Callable[[Any, str], Any]
+# kind -> (constructor, {key: reader}); every key is required
+_Kinds = dict[str, tuple[Callable[..., Any], dict[str, _Reader]]]
+
+
+def _kinded(val: Any, path: str, kinds: _Kinds, shared: tuple[str, ...] = ()) -> Any:
+    """The object at ``path``, built by the constructor its ``kind`` names
+    in ``kinds``.  The keys in ``shared`` are allowed and left to the caller."""
+    obj = _require_mapping(val, path)
     kind = obj.get("kind")
-    if kind != "binary":
-        raise ScenarioError(f"{path}.kind: expected 'binary', got {kind!r}")
-    _reject_unknown(obj, {"kind", "s", "p", "V", "U"}, path)
-    return _construct(
-        path, BinarySource, s=_number(obj, "s", path), p=_number(obj, "p", path)
-    )
+    if not isinstance(kind, str) or kind not in kinds:
+        *rest, last = map(repr, kinds)
+        expected = f"{', '.join(rest)} or {last}" if rest else last
+        raise ScenarioError(f"{path}.kind: expected {expected}, got {kind!r}")
+    cls, readers = kinds[kind]
+    _reject_unknown(obj, {"kind", *readers, *shared}, path)
+    kwargs = {key: read(_get(obj, key, path), f"{path}.{key}") for key, read in readers.items()}
+    return _construct(path, cls, **kwargs)
 
 
-def _v_number(source: dict, path: str, kind: str, key: str) -> float:
-    """The number ``key`` of the ``V`` object of the source at ``path``;
-    that object must be of ``kind`` and hold nothing else."""
-    v_path = f"{path}.V"
-    obj = _require_mapping(_get(source, "V", path), v_path)
-    if obj.get("kind") != kind:
-        raise ScenarioError(f"{v_path}.kind: expected {kind!r}, got {obj.get('kind')!r}")
-    _reject_unknown(obj, {"kind", key}, v_path)
-    return _number(obj, key, v_path)
+def _fields(val: Any, path: str, readers: dict[str, _Reader]) -> dict[str, Any]:
+    """The keys the object at ``path`` has, each read by its reader; every
+    key of ``readers`` is optional and no other is allowed."""
+    obj = _require_mapping(val, path)
+    _reject_unknown(obj, set(readers), path)
+    return {key: read(obj[key], f"{path}.{key}") for key, read in readers.items() if key in obj}
 
 
-def _build_u(obj: Any, path: str) -> UtilityU:
-    if obj is None:
-        return Zero()
-    obj = _require_mapping(obj, path)
-    kind = obj.get("kind")
-    if kind == "log_rate":
-        _reject_unknown(obj, {"kind", "w"}, path)
-        return _construct(path, LogRate, w=_number(obj, "w", path))
-    if kind == "zero":
-        _reject_unknown(obj, {"kind"}, path)
-        return Zero()
-    raise ScenarioError(f"{path}.kind: expected 'log_rate' or 'zero', got {kind!r}")
+_MODEL: _Kinds = {"binary": (BinarySource, {"s": _float, "p": _float})}
+_V: _Kinds = {"log_linear": (LogLinear, {"K": _float})}
+_U: _Kinds = {"log_rate": (LogRate, {"w": _float}), "zero": (Zero, {})}
+_REGION: _Kinds = {
+    "box": (BoxRegion, {"caps": _number_list}),
+    "mac": (GaussianMacRegion, {"powers": _number_list, "noise": _float}),
+    "vertices": (VertexRegion, {"vertices": _number_rows}),
+}
+_STEP: _Kinds = {
+    "constant": (Constant, {"gamma0": _float}),
+    "diminishing": (Diminishing, {"gamma0": _float}),
+}
+_CAPS = {key: _float for key in ("alpha_max", "c_max", "c_min")}
+_SOLVER: dict[str, _Reader] = {
+    "step": lambda val, path: _kinded(val, path, _STEP),
+    "max_iters": _integer,
+    "tol_gap": _float,
+    "dual_init": _float,
+    "caps": lambda val, path: _construct(path, SolverCaps, **_fields(val, path, _CAPS)),
+}
+
+# the MAC distortion program: V is the weight delta of H(D), U is zero
+_MAC_V: _Kinds = {"linear_entropy_penalty": (lambda delta: delta, {"delta": _float})}
+_MAC_U: _Kinds = {"zero": _U["zero"]}
+_MAC_REGION: _Kinds = {"mac": _REGION["mac"]}
 
 
-def _build_source(obj: Any, path: str) -> SourceSpec:
-    obj = _require_mapping(obj, path)
-    model = _build_model(obj, path)
-    V = _construct(f"{path}.V", LogLinear, K=_v_number(obj, path, "log_linear", "K"))
-    U = _build_u(obj.get("U"), f"{path}.U")
-    return SourceSpec(model, V, U)
-
-
-def _build_region(obj: Any, path: str) -> RateRegion:
-    obj = _require_mapping(obj, path)
-    kind = obj.get("kind")
-    if kind == "box":
-        _reject_unknown(obj, {"kind", "caps"}, path)
-        caps = _number_list(_get(obj, "caps", path), f"{path}.caps")
-        return _construct(path, BoxRegion, caps=caps)
-    if kind == "mac":
-        _reject_unknown(obj, {"kind", "powers", "noise"}, path)
-        powers = _number_list(_get(obj, "powers", path), f"{path}.powers")
-        noise = _number(obj, "noise", path)
-        return _construct(path, GaussianMacRegion, powers=powers, noise=noise)
-    if kind == "vertices":
-        _reject_unknown(obj, {"kind", "vertices"}, path)
-        rows = _require_list(_get(obj, "vertices", path), f"{path}.vertices")
-        verts = [_number_list(row, f"{path}.vertices[{i}]") for i, row in enumerate(rows)]
-        return _construct(path, VertexRegion, vertices=verts)
-    raise ScenarioError(f"{path}.kind: expected 'box', 'mac' or 'vertices', got {kind!r}")
-
-
-def _build_step(obj: Any, path: str) -> StepRule:
-    obj = _require_mapping(obj, path)
-    kind = obj.get("kind")
-    if kind in ("constant", "diminishing"):
-        _reject_unknown(obj, {"kind", "gamma0"}, path)
-        rule = Constant if kind == "constant" else Diminishing
-        return _construct(path, rule, gamma0=_number(obj, "gamma0", path))
-    raise ScenarioError(f"{path}.kind: expected 'constant' or 'diminishing', got {kind!r}")
-
-
-def _build_caps(obj: Any, path: str) -> SolverCaps:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, {"alpha_max", "c_max", "c_min"}, path)
-    return _construct(path, SolverCaps, **{key: _number(obj, key, path) for key in obj})
+def _sources(doc: dict, V: _Kinds, U: _Kinds) -> list[tuple]:
+    """(model, V, U) of each entry of ``sources``; an omitted or null U is Zero."""
+    triples = []
+    for i, entry in enumerate(_require_list(_get(doc, "sources", ""), "sources")):
+        path = f"sources[{i}]"
+        model = _kinded(entry, path, _MODEL, shared=("V", "U"))
+        v = _kinded(_get(entry, "V", path), f"{path}.V", V)
+        u = Zero() if entry.get("U") is None else _kinded(entry["U"], f"{path}.U", U)
+        triples.append((model, v, u))
+    return triples
 
 
 def scenario_from_dict(doc: Any) -> Scenario:
     """Build a solver scenario from a parsed JSON document."""
     doc = _require_mapping(doc, "scenario")
     _reject_unknown(doc, {"sources", "region", "solver"}, "scenario")
-    entries = _require_list(_get(doc, "sources", ""), "sources")
-    sources = tuple(_build_source(e, f"sources[{i}]") for i, e in enumerate(entries))
-    region = _build_region(_get(doc, "region", ""), "region")
-
-    kwargs: dict[str, Any] = {}
-    if "solver" in doc:
-        solver = _require_mapping(doc["solver"], "solver")
-        _reject_unknown(solver, {"step", *_SOLVER_FIELDS, "caps"}, "solver")
-        if "step" in solver:
-            kwargs["step"] = _build_step(solver["step"], "solver.step")
-        if "max_iters" in solver:
-            kwargs["max_iters"] = _integer(solver, "max_iters", "solver")
-        for key in ("tol_gap", "dual_init"):
-            if key in solver:
-                kwargs[key] = _number(solver, key, "solver")
-        if "caps" in solver:
-            kwargs["caps"] = _build_caps(solver["caps"], "solver.caps")
+    sources = tuple(SourceSpec(*triple) for triple in _sources(doc, _V, _U))
+    region = _kinded(_get(doc, "region", ""), "region", _REGION)
+    kwargs = _fields(doc["solver"], "solver", _SOLVER) if "solver" in doc else {}
     return _construct("", Scenario, sources=sources, region=region, **kwargs)
 
 
 def mac_scenario_from_dict(doc: Any) -> MacScenario:
     """Build a two-user MAC distortion scenario from a parsed JSON document."""
     doc = _require_mapping(doc, "scenario")
-    _reject_unknown(doc, {"sources", "region", "solver"}, "scenario")
+    _reject_unknown(doc, {"sources", "region"}, "scenario")
     entries = _require_list(_get(doc, "sources", ""), "sources")
     if len(entries) != 2:
         raise ScenarioError(f"sources: the MAC distortion program needs exactly 2, got {len(entries)}")
-    models = []
-    deltas = []
-    for i, entry in enumerate(entries):
-        path = f"sources[{i}]"
-        entry = _require_mapping(entry, path)
-        models.append(_build_model(entry, path))
-        deltas.append(_v_number(entry, path, "linear_entropy_penalty", "delta"))
-        if not isinstance(_build_u(entry.get("U"), f"{path}.U"), Zero):
-            raise ScenarioError(f"{path}.U: must be omitted or 'zero'")
-    region = _build_region(_get(doc, "region", ""), "region")
-    if not isinstance(region, GaussianMacRegion):
-        raise ScenarioError("region.kind: must be 'mac'")
+    models, deltas, _ = zip(*_sources(doc, _MAC_V, _MAC_U))
+    region = _kinded(_get(doc, "region", ""), "region", _MAC_REGION)
     if region.dim != 2:
         raise ScenarioError(f"region.powers: need exactly 2 users, got {region.dim}")
     return _construct(
-        "",
-        MacScenario,
-        sources=(models[0], models[1]),
-        powers=region.powers,
-        noise=region.noise,
-        deltas=(deltas[0], deltas[1]),
+        "", MacScenario, sources=models, powers=region.powers, noise=region.noise, deltas=deltas
     )
 
 

@@ -257,6 +257,22 @@ def test_fig1_domain_violations_exit_one(tmp_path, args, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--c-max", "inf"), ("--c-max", "-inf"), ("--c-min", "nan")]
+)
+def test_fig1_refuses_non_finite_bounds_by_flag(tmp_path, flag, value):
+    bounds = {"--c-min": "0.1", "--c-max": "2.0", flag: value}
+    argv = ["fig1", "--K", "1", "--p", "0.5", *(f"{f}={v}" for f, v in bounds.items())]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdcontrol.cli", *argv, "--out", str(tmp_path / "x.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    # the grid is checked before numpy sees it
+    assert proc.stderr == f"error: {flag} must be finite, got {float(value)}\n"
+
+
 def test_fig1_steps_cap_refused_before_allocating(tmp_path, monkeypatch, capsys):
     def no_grid(*args, **kwargs):
         raise AssertionError("fig1 built its grid before checking --steps")

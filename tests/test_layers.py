@@ -239,6 +239,10 @@ def test_operating_point_domain():
         operating_point(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         operating_point(0.5, 1.0, 0.0)
+    # K * H(p) underflows to 0, and c / H(p) overflows
+    for p, K, c in [(1e-300, 1e-300, 1e-300), (1e-300, 1.0, 1e300)]:
+        with pytest.raises(DomainError, match="symbol rate overflows"):
+            operating_point(p, K, c)
 
 
 @pytest.mark.parametrize("K, p", [(1.0, 0.5), (2.5, 0.3), (0.4, 0.12)])

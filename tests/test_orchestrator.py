@@ -31,7 +31,7 @@ from rdcontrol import (
     primal_violation,
     solve,
 )
-from rdcontrol.orchestrator import MAX_ITERS
+from rdcontrol.orchestrator import MAX_ITERS, MAX_TRACE_CELLS
 
 
 def single_source_scenario(cap=10.0, K=1.0, w=1.0, **kw):
@@ -75,6 +75,24 @@ def test_max_iters_must_be_an_integer_in_range(max_iters):
     with pytest.raises(DomainError) as err:
         single_source_scenario(max_iters=max_iters)
     assert err.value.field == "max_iters"
+
+
+def test_default_max_iters_fits_the_trace_cap():
+    # 50,000 iterations of 334 sources would keep 100.3 M trace floats
+    src = SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0))
+    wide = Scenario(sources=(src,) * 334, region=BoxRegion((1.0,) * 334))
+    assert 1 <= wide.max_iters < 50_000
+    assert wide.max_iters * (6 * wide.n + 2) <= MAX_TRACE_CELLS
+    assert Scenario(sources=(src,), region=BoxRegion((1.0,))).max_iters == 50_000
+
+
+def test_overflowing_prices_blame_the_step():
+    src = SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0))
+    scn = Scenario(sources=(src, src), region=BoxRegion((1.0, 2.0)), step=Constant(1e305))
+    with pytest.raises(DomainError) as err:
+        solve(scn)
+    assert err.value.field == "gamma0"
+    assert "iteration 2" in str(err.value) and "max_weight" not in str(err.value)
 
 
 def test_dual_state_validation():

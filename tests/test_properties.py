@@ -1,8 +1,10 @@
-"""Property suite for the solver's certificate and the ``solve`` and ``mac`` commands.
+"""Property suite for the solver's certificate and the ``solve``, ``mac``
+and ``fig1`` commands.
 
 Random 1-3 source scenarios on box, Gaussian MAC and vertex regions, and
 random two-user MAC distortion documents, built as JSON documents so the
 library and the CLI see the same input; solver runs use small ``max_iters``.
+``fig1`` gets random flags, NaN and infinities among them.
 """
 
 import contextlib
@@ -214,3 +216,31 @@ def test_mac_command_exits_cleanly(doc):
         assert code == 1
         return
     assert code != 1
+
+
+# any float, with the edge values drawn often
+flag_value = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-300, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    K=flag_value,
+    p=st.one_of(flag_value, st.floats(0.0, 1.0)),
+    c_min=flag_value,
+    c_max=flag_value,
+    steps=st.integers(-3, 300),
+)
+def test_fig1_command_exits_cleanly(K, p, c_min, c_max, steps):
+    flags = {"--K": K, "--p": p, "--c-min": c_min, "--c-max": c_max, "--steps": steps}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["fig1", *(f"{f}={v!r}" for f, v in flags.items()), "--out", str(Path(tmp) / "f.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert [line.startswith("error: ") for line in err.getvalue().splitlines()] == [True]

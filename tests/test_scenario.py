@@ -238,3 +238,20 @@ def test_trace_memory_bound_admits_a_solve_exactly_at_it():
     assert scn.max_iters * (6 * scn.n + 2) == MAX_TRACE_CELLS
     with pytest.raises(ScenarioError, match=r"^solver\.max_iters:"):
         scenario_from_dict(_box_doc(33, 500_001))
+
+
+def test_mac_document_refuses_a_box_by_its_kind():
+    # the box is not built, so its NaN cap is not what the error names
+    doc = mac_doc()
+    doc["region"] = {"kind": "box", "caps": [math.nan, 1.0]}
+    with pytest.raises(ScenarioError, match=r"^region\.kind: expected 'mac', got 'box'$"):
+        mac_scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("solver", ["garbage", {}, {"max_iters": 10}])
+def test_mac_document_refuses_a_solver(solver):
+    # the distortion program reads no solver options
+    doc = mac_doc()
+    doc["solver"] = solver
+    with pytest.raises(ScenarioError, match=r"unknown key\(s\) \['solver'\]"):
+        mac_scenario_from_dict(doc)
