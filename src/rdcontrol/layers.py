@@ -21,9 +21,9 @@ prices (mu = 0, or lambda <= mu) are regularized by :class:`SolverCaps`.
 
 Each layer acts on every source independently, so the closed forms come
 twice: the scalar per-source reference (``compression_subproblem``,
-``congestion_subproblem``) and the vector forms the solver runs, which
-evaluate one layer for all sources in a few array operations and agree
-with the scalar forms element by element:
+``congestion_subproblem``) and the vector forms, which evaluate one
+layer for all sources in a few array operations and agree with the
+scalar forms element by element:
 
 * ``compression_layer(mu, K, alpha_max)``:
   alpha = min(1/min(mu, K), alpha_max), beta = -alpha where mu > K else 0
@@ -31,11 +31,11 @@ with the scalar forms element by element:
   c = clip(w/(lam - mu), c_min, c_max) where lam > mu else c_max (at
   w = 0 the clip gives c_min)
 
-Like a numpy ufunc, each vector form takes an optional ``out=`` and then
-writes its result there in place, in a fixed run of ufunc calls with
-one temporary each (the compression layer's mu <= K mask, the congestion
-layer's price difference); the solver points ``out`` at the rows of its
-working vector and passes the caps as 0-d arrays.  Callers evaluate the vector forms under
+The solver runs neither vector form in its loop: it evaluates both
+layers as one stacked (2, n) pass with the same bits (see
+:mod:`rdcontrol.orchestrator`), and calls ``compression_layer`` once per
+block of iterates to fill the trace's alpha and beta.  Callers evaluate
+the vector forms under
 ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``: the
 congestion layer divides by zero where lam <= mu, and 1/mu overflows to
 inf (then capped) at a subnormal mu.
@@ -63,6 +63,9 @@ class LogLinear:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.K) and self.K > 0):
             raise DomainError(f"LogLinear: K must be finite and > 0, got {self.K}", field="K")
+        # a subnormal K passes K > 0, but 1/K overflows to inf
+        if not math.isfinite(1.0 / float(self.K)):
+            raise DomainError(f"LogLinear: 1/K must be finite, got K={self.K}", field="K")
 
 
 @dataclass(frozen=True)
@@ -142,57 +145,32 @@ def congestion_subproblem(U: UtilityU, lam: float, mu: float, caps: SolverCaps) 
     return caps.c_max
 
 
-# 0-d operands: a Python float costs every ufunc call a scalar conversion
-_ZERO = np.array(0.0)
-_ONE = np.array(1.0)
-
-
 def compression_layer(
-    mu: np.ndarray,
-    K: np.ndarray,
-    alpha_max: float,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    mu: np.ndarray, K: np.ndarray, alpha_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`compression_subproblem` for every source at once.
 
-    ``mu`` and ``K`` hold one price and one ``LogLinear`` K per source.
-    1/min(mu, K) is 1/mu on the branch mu <= K (inf at mu = 0, capped to
-    alpha_max) and 1/K beyond it, where beta = -alpha.
-    ``out`` is an optional (alpha, beta) pair to write into.
+    ``mu`` and ``K`` hold one price and one ``LogLinear`` K per source
+    (``mu`` may be a (rows, n) block).  1/min(mu, K) is 1/mu on the branch
+    mu <= K (inf at mu = 0, capped to alpha_max) and 1/K beyond it, where
+    beta = -alpha.
     """
-    alpha, beta = (np.empty(np.shape(mu)), np.empty(np.shape(mu))) if out is None else out
-    # no call writes over its own input: numpy runs that slower on one source
-    np.minimum(mu, K, out=alpha)
-    np.divide(_ONE, alpha, out=beta)
-    np.minimum(beta, alpha_max, out=alpha)
-    np.negative(alpha, out=beta)
-    np.copyto(beta, _ZERO, where=mu <= K)
-    return alpha, beta
+    alpha = np.minimum(1.0 / np.minimum(mu, K), alpha_max)
+    return alpha, np.where(mu <= K, 0.0, -alpha)
 
 
 def congestion_layer(
-    lam: np.ndarray,
-    mu: np.ndarray,
-    w: np.ndarray,
-    c_min: float,
-    c_max: float,
-    out: np.ndarray | None = None,
+    lam: np.ndarray, mu: np.ndarray, w: np.ndarray, c_min: float, c_max: float
 ) -> np.ndarray:
     """:func:`congestion_subproblem` for every source at once.
 
     ``w`` holds each source's rate weight ``U.w``.  The
     price difference is floored at +0.0, so where lam <= mu the quotient
     is w/0: inf, or NaN for w = 0, and ``fmin`` takes both to c_max.
-    ``out`` is an optional array to write c into.
     """
-    # no call writes over its own input: numpy runs that slower on one source
-    tmp = np.subtract(lam, mu)
-    c = np.empty_like(tmp) if out is None else out
-    np.maximum(tmp, _ZERO, out=c)
-    np.add(c, _ZERO, out=tmp)  # -0.0 + 0.0 is +0.0, so the quotient is never -inf
-    np.divide(w, tmp, out=c)
-    np.fmin(c, c_max, out=tmp)
-    return np.maximum(tmp, c_min, out=c)
+    # -0.0 + 0.0 is +0.0, so the quotient is never -inf
+    diff = np.maximum(lam - mu, 0.0) + 0.0
+    return np.maximum(np.fmin(w / diff, c_max), c_min)
 
 
 def compression_given_rate(K: float, c: float) -> float:

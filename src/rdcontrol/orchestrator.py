@@ -18,28 +18,36 @@ iteration is a handful of array operations.  :class:`SourceSpec` is the
 one place that tests a utility's type; past it a source is its
 parameters.  :func:`solve` compiles the scenario once into plain float
 arrays -- K, 1/K, the rate weights w (``U.w``, 0 for ``Zero``), the
-sources with w > 0, the caps -- and binds the region's check-free
-maximizer (see :mod:`rdcontrol.regions`) and ``step.step_size``.  The
-prices read nothing but the three layers, so the loop runs in two
-stages.  Per iteration it is a fixed run of in-place
-numpy calls on one preallocated working row (mu, lam, alpha, beta, c, r):
-the layers write alpha, beta and c into it through their ``out=``
-parameters, the maximizer writes r (a box's r never changes, so it is
-written once per solve), the row is copied into the current block, and
-one projected step updates the stacked (mu, lam) in place.  Nothing is
-allocated but the compression layer's mu <= K mask.  The prices are
-nonnegative by projection, so the maximizer skips the weight check of
-``max_weight``; once per block one vectorized test refuses prices that a
-too-large step overflowed to inf or NaN.  Once per
-block of up to 64 rows the solver evaluates the dual values, the window
-sums of r, the repair, the incumbent objectives, the running best dual
-and incumbent, and the gap as row-wise array expressions, and stops at
-the first row that meets the gap; the block's later price steps are
-discarded.  The objective and the Lagrangian act row-wise on (rows, n)
-arrays, and the public :func:`dual_objective`, :func:`primal_objective`
-and :func:`lagrangian_value` call them on one row, so they give the same
+sources with w > 0, the caps -- and binds the region's per-solve
+scheduler (see :mod:`rdcontrol.regions`) and ``step.step_size``.  The
+price step reads only alpha + beta, c and r, so the loop computes only
+those, in two stages.  Per iteration it is a fixed run of eleven
+in-place numpy calls on one preallocated (7, n) working array, each on
+one row or on two adjacent rows: max(lam - mu, 0), the mask mu <= K,
+then both layers as one stacked (2, n) pass -- (min(w/max(lam - mu, 0),
+c_max), min(mask/mu, alpha_max)) -- whose second row is alpha + beta bit
+for bit (+0.0 where mu > K), and c = max(first row, c_min); one copy of
+the working rows into the current block; and the four calls of one
+projected step on the stacked (mu, lam).  Nothing is allocated.  The
+scheduler's point is copied into r, a twelfth call (a box's r never
+changes, so it is written once per solve).  The congestion layer's
+``+ 0.0`` (which turns a -0.0 price difference into +0.0) is not needed:
+the prices start at ``dual_init + 0.0`` and max(0, price + step) of a price
+that is not -0.0 is never -0.0, so lam - mu is never -0.0.  The prices
+are nonnegative by projection, so the scheduler skips the weight check
+of ``max_weight``; once per block one vectorized test refuses prices
+that a too-large step overflowed to inf or NaN.  Once per block of up to
+64 rows the solver computes the block's alpha and beta with
+``compression_layer`` (elementwise, so the bits are those of the loop),
+then evaluates the dual values, the window sums of r, the repair, the
+incumbent objectives, the running best dual and incumbent, and the gap
+as row-wise array expressions, and stops at the first row that meets the
+gap; the block's later price steps are discarded.  The objective and the
+Lagrangian act row-wise on (rows, n) arrays, and the public
+:func:`dual_objective`, :func:`primal_objective` and
+:func:`lagrangian_value` call them on one row, so they give the same
 bits as the trace.  :func:`dual_iterate` and :func:`dual_objective` call
-the same layers but the public, checked ``max_weight``.
+the vector layers and the public, checked ``max_weight``.
 :class:`PrimalAllocation` and :class:`DualState` are built only at the
 API boundary.  The scalar ``compression_subproblem`` and
 ``congestion_subproblem`` stay in :mod:`rdcontrol.layers` as the
@@ -313,8 +321,8 @@ class _Kernel:
     """A :class:`Scenario` compiled to float arrays over sources.
 
     :meth:`dual_step` is the allocating one-price reference the public
-    functions use; :func:`solve` runs the same layers in place on its
-    working row instead.  The objective, the Lagrangian and the repair act
+    functions use; :func:`solve` runs the same closed forms as one stacked
+    in-place pass instead.  The objective, the Lagrangian and the repair act
     row-wise on (rows, n) arrays, so one call covers a block of iterates
     and a 1-row call gives the same bits per row.  Evaluate them under
     ``np.errstate(**_QUIET)``.
@@ -455,8 +463,9 @@ def solve(scn: Scenario) -> SolveReport:
 
     The scenario is compiled once into arrays (see the module docstring).
     Iterations run in blocks of at most ``_BLOCK`` that never span a
-    window restart.  Inside a block each iteration only solves the three
-    layers and takes the price step; then the dual values, the window
+    window restart.  Inside a block each iteration only evaluates what the
+    price step reads (alpha + beta, c and r) and takes the step; then the
+    block's alpha and beta, the dual values, the window
     averages of r, their repaired points and objectives, and the relative
     gap ``(best_dual - best_obj) / (1 + |best_obj|)`` are evaluated for
     the whole block as row-wise array expressions.  ``best_obj`` is the
@@ -469,26 +478,35 @@ def solve(scn: Scenario) -> SolveReport:
     ``converged=False`` rather than raising.
     """
     kernel = _Kernel(scn)
-    K, w, step_size = kernel.K, kernel.w, kernel.step_size
+    K, step_size = kernel.K, kernel.step_size
     # 0-d operands: a Python float costs every ufunc call a scalar conversion
-    alpha_max, c_min, c_max, zero = map(np.array, (kernel.alpha_max, kernel.c_min, kernel.c_max, 0.0))
-    maximizer = scn.region._maximizer
+    zero, c_min = np.array(0.0), np.array(kernel.c_min)
+    schedule = scn.region._scheduler()
     n, max_iters, tol_gap = scn.n, scn.max_iters, scn.tol_gap
-    # the working row (mu, lam, alpha, beta, c, r, alpha + beta): the layers
-    # write into it, each iteration copies its first six rows into the
-    # block, and the price step updates (mu, lam) in place
+    # the working rows (dpos, mu, lam, q, s, c, r): dpos = max(lam - mu, 0),
+    # q = min(w/dpos, c_max) and s = alpha + beta.  Every two-row operand
+    # below is two adjacent rows, which numpy runs as one flat loop.  Each
+    # iteration copies (mu, lam, q, s, c, r) into the block, whose rows q
+    # and s become alpha and beta once the block is done.
     x = np.empty((7, n))
-    mu, lam, alpha, beta, c, r, ab = x
-    x[:2] = float(scn.dual_init)
-    schedule = maximizer if callable(maximizer) else None
-    if schedule is None:
-        r[:] = maximizer  # a box schedules its caps at every price
-    prices, row = x[:2], x[:6]
-    ab_c, c_r = x[6:3:-2], x[4:6]  # (alpha + beta, c) and (c, r)
-    # g: the subgradient (alpha + beta - c, c - r), then the unprojected
-    # prices; h: the scaled step.  No call writes over its own input, which
-    # numpy runs slower on one-element arrays.
-    g, h = np.empty((2, 2, n))
+    dpos, mu, lam, q, s, c, r = x
+    den, prices, q_s, s_c, c_r, row = x[0:2], x[1:3], x[3:5], x[4:6], x[5:7], x[1:]
+    prices[:] = float(scn.dual_init)
+    if not callable(schedule):
+        r[:] = schedule  # a box schedules its caps at every price
+        schedule = None
+    # both layers in one stacked pass: (q, s) = fmin((w, mask)/(dpos, mu),
+    # (c_max, alpha_max)), then c = max(q, c_min).  The mask mu <= K makes
+    # s = min(1/mu, alpha_max) where mu <= K and +0.0 beyond, the bits of
+    # alpha + beta.
+    num = np.vstack((kernel.w, np.empty(n)))
+    mask = num[1]
+    hi = np.vstack((np.full(n, kernel.c_max), np.full(n, kernel.alpha_max)))
+    diff = np.empty(n)
+    # quot: the quotients; g: the subgradient (s - c, c - r), then the
+    # unprojected prices; h: the scaled step.  No call writes over its own
+    # input, which numpy runs slower on one-element arrays.
+    quot, g, h = np.empty((3, 2, n))
     sum_r = np.zeros(n)  # window sum of the scheduled rates
     count = 0
     next_restart = 2
@@ -513,13 +531,16 @@ def solve(scn: Scenario) -> SolveReport:
             m = min(_BLOCK, next_restart - 1 - t, max_iters - t)
             blk = np.empty((m, 6, n))
             for j in range(m):
-                compression_layer(mu, K, alpha_max, out=(alpha, beta))
-                congestion_layer(lam, mu, w, c_min, c_max, out=c)
+                np.subtract(lam, mu, out=diff)
+                np.maximum(diff, zero, out=dpos)
+                np.less_equal(mu, K, out=mask)
+                np.divide(num, den, out=quot)
+                np.fmin(quot, hi, out=q_s)
+                np.maximum(q, c_min, out=c)
                 if schedule is not None:
                     r[:] = schedule(lam)
                 blk[j] = row
-                np.add(alpha, beta, out=ab)
-                np.subtract(ab_c, c_r, out=g)
+                np.subtract(s_c, c_r, out=g)
                 np.multiply(g, step_size(t + j + 1), out=h)
                 np.add(prices, h, out=g)
                 np.maximum(zero, g, out=prices)
@@ -535,6 +556,7 @@ def solve(scn: Scenario) -> SolveReport:
                     field="gamma0",
                 )
             mu_b, lam_b, alpha_b, beta_b, c_b, r_b = blk.transpose(1, 0, 2)
+            alpha_b[...], beta_b[...] = compression_layer(mu_b, K, kernel.alpha_max)
             dual = kernel.lagrangian(alpha_b, beta_b, c_b, r_b, mu_b, lam_b)
             # accumulate adds row by row, the same sums as a running +=
             sums = np.add.accumulate(np.vstack((sum_r, r_b)))[1:]

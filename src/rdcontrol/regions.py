@@ -12,14 +12,16 @@ Three concrete families:
 ``max_weight(lam)`` maximizes ``lam . r`` over the region with a
 deterministic tie-break (descending weight, then ascending user index),
 so repeated solves of the same instance are bit-identical.  It checks the
-weights and hands them to the region's one private, check-free maximizer,
-``_maximizer``, which the dual solver binds once, because its prices are
-nonnegative vectors of the right length by construction.  For a
-:class:`BoxRegion` the caps maximize every weight vector, so its
-``_maximizer`` is the caps array itself, built once; for the other
-regions it is a function of the weights (the greedy vertex of the
-descending-weight order, or the first best row of a vertex matrix built
-once).
+weights and returns a fresh array.  The dual solver calls no
+``max_weight``: once per solve it asks the region for ``_scheduler()``,
+because its prices are nonnegative vectors of the right length by
+construction.  For a :class:`BoxRegion` the caps maximize every weight
+vector, so the scheduler is the caps array itself; for the other regions
+it is a check-free function of the weights that gives ``max_weight``'s
+point bit for bit, and may hand back an array it keeps (the solver copies
+it): a :class:`GaussianMacRegion` remembers the greedy vertex of each
+serving order for the one solve, and a :class:`VertexRegion` returns a
+row of its vertex matrix.
 ``contains`` and ``violation`` raise :class:`DomainError` on a non-finite
 rate: a NaN coordinate would otherwise drop out of the max and hide a
 real violation elsewhere.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -107,14 +109,13 @@ class BoxRegion:
         caps = np.asarray(self.caps)
         return float(max(0.0, np.max(arr - caps), np.max(-arr)))
 
-    @cached_property
-    def _maximizer(self) -> np.ndarray:
+    def _scheduler(self) -> np.ndarray:
         # every cap is a maximizer coordinate; zero weights tie-break to the cap
         return np.array(self.caps)
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
         _check_weights(lam, self.dim)
-        return self._maximizer.copy()
+        return self._scheduler()
 
 
 @dataclass(frozen=True)
@@ -188,14 +189,29 @@ class GaussianMacRegion:
             raise DomainError(f"vertex: order must permute 0..{self.dim - 1}, got {order}")
         return self._vertex(order)
 
-    def _maximizer(self, lam: np.ndarray) -> np.ndarray:
+    def _order(self, lam: np.ndarray) -> tuple[int, ...]:
+        """The serving order of weights ``lam``: descending weight, ties to
+        the lower index (the sort is stable even reversed)."""
         w = lam.tolist()
-        # descending weight, ties to the lower index (the sort is stable even
-        # reversed); a permutation by construction, so no check
-        return self._vertex(sorted(range(self.dim), key=w.__getitem__, reverse=True))
+        return tuple(sorted(range(self.dim), key=w.__getitem__, reverse=True))
+
+    def _scheduler(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``max_weight`` without the check, remembering the vertex of each
+        serving order it has met; a solve meets at most ``max_iters``."""
+        vertices: dict[tuple[int, ...], np.ndarray] = {}
+
+        def schedule(lam: np.ndarray) -> np.ndarray:
+            order = self._order(lam)
+            r = vertices.get(order)
+            if r is None:
+                # a permutation by construction, so no check
+                r = vertices[order] = self._vertex(order)
+            return r
+
+        return schedule
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
-        return self._maximizer(_check_weights(lam, self.dim))
+        return self._vertex(self._order(_check_weights(lam, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -258,12 +274,15 @@ class VertexRegion:
     def _V(self) -> np.ndarray:
         return np.array(self.vertices)
 
-    def _maximizer(self, lam: np.ndarray) -> np.ndarray:
+    def _best_row(self, lam: np.ndarray) -> np.ndarray:
         V = self._V
-        return V[np.argmax(V @ lam)].copy()  # first index on exact ties
+        return V[np.argmax(V @ lam)]  # first index on exact ties; a view
+
+    def _scheduler(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self._best_row
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
-        return self._maximizer(_check_weights(lam, self.dim))
+        return self._best_row(_check_weights(lam, self.dim)).copy()
 
 
 RateRegion = Union[BoxRegion, GaussianMacRegion, VertexRegion]

@@ -31,6 +31,7 @@ from rdcontrol import (
     primal_violation,
     solve,
 )
+from rdcontrol.layers import compression_layer, congestion_layer
 from rdcontrol.orchestrator import MAX_ITERS, MAX_TRACE_CELLS
 
 
@@ -583,6 +584,83 @@ def test_trace_rows_are_the_subproblem_iterates(name):
         raw = (primal.alpha, primal.beta, primal.c, primal.r)
         for got, want in zip((tr.alpha, tr.beta, tr.c, tr.r), raw):
             assert np.array_equal(bits(got[k]), bits(want))
+
+
+def one_zero_box():
+    # a Zero source alone: w = 0 puts c at c_min or c_max
+    return Scenario(
+        sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), Zero()),),
+        region=BoxRegion((2.0,)),
+        caps=cases.CAPS_20,
+        step=Diminishing(0.3),
+        max_iters=400,
+    )
+
+
+def c_min_binds():
+    return replace(
+        cases.box_two_mixed(), caps=SolverCaps(alpha_max=20.0, c_max=20.0, c_min=0.3), max_iters=400
+    )
+
+
+LAYER_RUNS = {
+    **{name: (factory, None) for name, factory, _ in cases.SOLVER_CASES},
+    "one_zero_box": (one_zero_box, lambda tr: (tr.c == 1e-9).any() and (tr.c == 20.0).any()),
+    "vertex_trio": (vertex_trio, None),
+    "c_min_binds": (c_min_binds, lambda tr: (tr.c == 0.3).any()),
+}
+
+
+@pytest.mark.parametrize("name", list(LAYER_RUNS))
+def test_trace_rows_agree_with_the_reference_layers(name):
+    # solve evaluates both layers in one stacked pass of its own; every row
+    # must still be the vector layers' and max_weight's point bit for bit
+    factory, reaches = LAYER_RUNS[name]
+    scn = factory()
+    tr = solve(scn).trace
+    if reaches is not None:
+        assert reaches(tr)
+
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.int64)
+
+    K = np.array([spec.V.K for spec in scn.sources])
+    w = np.array([spec.U.w for spec in scn.sources])
+    caps = scn.caps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha, beta = compression_layer(tr.mu, K, caps.alpha_max)
+        c = congestion_layer(tr.lam, tr.mu, w, caps.c_min, caps.c_max)
+    assert np.array_equal(bits(tr.alpha), bits(alpha))
+    assert np.array_equal(bits(tr.beta), bits(beta))
+    assert np.array_equal(bits(tr.c), bits(c))
+    for k in range(len(tr)):
+        assert np.array_equal(bits(tr.r[k]), bits(scn.region.max_weight(tr.lam[k])))
+
+
+SIGN_RUNS = [
+    *[(name, factory, init) for name, factory, _ in cases.SOLVER_CASES for init in (1.0, 0.0, -0.0)],
+    *[(name, factory, None) for name, (factory, _) in TRACE_RUNS.items()],
+]
+
+
+@pytest.mark.parametrize(
+    "name, factory, dual_init", SIGN_RUNS, ids=[f"{name}-{init}" for name, _, init in SIGN_RUNS]
+)
+def test_trace_prices_carry_no_negative_zero(name, factory, dual_init):
+    # solve's loop drops the congestion layer's + 0.0: a -0.0 price would
+    # make lam - mu = -0.0 and w/(lam - mu) = -inf.  Prices start at
+    # dual_init + 0.0, and max(0, price + h) of a price that is not -0.0 is
+    # never -0.0, so none may appear, also where the projection binds.
+    scn = factory() if dual_init is None else replace(factory(), dual_init=dual_init)
+    tr = solve(scn).trace
+    assert not np.signbit(tr.mu).any()
+    assert not np.signbit(tr.lam).any()
+
+
+def test_trace_prices_hit_the_projection():
+    # the run the negative-zero test relies on for a projected price
+    tr = solve(cases.box_single_wide()).trace
+    assert (tr.mu[1:] == 0.0).any()
 
 
 def test_trace_primal_obj_is_the_best_repaired_window_average():

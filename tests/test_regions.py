@@ -275,11 +275,13 @@ MAXIMIZER_REGIONS = REGIONS + [
 
 @pytest.mark.parametrize("region", MAXIMIZER_REGIONS, ids=lambda r: type(r).__name__ + str(r.dim))
 def test_private_maximizer_is_the_public_max_weight(region):
-    # the solver binds ``_maximizer`` and checks its prices once per block,
-    # so it must give max_weight's point bit for bit, ties and zeros included
+    # the solver binds one ``_scheduler()`` per solve and checks its prices
+    # once per block, so the scheduler must give max_weight's point bit for
+    # bit, ties and zeros included, also from its memo of earlier prices
+    schedule = region._scheduler()
+
     def maximize(lam):
-        m = region._maximizer
-        return m(lam) if callable(m) else m
+        return schedule(lam) if callable(schedule) else schedule
 
     def bits(x):
         return np.asarray(x, dtype=float).view(np.int64)
@@ -309,3 +311,30 @@ def test_max_weight_result_does_not_alias_the_region():
     reg = VertexRegion(((1.0, 0.0), (0.0, 1.0)))
     reg.max_weight([1.0, 0.0])[0] = -1.0
     assert np.array_equal(reg.max_weight([1.0, 0.0]), [1.0, 0.0])
+
+
+def test_mac_max_weight_returns_a_fresh_array():
+    # the solver's scheduler remembers one vertex per serving order;
+    # max_weight must hand out an array no later call shares
+    region = GaussianMacRegion((3.0, 1.0, 2.0), 1.0)
+    lam = np.array([1.0, 3.0, 2.0])
+    want = region.max_weight(lam).copy()
+    got = region.max_weight(lam)
+    got[:] = -7.0
+    assert np.array_equal(region.max_weight(lam), want)
+
+
+def test_mac_solves_are_unchanged_by_a_mutated_max_weight_point():
+    import cases
+    from rdcontrol import solve
+
+    def bits(report):
+        tr = report.trace
+        rows = np.concatenate((tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r), axis=1)
+        return np.append(rows.ravel(), (report.best_dual, report.recovered_objective)).view(np.int64)
+
+    scn = cases.mac_asymmetric()
+    before = bits(solve(scn))
+    lam = solve(scn).trace.lam[-1]
+    scn.region.max_weight(lam)[:] = -7.0
+    assert np.array_equal(bits(solve(scn)), before)
