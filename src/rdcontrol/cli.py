@@ -116,6 +116,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.rtol) and args.rtol >= 0):  # NaN would fail every comparison
+        raise RdControlError(f"--rtol must be finite and >= 0, got {args.rtol}")
     scn = _apply_overrides(load_scenario(args.scenario), args)
     report = solve(scn)
     grid = default_grid(scn, steps=args.steps)

@@ -71,15 +71,24 @@ certificate, and it is the only stopping test.  The average window
 restarts at power-of-two iteration counts, so at any time it spans at
 least the most recent half of the run; a from-start average would carry
 the early transient at O(1/t) and stall well above the gap tolerance.
-A block never spans a restart.  The trace records, per iteration, the
-raw subproblem primal, the dual objective at the current prices and the
-best incumbent objective seen so far.
+A block never spans a restart.
+
+The trace records, per iteration, the raw subproblem primal, the dual
+objective at the current prices and the best incumbent objective seen so
+far.  It stores only what the prices do not fix: (mu, lam), r where the
+region schedules per iteration (a box's r is its caps row, broadcast) and
+the two objectives, so 2n + 2 floats a row on a box and 3n + 2 on a MAC
+or vertex region.  After each block the solver keeps copies of those rows,
+and the (rows, 6, n) block the certificate read is freed.  alpha, beta and
+c are closed forms of the prices, so :class:`Trace` derives them with the
+vector layers on the first read, with the loop's bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -133,9 +142,11 @@ class Diminishing:
 
 StepRule = Union[Constant, Diminishing]
 
-# the trace keeps 6n + 2 floats per iteration, and `rdcontrol solve` writes each as a CSV row
 MAX_ITERS = 10**6
-# max_iters * (6n + 2) trace floats at most: 800 MB of float64
+# max_iters * (6n + 2) trace floats at most: 800 MB of float64.  A trace
+# stores fewer (2n + 2 or 3n + 2 a row), but reading its derived columns
+# builds the other 3n, the solver's current block holds all 6n + 2, and
+# `rdcontrol solve` writes each of the 6n + 2 as a CSV cell
 MAX_TRACE_CELLS = 10**8
 
 
@@ -258,25 +269,54 @@ class Trace:
     Row k holds iteration ``t[k]``: the prices the subproblems saw, the
     raw subproblem primal, the best incumbent objective so far
     (``primal_obj``, -inf before the first) and the dual value
-    (``dual_obj``).  The solver fills one (mu, lam, alpha, beta, c, r)
-    block per certified block of iterations, cut at the stopping row, and
-    stacks the blocks once at the end, so the trace is as long as the run,
-    never ``max_iters``; the six vector columns are views of that one
-    array.
+    (``dual_obj``).  The trace is as long as the run, never ``max_iters``.
+
+    The fields are what is stored: ``mu`` and ``lam`` are views of one
+    (rows, 2, n) array, and ``r`` holds a row per iteration only for a
+    region that schedules per iteration; a box's r is its caps row,
+    broadcast (row stride 0).  The prices fix the rest of the subproblem
+    primal, so ``alpha``, ``beta`` and ``c`` are read-only attributes that
+    the first read derives with ``compression_layer`` and
+    ``congestion_layer`` -- the closed forms the loop runs, so the bits
+    are the loop's -- and later reads return the same arrays.  The layer
+    parameters sit outside the fields, so the fields are all arrays.
     """
 
     t: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    c: np.ndarray
     r: np.ndarray
     primal_obj: np.ndarray
     dual_obj: np.ndarray
 
+    # the compiled scenario the derived columns read; :func:`solve` binds it
+    _kernel = None
+
     def __len__(self) -> int:
         return len(self.t)
+
+    @cached_property
+    def _compression(self) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(**_QUIET):
+            return compression_layer(self.mu, self._kernel.K, self._kernel.alpha_max)
+
+    @cached_property
+    def _congestion(self) -> np.ndarray:
+        k = self._kernel
+        with np.errstate(**_QUIET):
+            return congestion_layer(self.lam, self.mu, k.w, k.c_min, k.c_max)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._compression[0]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self._compression[1]
+
+    @property
+    def c(self) -> np.ndarray:
+        return self._congestion
 
 
 @dataclass(eq=False)
@@ -511,7 +551,10 @@ def solve(scn: Scenario) -> SolveReport:
     count = 0
     next_restart = 2
 
-    blocks: list[np.ndarray] = []  # (rows, 6, n): mu, lam, alpha, beta, c, r
+    # what the trace keeps of each block: (rows, 2, n) prices, and r where
+    # the scheduler moves it
+    cols_prices: list[np.ndarray] = []
+    cols_r: list[np.ndarray] = []
     cols_pobj: list[np.ndarray] = []
     cols_dobj: list[np.ndarray] = []
 
@@ -582,7 +625,10 @@ def solve(scn: Scenario) -> SolveReport:
             best_dual, best_obj = float(run_dual[k - 1]), float(run_obj[k - 1])
             gap = float(gaps[k - 1])
             sum_r, count = sums[-1], count + m
-            blocks.append(blk[:k])
+            # copies, so the block itself is freed
+            cols_prices.append(blk[:k, :2].copy())
+            if schedule is not None:
+                cols_r.append(r_b[:k].copy())
             cols_dobj.append(dual[:k])
             cols_pobj.append(run_obj[:k])
             t += k
@@ -590,18 +636,16 @@ def solve(scn: Scenario) -> SolveReport:
                 stop_reason = "gap"
                 break
 
-    mu_t, lam_t, alpha_t, beta_t, c_t, r_t = np.concatenate(blocks).transpose(1, 0, 2)
+    mu_t, lam_t = np.concatenate(cols_prices).transpose(1, 0, 2)
     trace = Trace(
         t=np.arange(1, t + 1),
         mu=mu_t,
         lam=lam_t,
-        alpha=alpha_t,
-        beta=beta_t,
-        c=c_t,
-        r=r_t,
+        r=np.concatenate(cols_r) if schedule is not None else np.broadcast_to(r.copy(), (t, n)),
         primal_obj=np.concatenate(cols_pobj),
         dual_obj=np.concatenate(cols_dobj),
     )
+    trace._kernel = kernel
     if best_point is None:
         stop_reason = "no_incumbent"
     return SolveReport(

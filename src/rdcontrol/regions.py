@@ -20,8 +20,8 @@ vector, so the scheduler is the caps array itself; for the other regions
 it is a check-free function of the weights that gives ``max_weight``'s
 point bit for bit, and may hand back an array it keeps (the solver copies
 it): a :class:`GaussianMacRegion` remembers the greedy vertex of each
-serving order for the one solve, and a :class:`VertexRegion` returns a
-row of its vertex matrix.
+serving order for the one solve, up to ``_VERTEX_MEMO`` orders at a time,
+and a :class:`VertexRegion` returns a row of its vertex matrix.
 ``contains`` and ``violation`` raise :class:`DomainError` on a non-finite
 rate: a NaN coordinate would otherwise drop out of the max and hide a
 real violation elsewhere.
@@ -37,6 +37,12 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DomainError
+
+
+# serving orders a MAC scheduler remembers.  A solve meets one order per
+# iteration at most: 522 in 2,534 iterations on a 6-user MAC, 12,000 in
+# 12,000 on a 40-user one, where an order costs about 0.8 kB
+_VERTEX_MEMO = 1024
 
 
 def capacity_C(P: float, N: float) -> float:
@@ -197,17 +203,22 @@ class GaussianMacRegion:
 
     def _scheduler(self) -> Callable[[np.ndarray], np.ndarray]:
         """``max_weight`` without the check, remembering the vertex of each
-        serving order it has met; a solve meets at most ``max_iters``."""
+        serving order it meets in ``schedule.memo``.  The memo is emptied
+        when it holds ``_VERTEX_MEMO`` orders, so it keeps up with the
+        orders of the later iterations."""
         vertices: dict[tuple[int, ...], np.ndarray] = {}
 
         def schedule(lam: np.ndarray) -> np.ndarray:
             order = self._order(lam)
             r = vertices.get(order)
             if r is None:
+                if len(vertices) == _VERTEX_MEMO:
+                    vertices.clear()
                 # a permutation by construction, so no check
                 r = vertices[order] = self._vertex(order)
             return r
 
+        schedule.memo = vertices
         return schedule
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:

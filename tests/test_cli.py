@@ -207,6 +207,16 @@ def test_verify_agrees_with_oracle(tmp_path, capsys):
     assert "verdict: ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01"])
+def test_verify_refuses_a_bad_rtol(tmp_path, value, capsys):
+    # a NaN tolerance compares false with every difference, so it would
+    # print a mismatch and exit 2 on an exact agreement
+    scn = write_scenario(tmp_path, solver_doc(caps=(10.0,)))
+    assert main(["verify", scn, "--steps", "500", f"--rtol={value}"]) == 1
+    captured = capsys.readouterr()
+    assert "--rtol" in captured.err and "verdict" not in captured.out
+
+
 # --------------------------------------------------------------------- fig1
 
 def test_fig1_rows_and_breakpoint(tmp_path):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -635,6 +635,51 @@ def test_trace_rows_agree_with_the_reference_layers(name):
     assert np.array_equal(bits(tr.c), bits(c))
     for k in range(len(tr)):
         assert np.array_equal(bits(tr.r[k]), bits(scn.region.max_weight(tr.lam[k])))
+
+
+def _stored_bytes(arrays):
+    """Bytes of memory the arrays span together, shared spans counted once."""
+    spans = []
+    for a in arrays:
+        lo = a.__array_interface__["data"][0]
+        hi = lo + a.itemsize + sum((d - 1) * s for d, s in zip(a.shape, a.strides))
+        spans.append((lo, hi))
+    total, end = 0, 0
+    for lo, hi in sorted(spans):
+        total += max(0, hi - max(lo, end))
+        end = max(end, hi)
+    return total
+
+
+@pytest.mark.parametrize(
+    "factory, per_row",
+    [(cases.box_two_mixed, 2), (cases.mac_asymmetric, 3), (vertex_trio, 3)],
+    ids=["box_two_mixed", "mac_asymmetric", "vertex_trio"],
+)
+def test_trace_stores_prices_and_scheduled_rates(factory, per_row):
+    # the prices fix alpha, beta and c, so a trace stores (mu, lam), r only
+    # where the region schedules per iteration, and the two objectives;
+    # the layer columns are derived on the first read
+    scn = factory()
+    tr = solve(scn).trace
+    rows, n = len(tr), scn.n
+    names = [f.name for f in fields(tr)]
+    assert names == ["t", "mu", "lam", "r", "primal_obj", "dual_obj"]
+    assert all(isinstance(getattr(tr, f), np.ndarray) for f in names)
+    floats = [getattr(tr, f) for f in names if f != "t"]
+    assert all(a.dtype == np.float64 for a in floats)
+    boxed = per_row == 2
+    assert (tr.r.strides[0] == 0) == boxed
+    assert _stored_bytes(floats) == 8 * (rows * (per_row * n + 2) + (n if boxed else 0))
+    assert tr.mu.base is tr.lam.base and tr.mu.base.shape == (rows, 2, n)
+
+    alpha, beta, c = tr.alpha, tr.beta, tr.c
+    assert tr.alpha is alpha and tr.beta is beta and tr.c is c
+    assert alpha.shape == beta.shape == c.shape == (rows, n)
+    assert (tr.r.strides[0] == 0) == boxed
+    for col in ("alpha", "beta", "c"):
+        with pytest.raises(AttributeError):
+            setattr(tr, col, alpha)
 
 
 SIGN_RUNS = [

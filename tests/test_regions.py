@@ -303,6 +303,24 @@ def test_private_maximizer_is_the_public_max_weight(region):
         region.max_weight(np.ones(region.dim + 1))
 
 
+def test_mac_scheduler_memo_is_bounded():
+    # more distinct serving orders than the memo holds, then the first ones
+    # again after they were dropped: the memo never passes its cap, and
+    # every answer is still max_weight's point
+    from rdcontrol.regions import _VERTEX_MEMO
+
+    region = GaussianMacRegion((3.0, 1.0, 2.0, 0.5, 4.0, 1.5, 2.5), 1.0)
+    schedule = region._scheduler()
+    orders = list(itertools.islice(itertools.permutations(range(7)), _VERTEX_MEMO + 200))
+    draws = [np.array(order, dtype=float) for order in orders]
+    sizes = []
+    for lam in draws + draws[:50]:
+        assert np.array_equal(schedule(lam), region.max_weight(lam))
+        sizes.append(len(schedule.memo))
+    assert max(sizes) == _VERTEX_MEMO >= 1024
+    assert sizes[-1] == 250  # emptied at the 1,025th order, then 200 + 50 more
+
+
 def test_max_weight_result_does_not_alias_the_region():
     # the box maximizer is one array built once; the public copy may be edited
     box = BoxRegion((5.0, 7.0))
