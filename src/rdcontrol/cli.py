@@ -119,9 +119,9 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.rtol) and args.rtol >= 0):  # NaN would fail every comparison
         raise RdControlError(f"--rtol must be finite and >= 0, got {args.rtol}")
     scn = _apply_overrides(load_scenario(args.scenario), args)
+    # the grid and the oracle refuse a bad --steps before the solve runs
+    result = grid_search_num(scn, default_grid(scn, steps=args.steps))
     report = solve(scn)
-    grid = default_grid(scn, steps=args.steps)
-    result = grid_search_num(scn, grid)
     print(f"solver_objective: {fmt(report.recovered_objective)}")
     print(f"oracle_objective: {fmt(result.objective)}")
     if not result.found:
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--gamma0", type=float, default=None, help="override step scale")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_verify = sub.add_parser("verify", help="solve, then cross-check vs the grid oracle")
+    p_verify = sub.add_parser("verify", help="solve and cross-check against the grid oracle")
     p_verify.add_argument("scenario", help="scenario JSON file")
     p_verify.add_argument("--steps", type=int, default=400, help="grid points per axis")
     p_verify.add_argument("--rtol", type=float, default=0.01)

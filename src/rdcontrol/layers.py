@@ -33,8 +33,10 @@ scalar forms element by element:
 
 The solver runs neither vector form in its loop: it evaluates both
 layers as one stacked (2, n) pass with the same bits (see
-:mod:`rdcontrol.orchestrator`), and calls ``compression_layer`` once per
-block of iterates to fill the trace's alpha and beta.  Callers evaluate
+:mod:`rdcontrol.orchestrator`).  Its kernel's ``primal`` calls both once
+per block of iterates, to derive alpha, beta and c from the block's
+prices for the certificate, and once more per trace, on the first read
+of those columns.  Callers evaluate
 the vector forms under
 ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``: the
 congestion layer divides by zero where lam <= mu, and 1/mu overflows to

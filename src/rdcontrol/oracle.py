@@ -30,8 +30,8 @@ from .orchestrator import (
     PrimalAllocation,
     Scenario,
     _check_domain,
+    _QUIET,
     _Kernel,
-    _subproblem_primal,
     primal_violation,
 )
 from .regions import BoxRegion, GaussianMacRegion, capacity_C
@@ -98,6 +98,8 @@ class GridSearchResult:
 def default_grid(scn: Scenario, steps: int = 400) -> GridSpec:
     """Axes sized from the scenario: c up to the per-source rate ceiling,
     alpha up to the larger of that ceiling and the rule's 1/K optimum."""
+    if steps < 2:
+        raise DomainError(f"default_grid needs >= 2 steps, got {steps}", field="steps")
     region = scn.region
     if isinstance(region, BoxRegion):
         r_max = list(region.caps)
@@ -190,9 +192,10 @@ def grid_search_num(scn: Scenario, grid: GridSpec) -> GridSearchResult:
     grid refinement (``grid.refined()``) never loses points, so the best
     objective is nondecreasing under refinement.
     """
-    if scn.n > 2:
+    # a MAC's rate candidates are its n! vertices and their pairwise mixes
+    if isinstance(scn.region, GaussianMacRegion) and scn.n > 2:
         raise UnsupportedCombinationError(
-            f"grid_search_num handles at most 2 sources, got {scn.n}"
+            f"grid_search_num handles a MAC of at most 2 users, got {scn.n}"
         )
     if len(grid.alpha) != scn.n:
         raise DomainError(f"GridSpec covers {len(grid.alpha)} sources, scenario has {scn.n}")
@@ -265,8 +268,9 @@ def kkt_residuals(primal: PrimalAllocation, dual: DualState, scn: Scenario) -> K
     slack_mu = float(np.max(np.abs(dual.mu * (primal.alpha + primal.beta - primal.c))))
     slack_lam = float(np.max(np.abs(dual.lam * (primal.c - primal.r))))
 
-    opt = _subproblem_primal(dual, scn)
     K, w, mu, lam = kernel.K, kernel.w, dual.mu, dual.lam
+    with np.errstate(**_QUIET):
+        opt = PrimalAllocation(*kernel.primal(mu, lam), scn.region.max_weight(lam))
 
     def layer_values(p: PrimalAllocation) -> tuple[np.ndarray, np.ndarray]:
         """Per source, V - mu*(alpha + beta) and U - (lam - mu)*c, with

@@ -22,32 +22,34 @@ sources with w > 0, the caps -- and binds the region's per-solve
 scheduler (see :mod:`rdcontrol.regions`) and ``step.step_size``.  The
 price step reads only alpha + beta, c and r, so the loop computes only
 those, in two stages.  Per iteration it is a fixed run of eleven
-in-place numpy calls on one preallocated (7, n) working array, each on
+in-place numpy calls on one preallocated (8, n) working array, each on
 one row or on two adjacent rows: max(lam - mu, 0), the mask mu <= K,
 then both layers as one stacked (2, n) pass -- (min(w/max(lam - mu, 0),
 c_max), min(mask/mu, alpha_max)) -- whose second row is alpha + beta bit
 for bit (+0.0 where mu > K), and c = max(first row, c_min); one copy of
-the working rows into the current block; and the four calls of one
+the rows the run keeps into the current block; and the four calls of one
 projected step on the stacked (mu, lam).  Nothing is allocated.  The
-scheduler's point is copied into r, a twelfth call (a box's r never
-changes, so it is written once per solve).  The congestion layer's
+scheduler's point is copied into the two r rows, a twelfth call (a box's
+r never changes, so it is written once per solve).  The congestion layer's
 ``+ 0.0`` (which turns a -0.0 price difference into +0.0) is not needed:
 the prices start at ``dual_init + 0.0`` and max(0, price + step) of a price
 that is not -0.0 is never -0.0, so lam - mu is never -0.0.  The prices
 are nonnegative by projection, so the scheduler skips the weight check
 of ``max_weight``; once per block one vectorized test refuses prices
 that a too-large step overflowed to inf or NaN.  Once per block of up to
-64 rows the solver computes the block's alpha and beta with
-``compression_layer`` (elementwise, so the bits are those of the loop),
-then evaluates the dual values, the window sums of r, the repair, the
+64 rows the solver derives the block's alpha, beta and c from its prices
+with the kernel's ``primal``, the vector layers (elementwise, so the bits
+are those of the loop), then evaluates the dual values, the window sums
+of r, the repair, the
 incumbent objectives, the running best dual and incumbent, and the gap
 as row-wise array expressions, and stops at the first row that meets the
 gap; the block's later price steps are discarded.  The objective and the
 Lagrangian act row-wise on (rows, n) arrays, and the public
 :func:`dual_objective`, :func:`primal_objective` and
 :func:`lagrangian_value` call them on one row, so they give the same
-bits as the trace.  :func:`dual_iterate` and :func:`dual_objective` call
-the vector layers and the public, checked ``max_weight``.
+bits as the trace.  :func:`dual_iterate`, :func:`dual_objective` and
+:class:`Trace` call the same ``primal``, the first two with the public,
+checked ``max_weight`` for r.
 :class:`PrimalAllocation` and :class:`DualState` are built only at the
 API boundary.  The scalar ``compression_subproblem`` and
 ``congestion_subproblem`` stay in :mod:`rdcontrol.layers` as the
@@ -78,10 +80,11 @@ objective at the current prices and the best incumbent objective seen so
 far.  It stores only what the prices do not fix: (mu, lam), r where the
 region schedules per iteration (a box's r is its caps row, broadcast) and
 the two objectives, so 2n + 2 floats a row on a box and 3n + 2 on a MAC
-or vertex region.  After each block the solver keeps copies of those rows,
-and the (rows, 6, n) block the certificate read is freed.  alpha, beta and
-c are closed forms of the prices, so :class:`Trace` derives them with the
-vector layers on the first read, with the loop's bits.
+or vertex region.  A block holds no more: (rows, 2, n) prices, or
+(rows, 3, n) with r, which the solver keeps as they are until the run
+ends.  alpha, beta and c are closed forms of the prices, so the
+certificate and :class:`Trace` derive them with ``primal``, with the
+loop's bits.
 """
 
 from __future__ import annotations
@@ -144,9 +147,9 @@ StepRule = Union[Constant, Diminishing]
 
 MAX_ITERS = 10**6
 # max_iters * (6n + 2) trace floats at most: 800 MB of float64.  A trace
-# stores fewer (2n + 2 or 3n + 2 a row), but reading its derived columns
-# builds the other 3n, the solver's current block holds all 6n + 2, and
-# `rdcontrol solve` writes each of the 6n + 2 as a CSV cell
+# and the solver's blocks store fewer (2n + 2 or 3n + 2 a row), but reading
+# the derived columns builds the other 3n, and `rdcontrol solve` writes
+# each of the 6n + 2 as a CSV cell
 MAX_TRACE_CELLS = 10**8
 
 
@@ -276,10 +279,10 @@ class Trace:
     region that schedules per iteration; a box's r is its caps row,
     broadcast (row stride 0).  The prices fix the rest of the subproblem
     primal, so ``alpha``, ``beta`` and ``c`` are read-only attributes that
-    the first read derives with ``compression_layer`` and
-    ``congestion_layer`` -- the closed forms the loop runs, so the bits
-    are the loop's -- and later reads return the same arrays.  The layer
-    parameters sit outside the fields, so the fields are all arrays.
+    the first read of any of them derives together with the solve's
+    ``_Kernel.primal`` -- the closed forms the loop runs, so the bits are
+    the loop's -- and later reads return the same arrays.  The kernel sits
+    outside the fields, so the fields are all arrays.
     """
 
     t: np.ndarray
@@ -296,27 +299,21 @@ class Trace:
         return len(self.t)
 
     @cached_property
-    def _compression(self) -> tuple[np.ndarray, np.ndarray]:
+    def _primal(self) -> tuple[np.ndarray, ...]:
         with np.errstate(**_QUIET):
-            return compression_layer(self.mu, self._kernel.K, self._kernel.alpha_max)
-
-    @cached_property
-    def _congestion(self) -> np.ndarray:
-        k = self._kernel
-        with np.errstate(**_QUIET):
-            return congestion_layer(self.lam, self.mu, k.w, k.c_min, k.c_max)
+            return self._kernel.primal(self.mu, self.lam)
 
     @property
     def alpha(self) -> np.ndarray:
-        return self._compression[0]
+        return self._primal[0]
 
     @property
     def beta(self) -> np.ndarray:
-        return self._compression[1]
+        return self._primal[1]
 
     @property
     def c(self) -> np.ndarray:
-        return self._congestion
+        return self._primal[2]
 
 
 @dataclass(eq=False)
@@ -360,9 +357,10 @@ _BLOCK = 64
 class _Kernel:
     """A :class:`Scenario` compiled to float arrays over sources.
 
-    :meth:`dual_step` is the allocating one-price reference the public
-    functions use; :func:`solve` runs the same closed forms as one stacked
-    in-place pass instead.  The objective, the Lagrangian and the repair act
+    :meth:`primal` is the one derivation of the subproblem primal from the
+    prices, for the public functions, the certificate and the trace;
+    :func:`solve`'s loop runs the same closed forms as one stacked in-place
+    pass.  The objective, the Lagrangian and the repair act
     row-wise on (rows, n) arrays, so one call covers a block of iterates
     and a 1-row call gives the same bits per row.  Evaluate them under
     ``np.errstate(**_QUIET)``.
@@ -382,12 +380,12 @@ class _Kernel:
         self.region = scn.region
         self.step_size = scn.step.step_size
 
-    def dual_step(self, mu: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The three layers at (mu, lam): the subproblem primal (alpha,
-        beta, c, r)."""
+    def primal(self, mu: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The compression and congestion layers at the prices: the
+        subproblem (alpha, beta, c) for one row of prices or a (rows, n)
+        block.  The scheduled rate r is the region's ``max_weight(lam)``."""
         alpha, beta = compression_layer(mu, self.K, self.alpha_max)
-        c = congestion_layer(lam, mu, self.w, self.c_min, self.c_max)
-        return alpha, beta, c, self.region.max_weight(lam)
+        return alpha, beta, congestion_layer(lam, mu, self.w, self.c_min, self.c_max)
 
     def objective(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Per row, sum ln(alpha) + K.beta + w.ln(c), the last over the
@@ -447,16 +445,11 @@ def lagrangian_value(primal: PrimalAllocation, dual: DualState, scn: Scenario) -
     return float(kernel.lagrangian(*rows)[0])
 
 
-def _subproblem_primal(dual: DualState, scn: Scenario) -> PrimalAllocation:
-    with np.errstate(**_QUIET):
-        return PrimalAllocation(*_Kernel(scn).dual_step(dual.mu, dual.lam))
-
-
 def dual_objective(dual: DualState, scn: Scenario) -> float:
     """g(mu, lambda): the Lagrangian maximized layer by layer at the prices."""
     kernel = _Kernel(scn)
     with np.errstate(**_QUIET):
-        primal = kernel.dual_step(dual.mu, dual.lam)
+        primal = *kernel.primal(dual.mu, dual.lam), scn.region.max_weight(dual.lam)
         return float(kernel.lagrangian(*_rows(*primal, dual.mu, dual.lam))[0])
 
 
@@ -468,7 +461,8 @@ def dual_iterate(
     if not gamma > 0:
         raise DomainError(f"dual_iterate: step must be > 0, got {gamma}")
     with np.errstate(**_QUIET):
-        alpha, beta, c, r = _Kernel(scn).dual_step(state.mu, state.lam)
+        alpha, beta, c = _Kernel(scn).primal(state.mu, state.lam)
+        r = scn.region.max_weight(state.lam)
         mu = np.maximum(0.0, state.mu + gamma * (alpha + beta - c))
         lam = np.maximum(0.0, state.lam + gamma * (c - r))
     return DualState(mu, lam), PrimalAllocation(alpha, beta, c, r)
@@ -504,11 +498,12 @@ def solve(scn: Scenario) -> SolveReport:
     The scenario is compiled once into arrays (see the module docstring).
     Iterations run in blocks of at most ``_BLOCK`` that never span a
     window restart.  Inside a block each iteration only evaluates what the
-    price step reads (alpha + beta, c and r) and takes the step; then the
-    block's alpha and beta, the dual values, the window
-    averages of r, their repaired points and objectives, and the relative
-    gap ``(best_dual - best_obj) / (1 + |best_obj|)`` are evaluated for
-    the whole block as row-wise array expressions.  ``best_obj`` is the
+    price step reads (alpha + beta, c and r), records its prices (and r,
+    where the region schedules per iteration) and takes the step; then
+    alpha, beta and c derived from the block's prices, the dual values,
+    the window averages of r, their repaired points and objectives, and
+    the relative gap ``(best_dual - best_obj) / (1 + |best_obj|)`` are
+    evaluated for the whole block as row-wise array expressions.  ``best_obj`` is the
     best objective of an incumbent: the point repaired from the window
     average of r, when every c_i >= c_min, hence feasible for the capped
     problem.  The run stops at the first iteration whose gap is below
@@ -523,17 +518,24 @@ def solve(scn: Scenario) -> SolveReport:
     zero, c_min = np.array(0.0), np.array(kernel.c_min)
     schedule = scn.region._scheduler()
     n, max_iters, tol_gap = scn.n, scn.max_iters, scn.tol_gap
-    # the working rows (dpos, mu, lam, q, s, c, r): dpos = max(lam - mu, 0),
-    # q = min(w/dpos, c_max) and s = alpha + beta.  Every two-row operand
-    # below is two adjacent rows, which numpy runs as one flat loop.  Each
-    # iteration copies (mu, lam, q, s, c, r) into the block, whose rows q
-    # and s become alpha and beta once the block is done.
-    x = np.empty((7, n))
-    dpos, mu, lam, q, s, c, r = x
-    den, prices, q_s, s_c, c_r, row = x[0:2], x[1:3], x[3:5], x[4:6], x[5:7], x[1:]
+    # the working rows (dpos, mu, lam, r, q, s, c, r): dpos = max(lam - mu, 0),
+    # q = min(w/dpos, c_max) and s = alpha + beta.  r is held twice: beside
+    # the prices, so the rows a block keeps are adjacent, and after c, where
+    # the step reads it.  Every two-row operand below is two adjacent rows,
+    # which numpy runs as one flat loop.
+    x = np.empty((8, n))
+    dpos, mu, lam, _, q, s, c, r = x
+    den, prices, q_s, s_c, c_r = x[0:2], x[1:3], x[4:6], x[5:7], x[6:8]
     prices[:] = float(scn.dual_init)
-    if not callable(schedule):
-        r[:] = schedule  # a box schedules its caps at every price
+    if callable(schedule):
+        kept, both_r = x[1:4], x[3::4]  # each iteration keeps (mu, lam, r)
+    else:
+        # a box schedules its caps at every price, so it keeps the prices
+        # alone; its r rows are materialized once, since a broadcast operand
+        # can hand the certificate's row sums a column-major array
+        kept = prices
+        r[:] = schedule
+        box_r = np.tile(schedule, (_BLOCK, 1))
         schedule = None
     # both layers in one stacked pass: (q, s) = fmin((w, mask)/(dpos, mu),
     # (c_max, alpha_max)), then c = max(q, c_min).  The mask mu <= K makes
@@ -551,12 +553,8 @@ def solve(scn: Scenario) -> SolveReport:
     count = 0
     next_restart = 2
 
-    # what the trace keeps of each block: (rows, 2, n) prices, and r where
-    # the scheduler moves it
-    cols_prices: list[np.ndarray] = []
-    cols_r: list[np.ndarray] = []
-    cols_pobj: list[np.ndarray] = []
-    cols_dobj: list[np.ndarray] = []
+    # per block, the kept rows with their primal and dual objectives
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     best_dual = math.inf
     best_point = None
@@ -572,7 +570,7 @@ def solve(scn: Scenario) -> SolveReport:
                 count = 0
                 next_restart *= 2
             m = min(_BLOCK, next_restart - 1 - t, max_iters - t)
-            blk = np.empty((m, 6, n))
+            blk = np.empty((m, len(kept), n))
             for j in range(m):
                 np.subtract(lam, mu, out=diff)
                 np.maximum(diff, zero, out=dpos)
@@ -581,8 +579,8 @@ def solve(scn: Scenario) -> SolveReport:
                 np.fmin(quot, hi, out=q_s)
                 np.maximum(q, c_min, out=c)
                 if schedule is not None:
-                    r[:] = schedule(lam)
-                blk[j] = row
+                    both_r[:] = schedule(lam)
+                blk[j] = kept
                 np.subtract(s_c, c_r, out=g)
                 np.multiply(g, step_size(t + j + 1), out=h)
                 np.add(prices, h, out=g)
@@ -598,9 +596,9 @@ def solve(scn: Scenario) -> SolveReport:
                     f"the step (gamma0 = {scn.step.gamma0}) is too large",
                     field="gamma0",
                 )
-            mu_b, lam_b, alpha_b, beta_b, c_b, r_b = blk.transpose(1, 0, 2)
-            alpha_b[...], beta_b[...] = compression_layer(mu_b, K, kernel.alpha_max)
-            dual = kernel.lagrangian(alpha_b, beta_b, c_b, r_b, mu_b, lam_b)
+            mu_b, lam_b = blk[:, 0], blk[:, 1]
+            r_b = box_r[:m] if schedule is None else blk[:, 2]
+            dual = kernel.lagrangian(*kernel.primal(mu_b, lam_b), r_b, mu_b, lam_b)
             # accumulate adds row by row, the same sums as a running +=
             sums = np.add.accumulate(np.vstack((sum_r, r_b)))[1:]
             avg_r = sums / np.arange(count + 1, count + m + 1)[:, None]
@@ -625,25 +623,24 @@ def solve(scn: Scenario) -> SolveReport:
             best_dual, best_obj = float(run_dual[k - 1]), float(run_obj[k - 1])
             gap = float(gaps[k - 1])
             sum_r, count = sums[-1], count + m
-            # copies, so the block itself is freed
-            cols_prices.append(blk[:k, :2].copy())
-            if schedule is not None:
-                cols_r.append(r_b[:k].copy())
-            cols_dobj.append(dual[:k])
-            cols_pobj.append(run_obj[:k])
+            blocks.append((blk[:k], run_obj[:k], dual[:k]))
             t += k
             if hits.size:
                 stop_reason = "gap"
                 break
 
-    mu_t, lam_t = np.concatenate(cols_prices).transpose(1, 0, 2)
+    kept_rows, primal_obj, dual_obj = zip(*blocks)
+    mu_t, lam_t = np.concatenate([b[:, :2] for b in kept_rows]).transpose(1, 0, 2)
     trace = Trace(
         t=np.arange(1, t + 1),
         mu=mu_t,
         lam=lam_t,
-        r=np.concatenate(cols_r) if schedule is not None else np.broadcast_to(r.copy(), (t, n)),
-        primal_obj=np.concatenate(cols_pobj),
-        dual_obj=np.concatenate(cols_dobj),
+        r=(
+            np.broadcast_to(r.copy(), (t, n)) if schedule is None
+            else np.concatenate([b[:, 2] for b in kept_rows])
+        ),
+        primal_obj=np.concatenate(primal_obj),
+        dual_obj=np.concatenate(dual_obj),
     )
     trace._kernel = kernel
     if best_point is None:

@@ -81,6 +81,20 @@ def mac_asymmetric() -> Scenario:
     )
 
 
+def box16() -> Scenario:
+    """16 links, so every row sum takes numpy's unrolled pairwise form (n >= 8)."""
+    Ks = (1.0, 2.0, 3.0)
+    return Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(Ks[j % 3]), LogRate(0.5 + 0.09 * j))
+            for j in range(16)
+        ),
+        region=BoxRegion(tuple((1.2 + 0.08 * ((5 * j) % 16)) / Ks[j % 3] for j in range(16))),
+        caps=CAPS_20,
+        step=Diminishing(0.3),
+    )
+
+
 # (name, scenario factory, oracle grid steps)
 SOLVER_CASES = [
     ("box_single_wide", box_single_wide, 500),

@@ -217,6 +217,24 @@ def test_verify_refuses_a_bad_rtol(tmp_path, value, capsys):
     assert "--rtol" in captured.err and "verdict" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "steps, named", [("0", "steps"), ("1", "steps"), ("-3", "steps"), ("20000", "points")]
+)
+def test_verify_refuses_a_bad_steps_before_solving(tmp_path, steps, named, monkeypatch, capsys):
+    # the grid spaces its lower ends by c_hi / (10 * steps), so 0 steps
+    # divided by zero before the grid checked its axes; 20,000 steps make
+    # 4e8 grid points, above MAX_GRID_POINTS
+    def no_solve(scn):
+        raise AssertionError("verify solved before checking --steps")
+
+    monkeypatch.setattr("rdcontrol.cli.solve", no_solve)
+    scn = write_scenario(tmp_path, solver_doc(caps=(10.0,)))
+    assert main(["verify", scn, f"--steps={steps}"]) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err and "Traceback" not in captured.err
+    assert "verdict" not in captured.out
+
+
 # --------------------------------------------------------------------- fig1
 
 def test_fig1_rows_and_breakpoint(tmp_path):

@@ -62,6 +62,31 @@ def test_oracle_rejects_unsupported_region():
         grid_search_num(scn, GridSpec((Axis(0.01, 1.0, 10),), (Axis(0.01, 1.0, 10),)))
 
 
+@pytest.mark.parametrize("steps", [1, 0, -3])
+def test_default_grid_refuses_too_few_steps(steps):
+    # 0 steps once divided by zero while spacing the axes
+    with pytest.raises(DomainError) as err:
+        default_grid(cases.box_single_wide(), steps=steps)
+    assert err.value.field == "steps"
+
+
+def test_oracle_verifies_a_wide_box():
+    # a box has one rate candidate, and the scan is linear per source, so
+    # width costs only time; a MAC's n! vertices keep their guard
+    scn = cases.box16()
+    report = solve(scn)
+    result = grid_search_num(scn, default_grid(scn, steps=400))
+    assert result.found and report.converged
+    rel = abs(result.objective - report.recovered_objective) / (1.0 + abs(result.objective))
+    assert rel <= scn.tol_gap
+    mac3 = Scenario(
+        sources=tuple(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0)) for _ in range(3)),
+        region=GaussianMacRegion((1.0, 2.0, 3.0), 1.0),
+    )
+    with pytest.raises(UnsupportedCombinationError):
+        grid_search_num(mac3, default_grid(mac3, steps=10))
+
+
 def test_infeasible_grid_reports_no_point():
     scn = Scenario(
         sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0)),),

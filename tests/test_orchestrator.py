@@ -829,20 +829,6 @@ def sequential_solve(scn):
     )
 
 
-def box16():
-    # 16 links, so every row sum takes numpy's unrolled pairwise form (n >= 8)
-    Ks = (1.0, 2.0, 3.0)
-    return Scenario(
-        sources=tuple(
-            SourceSpec(BinarySource(1.0, 0.5), LogLinear(Ks[j % 3]), LogRate(0.5 + 0.09 * j))
-            for j in range(16)
-        ),
-        region=BoxRegion(tuple((1.2 + 0.08 * ((5 * j) % 16)) / Ks[j % 3] for j in range(16))),
-        caps=cases.CAPS_20,
-        step=Diminishing(0.3),
-    )
-
-
 def starved_pair():
     # LogRate on a zero-capacity link: no incumbent, ever
     return Scenario(
@@ -855,9 +841,14 @@ def starved_pair():
 
 BLOCK_RUNS = [
     (name, factory, max_iters)
-    for name, factory in (("two", cases.box_two_mixed), ("box16", box16))
+    for name, factory in (("two", cases.box_two_mixed), ("box16", cases.box16))
     for max_iters in (1, 2, 3, 63, 64, 65, 127, 128, 129, 50_000)
-] + [("starved", starved_pair, 130)]
+] + [("starved", starved_pair, 130)] + [
+    # the scheduled rates of these regions move, so the block keeps them too
+    (name, factory, max_iters)
+    for name, factory in (("mac", cases.mac_asymmetric), ("vertex", vertex_trio))
+    for max_iters in (1, 63, 64, 65, 129, 50_000)
+]
 
 
 @pytest.mark.parametrize(
