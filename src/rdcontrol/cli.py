@@ -46,6 +46,10 @@ _GFMT = ".12g"
 # fig1 builds one grid array and one Python row per step before writing
 MAX_FIG1_STEPS = 10**6
 
+# trace rows write_trace_csv turns into Python lists at a time, so writing
+# a long trace never holds its whole table as lists and text
+_CSV_CHUNK = 1024
+
 
 def fmt(x) -> str:
     """Locale-independent 12-significant-digit rendering."""
@@ -54,14 +58,13 @@ def fmt(x) -> str:
     return format(float(x), _GFMT)
 
 
-def _write_lines(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-
-
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows)
-    _write_lines(path, lines)
+def _write_csv(path: str | Path, header: list[str], row: str, rows) -> None:
+    """Write the header line, then ``row % tuple(cells)`` for each of
+    ``rows``; ``row`` ends in a newline, and "%.12g" renders a float
+    exactly as :func:`fmt` does."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(row % tuple(cells) for cells in rows)
 
 
 def write_trace_csv(path: str | Path, report: SolveReport, n: int) -> None:
@@ -70,14 +73,14 @@ def write_trace_csv(path: str | Path, report: SolveReport, n: int) -> None:
         header.extend(f"{name}_{i}" for i in range(n))
     header += ["primal_obj", "dual_obj"]
     tr = report.trace
-    # one %-format per row; "%.12g" renders a float exactly as fmt does
-    row = "%d," + ",".join(["%" + _GFMT] * (6 * n + 2))
-    table = np.column_stack(
-        (tr.t, tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r, tr.primal_obj, tr.dual_obj)
-    )
-    lines = [",".join(header)]
-    lines.extend(row % tuple(cells) for cells in table.tolist())
-    _write_lines(path, lines)
+    columns = (tr.t, tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r, tr.primal_obj, tr.dual_obj)
+
+    def rows():
+        for start in range(0, len(tr), _CSV_CHUNK):
+            part = slice(start, start + _CSV_CHUNK)
+            yield from np.column_stack([col[part] for col in columns]).tolist()
+
+    _write_csv(path, header, "%d," + ",".join(["%.12g"] * (6 * n + 2)) + "\n", rows())
 
 
 def _print_summary(report: SolveReport) -> None:
@@ -155,7 +158,7 @@ def cmd_fig1(args) -> int:
         alpha_star = compression_given_rate(args.K, c)
         s_eff, D = operating_point(args.p, args.K, c)
         rows.append([c, alpha_star, D, s_eff])
-    _write_csv(args.out, ["c", "alpha_star", "D", "s_eff"], rows)
+    _write_csv(args.out, ["c", "alpha_star", "D", "s_eff"], "%.12g,%.12g,%.12g,%.12g\n", rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -178,7 +181,7 @@ def cmd_mac(args) -> int:
         ["entropy_point", h[0], h[1]],
         ["chosen_corner", chosen[0], chosen[1]],
     ]
-    _write_csv(args.out, ["label", "rate_1", "rate_2"], rows)
+    _write_csv(args.out, ["label", "rate_1", "rate_2"], "%s,%.12g,%.12g\n", rows)
 
     print(f"case: {corner.case}")
     print(f"D: [{fmt(corner.D[0])}, {fmt(corner.D[1])}]")

@@ -8,7 +8,10 @@ linear time per source: the objective ln(alpha) + K*(c - alpha) + U(c)
 separates into f(alpha) + g(c), so a suffix maximum of f gives every c
 column's best alpha with no steps x steps matrix.  It never calls the
 closed-form layer solvers or the dual iteration, so it is an independent
-check of both.
+check of both.  It reads a region only through ``max_weight`` (each
+source's rate ceiling, for the axes) and :func:`_rate_candidates`, the
+one place that decides which regions it supports: a box of any width and
+a MAC of at most 2 users.
 
 :func:`kkt_residuals` reports complementary-slackness products and
 per-layer optimality margins of a (primal, dual) pair.
@@ -34,9 +37,14 @@ from .orchestrator import (
     _Kernel,
     primal_violation,
 )
-from .regions import BoxRegion, GaussianMacRegion, capacity_C
+from .regions import BoxRegion, GaussianMacRegion
 
-MAX_GRID_POINTS = 10**8
+# cap on GridSpec.total_points(), the alpha and c points the scan builds,
+# summed over sources.  At the cap the worst shape, one source with a
+# 2-point alpha axis and a 5e6-point c axis, took 0.31 s and 350 MB of
+# peak RSS (numpy 2.4, 2-CPU Xeon); a 64-link box at 39,062 steps per axis
+# took 0.24 s and 130 MB
+MAX_GRID_POINTS = 5 * 10**6
 _SIMPLEX_POINTS = 100  # time-sharing resolution between vertex pairs
 _FEAS_SLACK = 1e-12
 
@@ -77,7 +85,8 @@ class GridSpec:
             raise DomainError("GridSpec: alpha and c axis lists must match in length")
 
     def total_points(self) -> int:
-        return sum(a.steps * c.steps for a, c in zip(self.alpha, self.c))
+        """The points the scan builds: each source's alpha and c axes."""
+        return sum(a.steps + c.steps for a, c in zip(self.alpha, self.c))
 
     def refined(self) -> "GridSpec":
         return GridSpec(
@@ -100,19 +109,12 @@ def default_grid(scn: Scenario, steps: int = 400) -> GridSpec:
     alpha up to the larger of that ceiling and the rule's 1/K optimum."""
     if steps < 2:
         raise DomainError(f"default_grid needs >= 2 steps, got {steps}", field="steps")
-    region = scn.region
-    if isinstance(region, BoxRegion):
-        r_max = list(region.caps)
-    elif isinstance(region, GaussianMacRegion):
-        r_max = [capacity_C(p, region.noise) for p in region.powers]
-    else:
-        raise UnsupportedCombinationError(
-            f"default_grid supports Box and MAC regions, got {type(region).__name__}"
-        )
     alpha_axes = []
     c_axes = []
-    for spec, rm in zip(scn.sources, r_max):
-        c_hi = min(scn.caps.c_max, rm)
+    for i, spec in enumerate(scn.sources):
+        # source i's rate ceiling: its rate under the unit weight on i
+        ceiling = scn.region.max_weight(np.eye(1, scn.n, i)[0])[i]
+        c_hi = min(scn.caps.c_max, float(ceiling))
         c_lo = max(scn.caps.c_min, c_hi / (10.0 * steps))
         if not c_lo < c_hi:
             c_lo, c_hi = 0.0, max(c_hi, 1.0)  # degenerate link; scan still valid
@@ -126,10 +128,17 @@ def default_grid(scn: Scenario, steps: int = 400) -> GridSpec:
 
 
 def _rate_candidates(scn: Scenario) -> list[np.ndarray]:
+    """The scheduled-rate vectors the scan tries, and the one place that
+    decides which regions the oracle supports: a box (its caps) and a MAC
+    of at most 2 users (its n! vertices and their pairwise mixes)."""
     region = scn.region
     if isinstance(region, BoxRegion):
         return [np.asarray(region.caps, dtype=float)]
     if isinstance(region, GaussianMacRegion):
+        if region.dim > 2:  # refused before any of the n! orders is built
+            raise UnsupportedCombinationError(
+                f"grid_search_num handles a MAC of at most 2 users, got {region.dim}"
+            )
         vertices = [
             region.vertex(list(order))
             for order in itertools.permutations(range(region.dim))
@@ -190,13 +199,11 @@ def grid_search_num(scn: Scenario, grid: GridSpec) -> GridSearchResult:
     :func:`_source_scan`; each rate candidate takes, per source, the best
     c at or below its rate.  No layer or solver code is called.  Dyadic
     grid refinement (``grid.refined()``) never loses points, so the best
-    objective is nondecreasing under refinement.
+    objective is nondecreasing under refinement.  An unsupported region, or
+    a grid of more than ``MAX_GRID_POINTS`` axis points, is refused before
+    any axis is built.
     """
-    # a MAC's rate candidates are its n! vertices and their pairwise mixes
-    if isinstance(scn.region, GaussianMacRegion) and scn.n > 2:
-        raise UnsupportedCombinationError(
-            f"grid_search_num handles a MAC of at most 2 users, got {scn.n}"
-        )
+    candidates = _rate_candidates(scn)
     if len(grid.alpha) != scn.n:
         raise DomainError(f"GridSpec covers {len(grid.alpha)} sources, scenario has {scn.n}")
     if grid.total_points() > MAX_GRID_POINTS:
@@ -204,7 +211,6 @@ def grid_search_num(scn: Scenario, grid: GridSpec) -> GridSearchResult:
             f"grid has {grid.total_points()} points, cap is {MAX_GRID_POINTS}"
         )
 
-    candidates = _rate_candidates(scn)
     rates = np.array(candidates)  # (candidates, n)
     totals = np.zeros(len(candidates))
     ok = np.ones(len(candidates), dtype=bool)

@@ -46,7 +46,7 @@ as row-wise array expressions, and stops at the first row that meets the
 gap; the block's later price steps are discarded.  The objective and the
 Lagrangian act row-wise on (rows, n) arrays, and the public
 :func:`dual_objective`, :func:`primal_objective` and
-:func:`lagrangian_value` call them on one row, so they give the same
+:func:`lagrangian_value` call them on 1-D vectors, so they give the same
 bits as the trace.  :func:`dual_iterate`, :func:`dual_objective` and
 :class:`Trace` call the same ``primal``, the first two with the public,
 checked ``max_weight`` for r.
@@ -111,33 +111,28 @@ from .sources import BinarySource
 
 
 @dataclass(frozen=True)
-class Constant:
-    """Fixed step size gamma_t = gamma0."""
+class _StepScale:
+    """The scale gamma0 of a step rule, finite and > 0."""
 
     gamma0: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
             raise DomainError(
-                f"Constant step: gamma0 must be finite and > 0, got {self.gamma0}", field="gamma0"
+                f"{type(self).__name__} step: gamma0 must be finite and > 0, got {self.gamma0}",
+                field="gamma0",
             )
+
+
+class Constant(_StepScale):
+    """Fixed step size gamma_t = gamma0."""
 
     def step_size(self, t: int) -> float:
         return self.gamma0
 
 
-@dataclass(frozen=True)
-class Diminishing:
+class Diminishing(_StepScale):
     """Diminishing step size gamma_t = gamma0 / sqrt(t), t >= 1."""
-
-    gamma0: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
-            raise DomainError(
-                f"Diminishing step: gamma0 must be finite and > 0, got {self.gamma0}",
-                field="gamma0",
-            )
 
     def step_size(self, t: int) -> float:
         return self.gamma0 / math.sqrt(t)
@@ -148,8 +143,9 @@ StepRule = Union[Constant, Diminishing]
 MAX_ITERS = 10**6
 # max_iters * (6n + 2) trace floats at most: 800 MB of float64.  A trace
 # and the solver's blocks store fewer (2n + 2 or 3n + 2 a row), but reading
-# the derived columns builds the other 3n, and `rdcontrol solve` writes
-# each of the 6n + 2 as a CSV cell
+# the derived columns builds the other 3n.  `rdcontrol solve` writes each
+# of the 6n + 2 as a CSV cell, formatting one chunk of rows at a time, so
+# the text is never held whole
 MAX_TRACE_CELLS = 10**8
 
 
@@ -360,9 +356,9 @@ class _Kernel:
     :meth:`primal` is the one derivation of the subproblem primal from the
     prices, for the public functions, the certificate and the trace;
     :func:`solve`'s loop runs the same closed forms as one stacked in-place
-    pass.  The objective, the Lagrangian and the repair act
-    row-wise on (rows, n) arrays, so one call covers a block of iterates
-    and a 1-row call gives the same bits per row.  Evaluate them under
+    pass.  The objective, the Lagrangian and the repair act row-wise on
+    (rows, n) arrays, so one call covers a block of iterates, and a call on
+    1-D vectors gives the bits of one such row.  Evaluate them under
     ``np.errstate(**_QUIET)``.
     """
 
@@ -377,7 +373,6 @@ class _Kernel:
         self.alpha_max = scn.caps.alpha_max
         self.c_min = scn.caps.c_min
         self.c_max = scn.caps.c_max
-        self.region = scn.region
         self.step_size = scn.step.step_size
 
     def primal(self, mu: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -412,11 +407,6 @@ class _Kernel:
         return alpha, np.minimum(c, self.alpha_max) - alpha, c
 
 
-def _rows(*vectors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each vector as a 1-row array, the input the row-wise kernel takes."""
-    return tuple(v[None] for v in vectors)
-
-
 def _check_domain(primal: PrimalAllocation, kernel: _Kernel) -> None:
     """The objective's domain: alpha > 0, and c > 0 where w > 0."""
     alpha = primal.alpha
@@ -434,15 +424,16 @@ def primal_objective(primal: PrimalAllocation, scn: Scenario) -> float:
     is undefined (alpha <= 0, or c <= 0 where w > 0)."""
     kernel = _Kernel(scn)
     _check_domain(primal, kernel)
-    return float(kernel.objective(*_rows(primal.alpha, primal.beta, primal.c))[0])
+    return float(kernel.objective(primal.alpha, primal.beta, primal.c))
 
 
 def lagrangian_value(primal: PrimalAllocation, dual: DualState, scn: Scenario) -> float:
     """Objective minus price-weighted constraint residuals."""
     kernel = _Kernel(scn)
     _check_domain(primal, kernel)
-    rows = _rows(primal.alpha, primal.beta, primal.c, primal.r, dual.mu, dual.lam)
-    return float(kernel.lagrangian(*rows)[0])
+    return float(
+        kernel.lagrangian(primal.alpha, primal.beta, primal.c, primal.r, dual.mu, dual.lam)
+    )
 
 
 def dual_objective(dual: DualState, scn: Scenario) -> float:
@@ -450,7 +441,7 @@ def dual_objective(dual: DualState, scn: Scenario) -> float:
     kernel = _Kernel(scn)
     with np.errstate(**_QUIET):
         primal = *kernel.primal(dual.mu, dual.lam), scn.region.max_weight(dual.lam)
-        return float(kernel.lagrangian(*_rows(*primal, dual.mu, dual.lam))[0])
+        return float(kernel.lagrangian(*primal, dual.mu, dual.lam))
 
 
 def dual_iterate(

@@ -5,6 +5,10 @@ orders above the optimum, gamma0 tuned once); oracle grids end exactly at
 the binding rate ceilings so boundary optima land on grid points.
 """
 
+import random
+import runpy
+from pathlib import Path
+
 import rdcontrol as rc
 from rdcontrol import (
     BinarySource,
@@ -93,6 +97,14 @@ def box16() -> Scenario:
         caps=CAPS_20,
         step=Diminishing(0.3),
     )
+
+
+def box64_doc() -> dict:
+    """The 64-link box document ``box_doc(random.Random("matrix:1"), 64)``
+    of the benchmark's generator, ``perfbench/benchgen.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "benchgen.py"
+    benchgen = runpy.run_path(str(path))
+    return benchgen["box_doc"](random.Random("matrix:1"), 64)
 
 
 # (name, scenario factory, oracle grid steps)

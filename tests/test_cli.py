@@ -18,7 +18,8 @@ from rdcontrol import (
     binary_entropy,
     solve,
 )
-from rdcontrol.cli import MAX_FIG1_STEPS, fmt, main, write_trace_csv
+from rdcontrol.cli import _CSV_CHUNK, MAX_FIG1_STEPS, fmt, main, write_trace_csv
+from rdcontrol.scenario import load_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -218,12 +219,12 @@ def test_verify_refuses_a_bad_rtol(tmp_path, value, capsys):
 
 
 @pytest.mark.parametrize(
-    "steps, named", [("0", "steps"), ("1", "steps"), ("-3", "steps"), ("20000", "points")]
+    "steps, named", [("0", "steps"), ("1", "steps"), ("-3", "steps"), ("2500001", "points")]
 )
 def test_verify_refuses_a_bad_steps_before_solving(tmp_path, steps, named, monkeypatch, capsys):
     # the grid spaces its lower ends by c_hi / (10 * steps), so 0 steps
-    # divided by zero before the grid checked its axes; 20,000 steps make
-    # 4e8 grid points, above MAX_GRID_POINTS
+    # divided by zero before the grid checked its axes; 2,500,001 steps
+    # make two axes of 5,000,002 points, above MAX_GRID_POINTS
     def no_solve(scn):
         raise AssertionError("verify solved before checking --steps")
 
@@ -233,6 +234,15 @@ def test_verify_refuses_a_bad_steps_before_solving(tmp_path, steps, named, monke
     captured = capsys.readouterr()
     assert named in captured.err and "Traceback" not in captured.err
     assert "verdict" not in captured.out
+
+
+def test_verify_agrees_on_a_64_link_box(tmp_path, capsys):
+    # the grid cap once counted 64 * 1,600^2 points here, not the 204,800
+    # axis points the scan builds, and refused the grid
+    path = write_scenario(tmp_path, cases.box64_doc())
+    tol_gap = load_scenario(path).tol_gap
+    assert main(["verify", path, "--steps", "1600", f"--rtol={tol_gap}"]) == 0
+    assert "verdict: ok" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------- fig1
@@ -445,12 +455,14 @@ def no_incumbent_scenario():
 
 @pytest.mark.parametrize(
     "factory",
-    [case[1] for case in cases.SOLVER_CASES] + [no_incumbent_scenario],
-    ids=[case[0] for case in cases.SOLVER_CASES] + ["no_incumbent"],
+    [case[1] for case in cases.SOLVER_CASES] + [no_incumbent_scenario, cases.box16],
+    ids=[case[0] for case in cases.SOLVER_CASES] + ["no_incumbent", "box16"],
 )
 def test_trace_csv_matches_per_cell_writer(tmp_path, factory):
     scn = factory()
     report = solve(scn)
+    if factory is cases.box16:  # the writer's chunks, with a partial last one
+        assert len(report.trace) > 2 * _CSV_CHUNK and len(report.trace) % _CSV_CHUNK
     out = tmp_path / "trace.csv"
     write_trace_csv(out, report, scn.n)
     want = per_cell_trace_csv(report, scn.n)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -24,13 +25,14 @@ from rdcontrol import (
     UnsupportedCombinationError,
     VertexRegion,
     Zero,
+    capacity_C,
     default_grid,
     grid_search_num,
     kkt_residuals,
     primal_violation,
     solve,
 )
-from rdcontrol.oracle import _FEAS_SLACK, GridSearchResult, _rate_candidates
+from rdcontrol.oracle import _FEAS_SLACK, MAX_GRID_POINTS, GridSearchResult, _rate_candidates
 
 
 def test_axis_validation_and_refinement():
@@ -45,21 +47,64 @@ def test_axis_validation_and_refinement():
 
 
 def test_grid_too_large_refused():
+    # the cap counts each source's alpha and c points, which the scan builds
     scn = cases.box_single_wide()
-    spec = GridSpec((Axis(0.01, 10.0, 20_000),), (Axis(0.01, 10.0, 20_000),))
+    half = MAX_GRID_POINTS // 2
+    spec = GridSpec((Axis(0.01, 10.0, half),), (Axis(0.01, 10.0, half + 1),))
+    assert spec.total_points() == MAX_GRID_POINTS + 1
     with pytest.raises(GridTooLargeError):
         grid_search_num(scn, spec)
 
 
+def test_grid_cap_counts_a_long_axis_before_allocating():
+    # 2 alpha points and 1e7 c points once counted as 2e7 of 1e8, so the
+    # scan built several arrays of 1e7 floats; the cap now refuses them
+    scn = cases.box_single_wide()
+    spec = GridSpec((Axis(0.01, 10.0, 2),), (Axis(0.01, 10.0, 10**7),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLargeError):
+            grid_search_num(scn, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_oracle_rejects_unsupported_region():
-    scn = Scenario(
-        sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0)),),
-        region=VertexRegion(((1.0,), (0.0,))),
-    )
-    with pytest.raises(UnsupportedCombinationError):
-        default_grid(scn)
-    with pytest.raises(UnsupportedCombinationError):
-        grid_search_num(scn, GridSpec((Axis(0.01, 1.0, 10),), (Axis(0.01, 1.0, 10),)))
+    # only the scan decides support: default_grid reads any region's rate
+    # ceilings through max_weight, and grid_search_num refuses the region
+    one = SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0))
+    vertex2 = Scenario(sources=(one, one), region=VertexRegion(((1.2, 0.2), (0.2, 1.4))))
+    assert [axis.hi for axis in default_grid(vertex2, steps=10).c] == [1.2, 1.4]
+    for scn in (
+        Scenario(sources=(one,), region=VertexRegion(((1.0,), (0.0,)))),
+        vertex2,
+        Scenario(sources=(one,) * 3, region=GaussianMacRegion((1.0, 2.0, 3.0), 1.0)),
+    ):
+        with pytest.raises(UnsupportedCombinationError):
+            grid_search_num(scn, default_grid(scn, steps=10))
+
+
+def test_mac_refused_before_enumerating_its_orders(monkeypatch):
+    # 40 users have 40! serving orders; none may be built before the refusal
+    def no_orders(*args):
+        raise AssertionError("enumerated the MAC's serving orders")
+
+    monkeypatch.setattr(itertools, "permutations", no_orders)
+    one = SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0))
+    mac40 = Scenario(sources=(one,) * 40, region=GaussianMacRegion(tuple(range(1, 41)), 1.0))
+    with pytest.raises(UnsupportedCombinationError, match="at most 2 users"):
+        _rate_candidates(mac40)
+
+
+def test_default_grid_reads_rate_ceilings_through_max_weight():
+    # a box's ceilings are its caps and a MAC user's is C(P_i, noise), bit for bit
+    box, mac = cases.box16(), cases.mac_asymmetric()
+    ceilings = (box.region.caps, [capacity_C(p, mac.region.noise) for p in mac.region.powers])
+    for scn, want in zip((box, mac), ceilings):
+        grid = default_grid(scn, steps=50)
+        assert [axis.hi for axis in grid.c] == [min(scn.caps.c_max, w) for w in want]
 
 
 @pytest.mark.parametrize("steps", [1, 0, -3])
