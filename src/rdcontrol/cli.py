@@ -46,8 +46,9 @@ _GFMT = ".12g"
 # fig1 builds one grid array and one Python row per step before writing
 MAX_FIG1_STEPS = 10**6
 
-# trace rows write_trace_csv turns into Python lists at a time, so writing
-# a long trace never holds its whole table as lists and text
+# trace rows write_trace_csv handles at a time: it derives their alpha, beta
+# and c and turns them into Python lists, so writing a long trace never
+# holds its whole table as lists and text, nor its derived columns
 _CSV_CHUNK = 1024
 
 
@@ -73,12 +74,15 @@ def write_trace_csv(path: str | Path, report: SolveReport, n: int) -> None:
         header.extend(f"{name}_{i}" for i in range(n))
     header += ["primal_obj", "dual_obj"]
     tr = report.trace
-    columns = (tr.t, tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r, tr.primal_obj, tr.dual_obj)
 
     def rows():
         for start in range(0, len(tr), _CSV_CHUNK):
             part = slice(start, start + _CSV_CHUNK)
-            yield from np.column_stack([col[part] for col in columns]).tolist()
+            columns = (
+                tr.t[part], tr.mu[part], tr.lam[part], *tr.primal(part), tr.r[part],
+                tr.primal_obj[part], tr.dual_obj[part],
+            )
+            yield from np.column_stack(columns).tolist()
 
     _write_csv(path, header, "%d," + ",".join(["%.12g"] * (6 * n + 2)) + "\n", rows())
 

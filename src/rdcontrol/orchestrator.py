@@ -40,20 +40,19 @@ that a too-large step overflowed to inf or NaN.  Once per block of up to
 64 rows the solver derives the block's alpha, beta and c from its prices
 with the kernel's ``primal``, the vector layers (elementwise, so the bits
 are those of the loop), then evaluates the dual values, the window sums
-of r, the repair, the
-incumbent objectives, the running best dual and incumbent, and the gap
-as row-wise array expressions, and stops at the first row that meets the
-gap; the block's later price steps are discarded.  The objective and the
-Lagrangian act row-wise on (rows, n) arrays, and the public
-:func:`dual_objective`, :func:`primal_objective` and
+of r, the repair, the incumbent objectives, the dual values at the prices
+of each new incumbent (see below), the running best dual and incumbent,
+and the gap as row-wise array expressions, and stops at the first row
+that meets the gap; the block's later price steps are discarded.  The
+objective and the Lagrangian act row-wise on (rows, n) arrays, and the
+public :func:`dual_objective`, :func:`primal_objective` and
 :func:`lagrangian_value` call them on 1-D vectors, so they give the same
 bits as the trace.  :func:`dual_iterate`, :func:`dual_objective` and
 :class:`Trace` call the same ``primal``, the first two with the public,
-checked ``max_weight`` for r.
-:class:`PrimalAllocation` and :class:`DualState` are built only at the
-API boundary.  The scalar ``compression_subproblem`` and
-``congestion_subproblem`` stay in :mod:`rdcontrol.layers` as the
-per-source reference.
+checked ``max_weight`` for r.  :class:`PrimalAllocation` and
+:class:`DualState` are built only at the API boundary.  The scalar
+``compression_subproblem`` and ``congestion_subproblem`` stay in
+:mod:`rdcontrol.layers` as the per-source reference.
 
 A primal point is recovered from the ergodic average of the scheduled
 rates alone: saturate c at the averaged scheduled rate, c = min(avg_r,
@@ -74,6 +73,17 @@ restarts at power-of-two iteration counts, so at any time it spans at
 least the most recent half of the run; a from-start average would carry
 the early transient at O(1/t) and stall well above the gap tolerance.
 A block never spans a restart.
+
+Weak duality holds at any nonnegative prices, not only at those the loop
+visits.  So at each row where the incumbent improves, the certificate
+also takes the dual value at the prices that incumbent implies, its
+marginal utilities (``_Kernel.implied_prices``), with r from the solve's
+scheduler at those prices; prices that overflow give no value.  At an
+optimal incumbent these are KKT prices and the gap closes at once: a box
+stops at iteration 1.  The best dual at a row is the running minimum of
+the loop's dual values and these values up to that row, so it may come
+from prices that are no trace row, and the stopping row does not depend
+on the block size.  The loop's prices never see these values.
 
 The trace records, per iteration, the raw subproblem primal, the dual
 objective at the current prices and the best incumbent objective seen so
@@ -274,10 +284,11 @@ class Trace:
     (rows, 2, n) array, and ``r`` holds a row per iteration only for a
     region that schedules per iteration; a box's r is its caps row,
     broadcast (row stride 0).  The prices fix the rest of the subproblem
-    primal, so ``alpha``, ``beta`` and ``c`` are read-only attributes that
-    the first read of any of them derives together with the solve's
-    ``_Kernel.primal`` -- the closed forms the loop runs, so the bits are
-    the loop's -- and later reads return the same arrays.  The kernel sits
+    primal: :meth:`primal` derives alpha, beta and c of any rows with the
+    solve's ``_Kernel.primal`` -- the closed forms the loop runs, so the
+    bits are the loop's.  ``alpha``, ``beta`` and ``c`` are read-only
+    attributes that the first read of any of them derives together for the
+    whole trace, and later reads return the same arrays.  The kernel sits
     outside the fields, so the fields are all arrays.
     """
 
@@ -294,10 +305,14 @@ class Trace:
     def __len__(self) -> int:
         return len(self.t)
 
+    def primal(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """The subproblem (alpha, beta, c) of ``rows``, derived from their prices."""
+        with np.errstate(**_QUIET):
+            return self._kernel.primal(self.mu[rows], self.lam[rows])
+
     @cached_property
     def _primal(self) -> tuple[np.ndarray, ...]:
-        with np.errstate(**_QUIET):
-            return self._kernel.primal(self.mu, self.lam)
+        return self.primal()
 
     @property
     def alpha(self) -> np.ndarray:
@@ -321,10 +336,12 @@ class SolveReport:
     objective seen anywhere in the run.  It is feasible for the capped
     problem the duals bound, so ``gap``, the relative distance
     ``(best_dual - recovered_objective) / (1 + |recovered_objective|)``,
-    is >= 0 up to rounding.  ``converged`` means ``gap < tol_gap``.  When
-    no repaired point qualified (e.g. a ``LogRate`` source on a
-    zero-capacity link, or a link whose capacity is below c_min, where
-    the capped problem is infeasible), ``recovered`` is None,
+    is >= 0 up to rounding.  ``best_dual`` is the least dual value of the
+    run: at the loop's prices (``trace.dual_obj``) or at the prices an
+    incumbent implies, which are no trace row.  ``converged`` means ``gap
+    < tol_gap``.  When no repaired point qualified (e.g. a ``LogRate``
+    source on a zero-capacity link, or a link whose capacity is below
+    c_min, where the capped problem is infeasible), ``recovered`` is None,
     ``recovered_objective`` is -inf, ``gap`` is inf and ``converged`` is
     False.  ``stop_reason`` says why the loop ended: ``"gap"`` (the
     certificate holds), ``"max_iters"`` (the budget ran out with an
@@ -397,6 +414,18 @@ class _Kernel:
         where the congestion layer puts c at c_max with lam = mu."""
         penalty = -mu * (alpha + beta) + (mu - lam) * c + lam * r
         return self.objective(alpha, beta, c) + penalty.sum(axis=-1)
+
+    def implied_prices(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the prices a repaired point with compressed rate c
+        implies, its marginal utilities: mu = K where c < min(1/K,
+        alpha_max), else 1/min(c, alpha_max), and lam = mu + w/c, with lam
+        = mu where w = 0.  At an optimal point these are KKT prices."""
+        mu = np.where(
+            c < np.minimum(self.inv_K, self.alpha_max), self.K, 1.0 / np.minimum(c, self.alpha_max)
+        )
+        lam = mu.copy()
+        lam[..., self.rate] += self.w_rate / c[..., self.rate]
+        return mu, lam
 
     def repair(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Saturate c at the scheduled rate, c = min(r, c_max), then
@@ -492,16 +521,18 @@ def solve(scn: Scenario) -> SolveReport:
     price step reads (alpha + beta, c and r), records its prices (and r,
     where the region schedules per iteration) and takes the step; then
     alpha, beta and c derived from the block's prices, the dual values,
-    the window averages of r, their repaired points and objectives, and
-    the relative gap ``(best_dual - best_obj) / (1 + |best_obj|)`` are
-    evaluated for the whole block as row-wise array expressions.  ``best_obj`` is the
-    best objective of an incumbent: the point repaired from the window
-    average of r, when every c_i >= c_min, hence feasible for the capped
-    problem.  The run stops at the first iteration whose gap is below
-    ``tol_gap``, and the trace and report end there; the block's later
-    price steps are discarded.  By weak duality that point is within
-    ``tol_gap`` of the capped optimum.  Hitting ``max_iters`` first returns
-    ``converged=False`` rather than raising.
+    the window averages of r, their repaired points and objectives, the
+    dual values at the prices each new incumbent implies, and the relative
+    gap ``(best_dual - best_obj) / (1 + |best_obj|)`` are evaluated for the
+    whole block as row-wise array expressions.  ``best_obj`` is the best
+    objective of an incumbent: the point repaired from the window average
+    of r, when every c_i >= c_min, hence feasible for the capped problem;
+    ``best_dual`` is the least of those dual values so far.  The run stops
+    at the first iteration whose gap is below ``tol_gap``, and the trace
+    and report end there; the block's later price steps are discarded.  By
+    weak duality that point is within ``tol_gap`` of the capped optimum.
+    Hitting ``max_iters`` first returns ``converged=False`` rather than
+    raising.
     """
     kernel = _Kernel(scn)
     K, step_size = kernel.K, kernel.step_size
@@ -597,17 +628,31 @@ def solve(scn: Scenario) -> SolveReport:
             # only c >= c_min makes a point of the capped problem
             feasible = point[2].min(axis=-1) >= kernel.c_min
             obj = np.where(feasible, kernel.objective(*point), -math.inf)
-            # running best dual and incumbent, carried in from earlier blocks
-            run_dual = np.fmin.accumulate(np.concatenate(([best_dual], dual)))[1:]
+            # running best incumbent and dual, carried in from earlier blocks
             prev_obj = np.fmax.accumulate(np.concatenate(([best_obj], obj)))
             run_obj = prev_obj[1:]
+            better = np.flatnonzero(run_obj > prev_obj[:-1])
+            bounds = dual
+            if better.size:
+                # each new incumbent's row also takes the dual value at the
+                # finite prices that incumbent implies
+                mu_i, lam_i = kernel.implied_prices(point[2][better])
+                r_i = box_r[: better.size] if schedule is None else np.array(
+                    [schedule(row) for row in lam_i]
+                )
+                implied = kernel.lagrangian(*kernel.primal(mu_i, lam_i), r_i, mu_i, lam_i)
+                bounds = dual.copy()
+                bounds[better] = np.fmin(
+                    dual[better], np.where(np.isfinite(lam_i).all(axis=-1), implied, math.inf)
+                )
+            run_dual = np.fmin.accumulate(np.concatenate(([best_dual], bounds)))[1:]
             gaps = np.where(
                 run_obj > -math.inf, (run_dual - run_obj) / (1.0 + np.abs(run_obj)), math.inf
             )
 
             hits = np.flatnonzero(gaps < tol_gap)
             k = int(hits[0]) + 1 if hits.size else m  # rows kept
-            better = np.flatnonzero(run_obj[:k] > prev_obj[:k])
+            better = better[better < k]
             if better.size:
                 j = better[-1]
                 best_point = (point[0][j], point[1][j], point[2][j], avg_r[j])

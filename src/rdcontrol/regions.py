@@ -16,12 +16,13 @@ weights and returns a fresh array.  The dual solver calls no
 ``max_weight``: once per solve it asks the region for ``_scheduler()``,
 because its prices are nonnegative vectors of the right length by
 construction.  For a :class:`BoxRegion` the caps maximize every weight
-vector, so the scheduler is the caps array itself; for the other regions
-it is a check-free function of the weights that gives ``max_weight``'s
-point bit for bit, and may hand back an array it keeps (the solver copies
-it): a :class:`GaussianMacRegion` remembers the greedy vertex of each
-serving order for the one solve, up to ``_VERTEX_MEMO`` orders at a time,
-and a :class:`VertexRegion` returns a row of its vertex matrix.
+vector, so the scheduler is its caps array, built once and read-only; for
+the other regions it is a check-free function of the weights that gives
+``max_weight``'s point bit for bit, and may hand back an array it keeps
+(the solver copies it): a :class:`GaussianMacRegion` remembers the greedy
+vertex of each serving order for the one solve, up to ``_VERTEX_MEMO``
+orders at a time, and a :class:`VertexRegion` returns a row of its vertex
+matrix.
 ``contains`` and ``violation`` raise :class:`DomainError` on a non-finite
 rate: a NaN coordinate would otherwise drop out of the max and hide a
 real violation elsewhere.
@@ -112,16 +113,21 @@ class BoxRegion:
     def violation(self, r: Sequence[float]) -> float:
         """Largest additive constraint violation (0 when feasible)."""
         arr = _finite_rates(r, self.dim, "violation")
-        caps = np.asarray(self.caps)
-        return float(max(0.0, np.max(arr - caps), np.max(-arr)))
+        return float(max(0.0, np.max(arr - self._caps), np.max(-arr)))
+
+    @cached_property
+    def _caps(self) -> np.ndarray:
+        caps = np.array(self.caps)
+        caps.flags.writeable = False
+        return caps
 
     def _scheduler(self) -> np.ndarray:
         # every cap is a maximizer coordinate; zero weights tie-break to the cap
-        return np.array(self.caps)
+        return self._caps
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
         _check_weights(lam, self.dim)
-        return self._scheduler()
+        return self._caps.copy()
 
 
 @dataclass(frozen=True)

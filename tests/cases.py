@@ -117,6 +117,20 @@ SOLVER_CASES = [
 ]
 
 
+def implied_prices(scn: Scenario, c) -> tuple[list[float], list[float]]:
+    """The prices a repaired point with compressed rate c implies, source
+    by source: mu = K below the kink min(1/K, alpha_max), else
+    1/min(c, alpha_max); lam = mu + w/c, or mu where w = 0."""
+    alpha_max = scn.caps.alpha_max
+    mu, lam = [], []
+    for spec, ci in zip(scn.sources, map(float, c)):
+        K, w = spec.V.K, spec.U.w
+        m = K if ci < min(1.0 / K, alpha_max) else 1.0 / min(ci, alpha_max)
+        mu.append(m)
+        lam.append(m + w / ci if w > 0 else m)
+    return mu, lam
+
+
 def oracle_objective(scn: Scenario, steps: int) -> float:
     result = rc.grid_search_num(scn, rc.default_grid(scn, steps=steps))
     assert result.found

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from rdcontrol import (
     LogLinear,
     LogRate,
     Scenario,
+    SolverCaps,
     SourceSpec,
     binary_entropy,
     solve,
@@ -111,7 +113,8 @@ def test_solve_exit_zero_and_trace(tmp_path, capsys):
 
 
 def test_solve_max_iters_one_exits_two(tmp_path):
-    scn = write_scenario(tmp_path, solver_doc())
+    # a cap above c_max: the prices the first incumbent implies certify nothing
+    scn = write_scenario(tmp_path, solver_doc(caps=(60.0,)))
     out = tmp_path / "trace.csv"
     code = main(["solve", scn, "--out", str(out), "--max-iters", "1"])
     assert code == 2
@@ -133,7 +136,7 @@ def test_solve_without_finite_incumbent_exits_two(tmp_path, capsys):
 def test_gamma0_override_keeps_the_step_rule(tmp_path):
     # --gamma0 rescales the document's rule: a constant step stays constant
     def run(kind, gamma0, *extra):
-        doc = solver_doc(caps=(2.0, 0.6), max_iters=300)
+        doc = solver_doc(caps=(60.0, 0.6), max_iters=300)  # 60 > c_max: no early stop
         doc["solver"]["step"] = {"kind": kind, "gamma0": gamma0}
         out = tmp_path / f"{kind}-{gamma0}-{len(extra)}.csv"
         main(["solve", write_scenario(tmp_path, doc), "--out", str(out), *extra])
@@ -453,18 +456,25 @@ def no_incumbent_scenario():
     )
 
 
+def long_box16():
+    # c_max below the caps keeps the loop running: 2,624 rows
+    return replace(cases.box16(), caps=SolverCaps(alpha_max=20.0, c_max=1.0), tol_gap=1e-4)
+
+
 @pytest.mark.parametrize(
     "factory",
-    [case[1] for case in cases.SOLVER_CASES] + [no_incumbent_scenario, cases.box16],
+    [case[1] for case in cases.SOLVER_CASES] + [no_incumbent_scenario, long_box16],
     ids=[case[0] for case in cases.SOLVER_CASES] + ["no_incumbent", "box16"],
 )
 def test_trace_csv_matches_per_cell_writer(tmp_path, factory):
     scn = factory()
     report = solve(scn)
-    if factory is cases.box16:  # the writer's chunks, with a partial last one
+    if factory is long_box16:  # the writer's chunks, with a partial last one
         assert len(report.trace) > 2 * _CSV_CHUNK and len(report.trace) % _CSV_CHUNK
     out = tmp_path / "trace.csv"
     write_trace_csv(out, report, scn.n)
+    # the writer derives alpha, beta and c a chunk at a time and keeps none
+    assert "_primal" not in vars(report.trace)
     want = per_cell_trace_csv(report, scn.n)
     assert out.read_bytes() == want
     if report.recovered is None:

@@ -88,8 +88,10 @@ def test_default_max_iters_fits_the_trace_cap():
 
 
 def test_overflowing_prices_blame_the_step():
+    # the second cap is above c_max, so the prices the first incumbent
+    # implies certify nothing and the run reaches iteration 2
     src = SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0))
-    scn = Scenario(sources=(src, src), region=BoxRegion((1.0, 2.0)), step=Constant(1e305))
+    scn = Scenario(sources=(src, src), region=BoxRegion((1.0, 2e6)), step=Constant(1e305))
     with pytest.raises(DomainError) as err:
         solve(scn)
     assert err.value.field == "gamma0"
@@ -397,7 +399,7 @@ def test_saturated_repair_is_feasible_and_dominates_clipping(draw):
 
 
 def test_solve_non_convergence_flag():
-    scn = single_source_scenario(max_iters=3)
+    scn = replace(mac_four(), max_iters=3)
     report = solve(scn)
     assert not report.converged
     assert report.iterations == 3
@@ -406,7 +408,7 @@ def test_solve_non_convergence_flag():
 
 def test_solve_stop_reason():
     assert solve(cases.box_two_mixed()).stop_reason == "gap"
-    assert solve(single_source_scenario(max_iters=3)).stop_reason == "max_iters"
+    assert solve(replace(mac_four(), max_iters=3)).stop_reason == "max_iters"
     # LogRate on a zero-capacity link: no repaired point has c >= c_min
     starved = solve(single_source_scenario(cap=0.0, max_iters=200))
     assert (starved.stop_reason, starved.recovered, starved.converged) == ("no_incumbent", None, False)
@@ -425,11 +427,11 @@ def test_solve_deterministic():
 # ------------------------------------------------------- the array kernel
 
 PINNED_ITERATIONS = {
-    "box_single_wide": 170,
-    "box_single_tight": 1727,
-    "box_two_mixed": 1478,
-    "mac_symmetric": 941,
-    "mac_asymmetric": 1458,
+    "box_single_wide": 1,
+    "box_single_tight": 1,
+    "box_two_mixed": 1,
+    "mac_symmetric": 5,
+    "mac_asymmetric": 2,
 }
 
 
@@ -441,15 +443,40 @@ def test_solve_iteration_counts_are_pinned(name, factory, steps):
     assert solve(factory()).iterations == PINNED_ITERATIONS[name]
 
 
+def vertex_base():
+    # the benchmark's three time-sharing points with literal coordinates, so
+    # no r row goes through ``math.log2``; 513 iterations
+    return Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), LogRate(w))
+            for K, w in ((1.0, 0.5), (2.0, 2.0))
+        ),
+        region=VertexRegion(((1.2, 0.2), (0.9, 0.9), (0.2, 1.4))),
+        caps=cases.CAPS_20,
+        step=Diminishing(2.0),
+        tol_gap=1e-2,
+    )
+
+
 # SHA-256 of the raw little-endian float64 bytes of the (mu, lam, alpha,
 # beta, c, r) trace rows.  ``dual_iterate`` shares the layer code with
 # ``solve``, so only a fixed record catches drift in that shared code.  The
 # MAC cases are left out: their vertices go through ``math.log2``, whose
-# last bit may differ between platforms.
+# last bit may differ between platforms.  The boxes stop at row 1;
+# ``vertex_base`` keeps a long run under the record.
 GOLDEN_TRACE_SHA256 = {
-    "box_single_wide": "345a28b29866925afe0b159f539adcc134a276677ae887f977777770d8c09a4b",
-    "box_single_tight": "22ebcaa51e8f3b3b1c9d0d975dbb5d015cc620c3dde94c552c5129025dd8cdc1",
-    "box_two_mixed": "8678dfca634dc59656316a7b92d7deb34d1c64a22cfe1450074cc09e8b226510",
+    "box_single_wide": (
+        cases.box_single_wide, "9622a1a78d0ba119a5dfea5ec2af966b6e91f7bd8f0720711b654501ae6d1a91"
+    ),
+    "box_single_tight": (
+        cases.box_single_tight, "6b5928f2e56d0ea26374fdc165216353cfa65ae1474ca1987ba315838e48fdc9"
+    ),
+    "box_two_mixed": (
+        cases.box_two_mixed, "2b70b4a28d8de3118d6776ecb87105ab1957084440858e2a348de01c8173008d"
+    ),
+    "vertex_base": (
+        vertex_base, "b41cb316860757e81fd6f392e7496c9f640cdf8919a78e737d273518be196d27"
+    ),
 }
 
 
@@ -457,10 +484,11 @@ GOLDEN_TRACE_SHA256 = {
 def test_trace_rows_match_golden_bits(name):
     import hashlib
 
-    tr = solve(getattr(cases, name)()).trace
+    factory, want = GOLDEN_TRACE_SHA256[name]
+    tr = solve(factory()).trace
     rows = np.concatenate((tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r), axis=1)
     digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
-    assert digest == GOLDEN_TRACE_SHA256[name]
+    assert digest == want
 
 
 def test_solve_runs_no_scalar_layer(monkeypatch):
@@ -474,9 +502,9 @@ def test_solve_runs_no_scalar_layer(monkeypatch):
     for module in (rdcontrol.orchestrator, rdcontrol.layers):
         for name in ("compression_subproblem", "congestion_subproblem"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
-    report = solve(cases.box_two_mixed())
+    report = solve(replace(mac_four(), max_iters=50_000))
     assert report.converged
-    assert report.iterations == PINNED_ITERATIONS["box_two_mixed"]
+    assert report.iterations == 1030  # no implied prices certify it earlier
 
 
 def test_incumbent_needs_c_at_least_c_min():
@@ -519,6 +547,9 @@ def mac_four():
     )
 
 
+# The box runs from here on put a cap above c_max: the repair saturates c at
+# c_max, so the prices the incumbent implies leave lam.(r - c) > 0 in their
+# dual value, and the run goes on past row 1
 def zero_constant():
     # w = 0 puts c at c_min or c_max, and lam = mu at the start
     return Scenario(
@@ -527,7 +558,7 @@ def zero_constant():
             SourceSpec(BinarySource(1.0, 0.5), LogLinear(2.0), LogRate(1.0)),
         ),
         region=BoxRegion((0.5, 0.8)),
-        caps=cases.CAPS_20,
+        caps=SolverCaps(alpha_max=20.0, c_max=0.7, c_min=1e-9),
         step=Constant(0.05),
         max_iters=400,
     )
@@ -541,7 +572,7 @@ def beyond_K():
             SourceSpec(BinarySource(1.0, 0.5), LogLinear(2.0), LogRate(1.0)),
         ),
         region=BoxRegion((5.0, 1.0)),
-        caps=cases.CAPS_20,
+        caps=SolverCaps(alpha_max=20.0, c_max=4.0, c_min=1e-9),
         step=Diminishing(0.3),
         max_iters=400,
     )
@@ -551,6 +582,7 @@ TRACE_RUNS = {
     "mac_asymmetric": (cases.mac_asymmetric, None),
     "vertex_trio": (vertex_trio, None),
     "mac_four": (mac_four, None),
+    "vertex_base": (vertex_base, None),
     # the branch each run exists for, asserted so a retuned case still reaches it
     "zero_constant": (
         zero_constant, lambda tr: (tr.mu[:, 0] == tr.lam[:, 0]).any() and (tr.c[:, 0] == 1e-9).any()
@@ -587,19 +619,23 @@ def test_trace_rows_are_the_subproblem_iterates(name):
 
 
 def one_zero_box():
-    # a Zero source alone: w = 0 puts c at c_min or c_max
+    # a Zero source alone: w = 0 puts c at c_min or c_max; the cap is above
+    # c_max
     return Scenario(
         sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), Zero()),),
-        region=BoxRegion((2.0,)),
+        region=BoxRegion((25.0,)),
         caps=cases.CAPS_20,
-        step=Diminishing(0.3),
+        step=Constant(0.05),
         max_iters=400,
     )
 
 
 def c_min_binds():
     return replace(
-        cases.box_two_mixed(), caps=SolverCaps(alpha_max=20.0, c_max=20.0, c_min=0.3), max_iters=400
+        cases.box_two_mixed(),
+        region=BoxRegion((2.0, 25.0)),
+        caps=SolverCaps(alpha_max=20.0, c_max=20.0, c_min=0.3),
+        max_iters=400,
     )
 
 
@@ -607,6 +643,8 @@ LAYER_RUNS = {
     **{name: (factory, None) for name, factory, _ in cases.SOLVER_CASES},
     "one_zero_box": (one_zero_box, lambda tr: (tr.c == 1e-9).any() and (tr.c == 20.0).any()),
     "vertex_trio": (vertex_trio, None),
+    "mac_four": (mac_four, None),
+    "vertex_base": (vertex_base, None),
     "c_min_binds": (c_min_binds, lambda tr: (tr.c == 0.3).any()),
 }
 
@@ -704,7 +742,7 @@ def test_trace_prices_carry_no_negative_zero(name, factory, dual_init):
 
 def test_trace_prices_hit_the_projection():
     # the run the negative-zero test relies on for a projected price
-    tr = solve(cases.box_single_wide()).trace
+    tr = solve(mac_four()).trace
     assert (tr.mu[1:] == 0.0).any()
 
 
@@ -791,7 +829,8 @@ def test_dual_value_is_exact_where_c_sits_at_c_max():
 
 def sequential_solve(scn):
     """The solve loop one iteration at a time through the public functions:
-    the reference for the blocked certificate in :func:`solve`."""
+    the reference for the blocked certificate in :func:`solve`.  Each new
+    incumbent also offers the dual value at the finite prices it implies."""
     from rdcontrol.orchestrator import _repair
 
     state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
@@ -812,6 +851,9 @@ def sequential_solve(scn):
             obj = primal_objective(point, scn)
             if obj > best_obj:
                 best_obj, best_point = obj, point
+                mu, lam = cases.implied_prices(scn, point.c)
+                if all(map(math.isfinite, lam)):
+                    best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
         if best_point is not None:
             gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
         rows.append(np.concatenate((state.mu, state.lam, primal.alpha, primal.beta, primal.c, primal.r)))
@@ -839,15 +881,30 @@ def starved_pair():
     )
 
 
+def over_c_max(factory):
+    """The scenario with c_max = 1, below some of its caps, so the implied
+    prices certify no early row and the loop runs on."""
+    return lambda: replace(factory(), caps=SolverCaps(alpha_max=20.0, c_max=1.0, c_min=1e-9))
+
+
 BLOCK_RUNS = [
     (name, factory, max_iters)
-    for name, factory in (("two", cases.box_two_mixed), ("box16", cases.box16))
+    for name, factory in (
+        ("two", over_c_max(cases.box_two_mixed)), ("box16", over_c_max(cases.box16)),
+    )
     for max_iters in (1, 2, 3, 63, 64, 65, 127, 128, 129, 50_000)
 ] + [("starved", starved_pair, 130)] + [
     # the scheduled rates of these regions move, so the block keeps them too
     (name, factory, max_iters)
-    for name, factory in (("mac", cases.mac_asymmetric), ("vertex", vertex_trio))
+    for name, factory in (("mac", mac_four), ("vertex", vertex_base))
     for max_iters in (1, 63, 64, 65, 129, 50_000)
+] + [
+    # the prices of the first incumbents certify these within five rows
+    (name, factory, 50_000)
+    for name, factory in (
+        ("box_two_mixed", cases.box_two_mixed), ("mac_symmetric", cases.mac_symmetric),
+        ("mac_asymmetric", cases.mac_asymmetric), ("vertex_trio", vertex_trio),
+    )
 ]
 
 
@@ -856,7 +913,8 @@ BLOCK_RUNS = [
 )
 def test_block_certificate_matches_sequential_loop(name, factory, max_iters):
     # block edges at every power of two up to 128, a gap stop in the middle
-    # of a block (max_iters 50,000) and a run with no incumbent
+    # of a block (max_iters 50,000), a run with no incumbent and runs that
+    # the implied prices stop
     scn = replace(factory(), max_iters=max_iters)
     report = solve(scn)
     ref = sequential_solve(scn)

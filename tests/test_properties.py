@@ -151,12 +151,14 @@ def test_certificate_holds_on_random_scenarios(doc):
     tr = report.trace
     assert len(tr) == report.iterations <= scn.max_iters
 
-    # weak duality along the trace: every dual value bounds the best
+    # weak duality: every dual value along the trace, and the best dual,
+    # which may come from the prices an incumbent implies, bound the best
     # incumbent (the last primal_obj), so the relative gap is >= -1e-12
     if report.recovered is not None:
         best = report.recovered_objective
         assert tr.primal_obj[-1] == best
         assert np.all(tr.dual_obj - best >= -1e-12 * (1.0 + abs(best)))
+        assert report.best_dual - best >= -1e-12 * (1.0 + abs(best))
 
     if report.converged:
         assert report.stop_reason == "gap"

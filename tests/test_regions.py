@@ -324,6 +324,7 @@ def test_mac_scheduler_memo_is_bounded():
 def test_max_weight_result_does_not_alias_the_region():
     # the box maximizer is one array built once; the public copy may be edited
     box = BoxRegion((5.0, 7.0))
+    assert box._scheduler() is box._scheduler() and not box._scheduler().flags.writeable
     box.max_weight([1.0, 1.0])[0] = -1.0
     assert np.array_equal(box.max_weight([1.0, 1.0]), [5.0, 7.0])
     reg = VertexRegion(((1.0, 0.0), (0.0, 1.0)))
