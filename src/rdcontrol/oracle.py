@@ -41,9 +41,10 @@ from .regions import BoxRegion, GaussianMacRegion
 
 # cap on GridSpec.total_points(), the alpha and c points the scan builds,
 # summed over sources.  At the cap the worst shape, one source with a
-# 2-point alpha axis and a 5e6-point c axis, took 0.31 s and 350 MB of
-# peak RSS (numpy 2.4, 2-CPU Xeon); a 64-link box at 39,062 steps per axis
-# took 0.24 s and 130 MB
+# 2-point alpha axis and a 5e6-point c axis, took 0.18 s and 234 MB of
+# peak RSS, five c-length arrays over a 33 MB interpreter (numpy 2.4,
+# 2-CPU Xeon); a 64-link box at 39,062 steps per axis took 0.24 s and
+# 130 MB
 MAX_GRID_POINTS = 5 * 10**6
 _SIMPLEX_POINTS = 100  # time-sharing resolution between vertex pairs
 _FEAS_SLACK = 1e-12
@@ -164,24 +165,39 @@ def _source_scan(a_pts: np.ndarray, c_pts: np.ndarray, K: float, w: float, caps:
     the column where each was reached, and ``pick(column)``: its
     (alpha, c) point.
     """
+    # Each c-length array is built in its own buffer and dropped once dead,
+    # so at most five are alive, c_pts included.  IEEE + and * commute, so
+    # U + K*c is K*c + U bit for bit.
     with np.errstate(divide="ignore", invalid="ignore"):
-        va = np.where(a_pts > 0, np.log(a_pts), -np.inf)
+        f = np.where(a_pts > 0, np.log(a_pts), -np.inf) - K * a_pts  # -inf: alpha <= 0
         # U = w*ln(c): -inf at c <= 0 where w > 0, 0 at every c where w = 0
-        uc = np.where(c_pts > 0, w * np.log(c_pts), -np.inf) if w > 0 else np.zeros_like(c_pts)
-    f = va - K * a_pts  # -inf where alpha <= 0, which is infeasible
-    g = K * c_pts + uc
-    lo = np.searchsorted(a_pts, c_pts, side="left")
+        if w > 0:
+            g = np.log(c_pts)
+            g *= w
+            g[~(c_pts > 0)] = -np.inf
+        else:
+            g = np.zeros_like(c_pts)
+    g += K * c_pts
     hi = int(np.searchsorted(a_pts, caps.alpha_max + _FEAS_SLACK, side="right"))
+    # lo >= hi leaves a column no alpha; pick reads only columns with one
+    lo = np.searchsorted(a_pts, c_pts, side="left")
+    np.minimum(lo, hi, out=lo)
     # suffix maxima of f[:hi], with -inf at hi for a column with no alpha
     suffix = np.full(hi + 1, -np.inf)
     suffix[:hi] = np.maximum.accumulate(f[:hi][::-1])[::-1]
+    best_per_c = suffix[lo]
+    best_per_c += g
     in_range = (c_pts >= caps.c_min - _FEAS_SLACK) & (c_pts <= caps.c_max + _FEAS_SLACK)
-    best_per_c = np.where(in_range, suffix[np.minimum(lo, hi)] + g, -np.inf)
+    best_per_c[~in_range] = -np.inf
+    del in_range
     # prefix maxima over c and where each was last raised, which keeps
     # the smallest c on ties
     prefix_best = np.maximum.accumulate(best_per_c)
-    new = np.concatenate(([True], best_per_c[1:] > prefix_best[:-1]))
-    prefix_arg = np.maximum.accumulate(np.where(new, np.arange(len(c_pts)), 0))
+    new = best_per_c[1:] > prefix_best[:-1]
+    del best_per_c
+    prefix_arg = np.arange(len(c_pts))
+    prefix_arg[1:][~new] = 0
+    np.maximum.accumulate(prefix_arg, out=prefix_arg)
 
     def pick(jj: int) -> tuple[float, float]:
         """(alpha, c) at column jj: the first maximizing alpha, as argmax

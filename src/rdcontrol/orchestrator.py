@@ -29,22 +29,22 @@ c_max), min(mask/mu, alpha_max)) -- whose second row is alpha + beta bit
 for bit (+0.0 where mu > K), and c = max(first row, c_min); one copy of
 the rows the run keeps into the current block; and the four calls of one
 projected step on the stacked (mu, lam).  Nothing is allocated.  The
-scheduler's point is copied into the two r rows, a twelfth call (a box's
-r never changes, so it is written once per solve).  The congestion layer's
-``+ 0.0`` (which turns a -0.0 price difference into +0.0) is not needed:
-the prices start at ``dual_init + 0.0`` and max(0, price + step) of a price
-that is not -0.0 is never -0.0, so lam - mu is never -0.0.  The prices
-are nonnegative by projection, so the scheduler skips the weight check
-of ``max_weight``; once per block one vectorized test refuses prices
-that a too-large step overflowed to inf or NaN.  Once per block of up to
-64 rows the solver derives the block's alpha, beta and c from its prices
-with the kernel's ``primal``, the vector layers (elementwise, so the bits
-are those of the loop), then evaluates the dual values, the window sums
-of r, the repair, the incumbent objectives, the dual values at the prices
-of each new incumbent (see below), the running best dual and incumbent,
-and the gap as row-wise array expressions, and stops at the first row
-that meets the gap; the block's later price steps are discarded.  The
-objective and the Lagrangian act row-wise on (rows, n) arrays, and the
+scheduler's point is copied into the two r rows, a twelfth call, on
+every region alike.  The congestion layer's ``+ 0.0`` (which turns a
+-0.0 price difference into +0.0) is not needed: the prices start at
+``dual_init + 0.0`` and max(0, price + step) of a price that is not -0.0
+is never -0.0, so lam - mu is never -0.0.  The prices are nonnegative by
+projection, so the scheduler skips the weight check of ``max_weight``;
+once per block one vectorized test refuses prices that a too-large step
+overflowed to inf or NaN.  Once per block of up to 64 rows the solver
+derives the block's alpha, beta and c from its prices with the kernel's
+``primal``, the vector layers (elementwise, so the bits are those of the
+loop), then evaluates the dual values, the window sums of r, the repair,
+the incumbent objectives, the dual values at the prices of each new
+incumbent (see below), the running best dual and incumbent, and the gap
+as row-wise array expressions, and stops at the first row that meets the
+gap; the block's later price steps are discarded.  The objective and the
+Lagrangian act row-wise on (rows, n) arrays, and the
 public :func:`dual_objective`, :func:`primal_objective` and
 :func:`lagrangian_value` call them on 1-D vectors, so they give the same
 bits as the trace.  :func:`dual_iterate`, :func:`dual_objective` and
@@ -87,14 +87,12 @@ on the block size.  The loop's prices never see these values.
 
 The trace records, per iteration, the raw subproblem primal, the dual
 objective at the current prices and the best incumbent objective seen so
-far.  It stores only what the prices do not fix: (mu, lam), r where the
-region schedules per iteration (a box's r is its caps row, broadcast) and
-the two objectives, so 2n + 2 floats a row on a box and 3n + 2 on a MAC
-or vertex region.  A block holds no more: (rows, 2, n) prices, or
-(rows, 3, n) with r, which the solver keeps as they are until the run
-ends.  alpha, beta and c are closed forms of the prices, so the
-certificate and :class:`Trace` derive them with ``primal``, with the
-loop's bits.
+far.  It stores only what the prices do not fix: (mu, lam, r) and the
+two objectives, 3n + 2 floats a row on every region.  A block holds no
+more: (rows, 3, n) of (mu, lam, r), which the solver keeps as they are
+until the run ends and then joins with one concatenation.  alpha, beta
+and c are closed forms of the prices, so the certificate and
+:class:`Trace` derive them with ``primal``, with the loop's bits.
 """
 
 from __future__ import annotations
@@ -152,7 +150,7 @@ StepRule = Union[Constant, Diminishing]
 
 MAX_ITERS = 10**6
 # max_iters * (6n + 2) trace floats at most: 800 MB of float64.  A trace
-# and the solver's blocks store fewer (2n + 2 or 3n + 2 a row), but reading
+# and the solver's blocks store fewer (3n + 2 a row), but reading
 # the derived columns builds the other 3n.  `rdcontrol solve` writes each
 # of the 6n + 2 as a CSV cell, formatting one chunk of rows at a time, so
 # the text is never held whole
@@ -280,16 +278,14 @@ class Trace:
     (``primal_obj``, -inf before the first) and the dual value
     (``dual_obj``).  The trace is as long as the run, never ``max_iters``.
 
-    The fields are what is stored: ``mu`` and ``lam`` are views of one
-    (rows, 2, n) array, and ``r`` holds a row per iteration only for a
-    region that schedules per iteration; a box's r is its caps row,
-    broadcast (row stride 0).  The prices fix the rest of the subproblem
-    primal: :meth:`primal` derives alpha, beta and c of any rows with the
-    solve's ``_Kernel.primal`` -- the closed forms the loop runs, so the
-    bits are the loop's.  ``alpha``, ``beta`` and ``c`` are read-only
-    attributes that the first read of any of them derives together for the
-    whole trace, and later reads return the same arrays.  The kernel sits
-    outside the fields, so the fields are all arrays.
+    The fields are what is stored: ``mu``, ``lam`` and ``r`` are views of
+    one (rows, 3, n) array, for every region.  The prices fix the rest of
+    the subproblem primal: :meth:`primal` derives alpha, beta and c of any
+    rows with the solve's ``_Kernel.primal`` -- the closed forms the loop
+    runs, so the bits are the loop's.  ``alpha``, ``beta`` and ``c`` are
+    read-only attributes that the first read of any of them derives
+    together for the whole trace, and later reads return the same arrays.
+    The kernel sits outside the fields, so the fields are all arrays.
     """
 
     t: np.ndarray
@@ -518,12 +514,12 @@ def solve(scn: Scenario) -> SolveReport:
     The scenario is compiled once into arrays (see the module docstring).
     Iterations run in blocks of at most ``_BLOCK`` that never span a
     window restart.  Inside a block each iteration only evaluates what the
-    price step reads (alpha + beta, c and r), records its prices (and r,
-    where the region schedules per iteration) and takes the step; then
-    alpha, beta and c derived from the block's prices, the dual values,
-    the window averages of r, their repaired points and objectives, the
-    dual values at the prices each new incumbent implies, and the relative
-    gap ``(best_dual - best_obj) / (1 + |best_obj|)`` are evaluated for the
+    price step reads (alpha + beta, c and r), records (mu, lam, r) and
+    takes the step; then alpha, beta and c derived from the block's
+    prices, the dual values, the window averages of r, their repaired
+    points and objectives, the dual values at the prices each new
+    incumbent implies, and the relative gap
+    ``(best_dual - best_obj) / (1 + |best_obj|)`` are evaluated for the
     whole block as row-wise array expressions.  ``best_obj`` is the best
     objective of an incumbent: the point repaired from the window average
     of r, when every c_i >= c_min, hence feasible for the capped problem;
@@ -546,19 +542,10 @@ def solve(scn: Scenario) -> SolveReport:
     # the step reads it.  Every two-row operand below is two adjacent rows,
     # which numpy runs as one flat loop.
     x = np.empty((8, n))
-    dpos, mu, lam, _, q, s, c, r = x
+    dpos, mu, lam, _, q, s, c, _ = x
     den, prices, q_s, s_c, c_r = x[0:2], x[1:3], x[4:6], x[5:7], x[6:8]
+    kept, both_r = x[1:4], x[3::4]  # each iteration keeps (mu, lam, r)
     prices[:] = float(scn.dual_init)
-    if callable(schedule):
-        kept, both_r = x[1:4], x[3::4]  # each iteration keeps (mu, lam, r)
-    else:
-        # a box schedules its caps at every price, so it keeps the prices
-        # alone; its r rows are materialized once, since a broadcast operand
-        # can hand the certificate's row sums a column-major array
-        kept = prices
-        r[:] = schedule
-        box_r = np.tile(schedule, (_BLOCK, 1))
-        schedule = None
     # both layers in one stacked pass: (q, s) = fmin((w, mask)/(dpos, mu),
     # (c_max, alpha_max)), then c = max(q, c_min).  The mask mu <= K makes
     # s = min(1/mu, alpha_max) where mu <= K and +0.0 beyond, the bits of
@@ -592,7 +579,7 @@ def solve(scn: Scenario) -> SolveReport:
                 count = 0
                 next_restart *= 2
             m = min(_BLOCK, next_restart - 1 - t, max_iters - t)
-            blk = np.empty((m, len(kept), n))
+            blk = np.empty((m, 3, n))
             for j in range(m):
                 np.subtract(lam, mu, out=diff)
                 np.maximum(diff, zero, out=dpos)
@@ -600,8 +587,7 @@ def solve(scn: Scenario) -> SolveReport:
                 np.divide(num, den, out=quot)
                 np.fmin(quot, hi, out=q_s)
                 np.maximum(q, c_min, out=c)
-                if schedule is not None:
-                    both_r[:] = schedule(lam)
+                both_r[:] = schedule(lam)
                 blk[j] = kept
                 np.subtract(s_c, c_r, out=g)
                 np.multiply(g, step_size(t + j + 1), out=h)
@@ -618,8 +604,7 @@ def solve(scn: Scenario) -> SolveReport:
                     f"the step (gamma0 = {scn.step.gamma0}) is too large",
                     field="gamma0",
                 )
-            mu_b, lam_b = blk[:, 0], blk[:, 1]
-            r_b = box_r[:m] if schedule is None else blk[:, 2]
+            mu_b, lam_b, r_b = blk.transpose(1, 0, 2)
             dual = kernel.lagrangian(*kernel.primal(mu_b, lam_b), r_b, mu_b, lam_b)
             # accumulate adds row by row, the same sums as a running +=
             sums = np.add.accumulate(np.vstack((sum_r, r_b)))[1:]
@@ -637,9 +622,7 @@ def solve(scn: Scenario) -> SolveReport:
                 # each new incumbent's row also takes the dual value at the
                 # finite prices that incumbent implies
                 mu_i, lam_i = kernel.implied_prices(point[2][better])
-                r_i = box_r[: better.size] if schedule is None else np.array(
-                    [schedule(row) for row in lam_i]
-                )
+                r_i = np.array([schedule(row) for row in lam_i])
                 implied = kernel.lagrangian(*kernel.primal(mu_i, lam_i), r_i, mu_i, lam_i)
                 bounds = dual.copy()
                 bounds[better] = np.fmin(
@@ -666,15 +649,12 @@ def solve(scn: Scenario) -> SolveReport:
                 break
 
     kept_rows, primal_obj, dual_obj = zip(*blocks)
-    mu_t, lam_t = np.concatenate([b[:, :2] for b in kept_rows]).transpose(1, 0, 2)
+    mu_t, lam_t, r_t = np.concatenate(kept_rows).transpose(1, 0, 2)
     trace = Trace(
         t=np.arange(1, t + 1),
         mu=mu_t,
         lam=lam_t,
-        r=(
-            np.broadcast_to(r.copy(), (t, n)) if schedule is None
-            else np.concatenate([b[:, 2] for b in kept_rows])
-        ),
+        r=r_t,
         primal_obj=np.concatenate(primal_obj),
         dual_obj=np.concatenate(dual_obj),
     )

@@ -15,14 +15,13 @@ so repeated solves of the same instance are bit-identical.  It checks the
 weights and returns a fresh array.  The dual solver calls no
 ``max_weight``: once per solve it asks the region for ``_scheduler()``,
 because its prices are nonnegative vectors of the right length by
-construction.  For a :class:`BoxRegion` the caps maximize every weight
-vector, so the scheduler is its caps array, built once and read-only; for
-the other regions it is a check-free function of the weights that gives
-``max_weight``'s point bit for bit, and may hand back an array it keeps
-(the solver copies it): a :class:`GaussianMacRegion` remembers the greedy
-vertex of each serving order for the one solve, up to ``_VERTEX_MEMO``
-orders at a time, and a :class:`VertexRegion` returns a row of its vertex
-matrix.
+construction.  For every region the scheduler is a check-free function of
+the weights that gives ``max_weight``'s point bit for bit, and may hand
+back an array it keeps (the solver copies it): a :class:`BoxRegion`'s caps
+maximize every weight vector, so it returns its one read-only caps array;
+a :class:`GaussianMacRegion` remembers the greedy vertex of each serving
+order for the one solve, up to ``_VERTEX_MEMO`` orders at a time; and a
+:class:`VertexRegion` returns a row of its vertex matrix.
 ``contains`` and ``violation`` raise :class:`DomainError` on a non-finite
 rate: a NaN coordinate would otherwise drop out of the max and hide a
 real violation elsewhere.
@@ -121,9 +120,10 @@ class BoxRegion:
         caps.flags.writeable = False
         return caps
 
-    def _scheduler(self) -> np.ndarray:
+    def _scheduler(self) -> Callable[[np.ndarray], np.ndarray]:
         # every cap is a maximizer coordinate; zero weights tie-break to the cap
-        return self._caps
+        caps = self._caps
+        return lambda lam: caps
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
         _check_weights(lam, self.dim)

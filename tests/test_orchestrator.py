@@ -458,12 +458,19 @@ def vertex_base():
     )
 
 
+def over_c_max(factory):
+    """The scenario with c_max = 1, below some of its caps, so the implied
+    prices certify no early row and the loop runs on."""
+    return lambda: replace(factory(), caps=SolverCaps(alpha_max=20.0, c_max=1.0, c_min=1e-9))
+
+
 # SHA-256 of the raw little-endian float64 bytes of the (mu, lam, alpha,
 # beta, c, r) trace rows.  ``dual_iterate`` shares the layer code with
 # ``solve``, so only a fixed record catches drift in that shared code.  The
 # MAC cases are left out: their vertices go through ``math.log2``, whose
-# last bit may differ between platforms.  The boxes stop at row 1;
-# ``vertex_base`` keeps a long run under the record.
+# last bit may differ between platforms.  The paper's boxes stop at row 1;
+# ``box_two_mixed`` under c_max = 1 (445 rows) and ``vertex_base`` keep
+# long runs under the record.
 GOLDEN_TRACE_SHA256 = {
     "box_single_wide": (
         cases.box_single_wide, "9622a1a78d0ba119a5dfea5ec2af966b6e91f7bd8f0720711b654501ae6d1a91"
@@ -473,6 +480,10 @@ GOLDEN_TRACE_SHA256 = {
     ),
     "box_two_mixed": (
         cases.box_two_mixed, "2b70b4a28d8de3118d6776ecb87105ab1957084440858e2a348de01c8173008d"
+    ),
+    "box_two_mixed-c_max1": (
+        over_c_max(cases.box_two_mixed),
+        "02a9e60f7a9b0b9b2543f007f1879291899e1ce27a7214449e6bec6d0e4a1f1d",
     ),
     "vertex_base": (
         vertex_base, "b41cb316860757e81fd6f392e7496c9f640cdf8919a78e737d273518be196d27"
@@ -646,6 +657,7 @@ LAYER_RUNS = {
     "mac_four": (mac_four, None),
     "vertex_base": (vertex_base, None),
     "c_min_binds": (c_min_binds, lambda tr: (tr.c == 0.3).any()),
+    "box_two_mixed-c_max1": (over_c_max(cases.box_two_mixed), lambda tr: len(tr) > 1),
 }
 
 
@@ -690,14 +702,14 @@ def _stored_bytes(arrays):
 
 
 @pytest.mark.parametrize(
-    "factory, per_row",
-    [(cases.box_two_mixed, 2), (cases.mac_asymmetric, 3), (vertex_trio, 3)],
-    ids=["box_two_mixed", "mac_asymmetric", "vertex_trio"],
+    "factory",
+    [cases.box_two_mixed, over_c_max(cases.box_two_mixed), cases.mac_asymmetric, vertex_trio],
+    ids=["box_two_mixed", "box_two_mixed-c_max1", "mac_asymmetric", "vertex_trio"],
 )
-def test_trace_stores_prices_and_scheduled_rates(factory, per_row):
-    # the prices fix alpha, beta and c, so a trace stores (mu, lam), r only
-    # where the region schedules per iteration, and the two objectives;
-    # the layer columns are derived on the first read
+def test_trace_stores_prices_and_scheduled_rates(factory):
+    # the prices fix alpha, beta and c, so a trace stores (mu, lam, r) and
+    # the two objectives, the same on every region; the layer columns are
+    # derived on the first read
     scn = factory()
     tr = solve(scn).trace
     rows, n = len(tr), scn.n
@@ -706,15 +718,15 @@ def test_trace_stores_prices_and_scheduled_rates(factory, per_row):
     assert all(isinstance(getattr(tr, f), np.ndarray) for f in names)
     floats = [getattr(tr, f) for f in names if f != "t"]
     assert all(a.dtype == np.float64 for a in floats)
-    boxed = per_row == 2
-    assert (tr.r.strides[0] == 0) == boxed
-    assert _stored_bytes(floats) == 8 * (rows * (per_row * n + 2) + (n if boxed else 0))
-    assert tr.mu.base is tr.lam.base and tr.mu.base.shape == (rows, 2, n)
+    assert _stored_bytes(floats) == 8 * rows * (3 * n + 2)
+    base = tr.mu.base
+    assert base.shape == (rows, 3, n) and tr.lam.base is base and tr.r.base is base
+    assert all(a.strides[0] == 8 * 3 * n for a in (tr.mu, tr.lam, tr.r))
 
     alpha, beta, c = tr.alpha, tr.beta, tr.c
     assert tr.alpha is alpha and tr.beta is beta and tr.c is c
     assert alpha.shape == beta.shape == c.shape == (rows, n)
-    assert (tr.r.strides[0] == 0) == boxed
+    assert tr.r.base is base
     for col in ("alpha", "beta", "c"):
         with pytest.raises(AttributeError):
             setattr(tr, col, alpha)
@@ -879,12 +891,6 @@ def starved_pair():
         caps=cases.CAPS_20,
         step=Diminishing(0.3),
     )
-
-
-def over_c_max(factory):
-    """The scenario with c_max = 1, below some of its caps, so the implied
-    prices certify no early row and the loop runs on."""
-    return lambda: replace(factory(), caps=SolverCaps(alpha_max=20.0, c_max=1.0, c_min=1e-9))
 
 
 BLOCK_RUNS = [

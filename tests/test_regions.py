@@ -280,9 +280,6 @@ def test_private_maximizer_is_the_public_max_weight(region):
     # bit, ties and zeros included, also from its memo of earlier prices
     schedule = region._scheduler()
 
-    def maximize(lam):
-        return schedule(lam) if callable(schedule) else schedule
-
     def bits(x):
         return np.asarray(x, dtype=float).view(np.int64)
 
@@ -293,7 +290,7 @@ def test_private_maximizer_is_the_public_max_weight(region):
         draws.append(rng.choice([0.0, 0.5, 1.0, 2.0], region.dim))
         draws.append(rng.uniform(0.0, 3.0, region.dim))
     for lam in draws:
-        assert np.array_equal(bits(maximize(lam)), bits(region.max_weight(lam)))
+        assert np.array_equal(bits(schedule(lam)), bits(region.max_weight(lam)))
     with pytest.raises(DomainError, match="nonnegative"):
         region.max_weight(-draws[-1])
     for bad in (NAN, math.inf, -math.inf):
@@ -322,9 +319,14 @@ def test_mac_scheduler_memo_is_bounded():
 
 
 def test_max_weight_result_does_not_alias_the_region():
-    # the box maximizer is one array built once; the public copy may be edited
+    # the box scheduler returns one read-only array, built once, for any
+    # weights; the public copy may be edited
     box = BoxRegion((5.0, 7.0))
-    assert box._scheduler() is box._scheduler() and not box._scheduler().flags.writeable
+    schedule = box._scheduler()
+    caps = schedule(np.array([1.0, 1.0]))
+    assert not caps.flags.writeable and np.array_equal(caps, [5.0, 7.0])
+    for lam in ([0.0, 0.0], [3.0, 0.5], [0.5, 3.0]):
+        assert schedule(np.array(lam)) is caps and box._scheduler()(np.array(lam)) is caps
     box.max_weight([1.0, 1.0])[0] = -1.0
     assert np.array_equal(box.max_weight([1.0, 1.0]), [5.0, 7.0])
     reg = VertexRegion(((1.0, 0.0), (0.0, 1.0)))
