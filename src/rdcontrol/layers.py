@@ -19,28 +19,10 @@ The layers read nothing of a utility but its parameter, K or w, and a
 reads as 0 at every c.  Subproblems that are unbounded at degenerate
 prices (mu = 0, or lambda <= mu) are regularized by :class:`SolverCaps`.
 
-Each layer acts on every source independently, so the closed forms come
-twice: the scalar per-source reference (``compression_subproblem``,
-``congestion_subproblem``) and the vector forms, which evaluate one
-layer for all sources in a few array operations and agree with the
-scalar forms element by element:
-
-* ``compression_layer(mu, K, alpha_max)``:
-  alpha = min(1/min(mu, K), alpha_max), beta = -alpha where mu > K else 0
-* ``congestion_layer(lam, mu, w, c_min, c_max)``:
-  c = clip(w/(lam - mu), c_min, c_max) where lam > mu else c_max (at
-  w = 0 the clip gives c_min)
-
-The solver runs neither vector form in its loop: it evaluates both
-layers as one stacked (2, n) pass with the same bits (see
-:mod:`rdcontrol.orchestrator`).  Its kernel's ``primal`` calls both once
-per block of iterates, to derive alpha, beta and c from the block's
-prices for the certificate, once more in a block where the incumbent
-improves, at the prices it implies, and on the trace's rows, when its
-columns are read or written.  Callers evaluate the vector forms under
-``np.errstate(divide="ignore", invalid="ignore", over="ignore")``: the
-congestion layer divides by zero where lam <= mu, and 1/mu overflows to
-inf (then capped) at a subnormal mu.
+The scalar subproblems (``compression_subproblem``,
+``congestion_subproblem``) are the per-source reference.  The solver's
+kernel evaluates the same closed forms for every source at once, with
+the same bits (see :mod:`rdcontrol.orchestrator`).
 """
 
 from __future__ import annotations
@@ -48,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
-
-import numpy as np
 
 from .errors import DomainError, InfeasibleOffsetError
 from .sources import binary_entropy, inverse_binary_entropy
@@ -145,34 +125,6 @@ def congestion_subproblem(U: UtilityU, lam: float, mu: float, caps: SolverCaps) 
     if lam > mu:
         return min(max(U.w / (lam - mu), caps.c_min), caps.c_max)
     return caps.c_max
-
-
-def compression_layer(
-    mu: np.ndarray, K: np.ndarray, alpha_max: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`compression_subproblem` for every source at once.
-
-    ``mu`` and ``K`` hold one price and one ``LogLinear`` K per source
-    (``mu`` may be a (rows, n) block).  1/min(mu, K) is 1/mu on the branch
-    mu <= K (inf at mu = 0, capped to alpha_max) and 1/K beyond it, where
-    beta = -alpha.
-    """
-    alpha = np.minimum(1.0 / np.minimum(mu, K), alpha_max)
-    return alpha, np.where(mu <= K, 0.0, -alpha)
-
-
-def congestion_layer(
-    lam: np.ndarray, mu: np.ndarray, w: np.ndarray, c_min: float, c_max: float
-) -> np.ndarray:
-    """:func:`congestion_subproblem` for every source at once.
-
-    ``w`` holds each source's rate weight ``U.w``.  The
-    price difference is floored at +0.0, so where lam <= mu the quotient
-    is w/0: inf, or NaN for w = 0, and ``fmin`` takes both to c_max.
-    """
-    # -0.0 + 0.0 is +0.0, so the quotient is never -inf
-    diff = np.maximum(lam - mu, 0.0) + 0.0
-    return np.maximum(np.fmin(w / diff, c_max), c_min)
 
 
 def compression_given_rate(K: float, c: float) -> float:

@@ -33,6 +33,7 @@ from .orchestrator import (
     PrimalAllocation,
     Scenario,
     _check_domain,
+    _check_lengths,
     _QUIET,
     _Kernel,
     primal_violation,
@@ -282,6 +283,7 @@ class KktReport:
 
 def kkt_residuals(primal: PrimalAllocation, dual: DualState, scn: Scenario) -> KktReport:
     """How far a feasible (primal, dual) pair is from the optimality conditions."""
+    _check_lengths(scn, primal, dual)
     viol = primal_violation(primal, scn)
     if viol > 1e-6:
         raise DomainError(f"kkt_residuals needs a feasible primal, violation {viol}")

@@ -37,22 +37,27 @@ is never -0.0, so lam - mu is never -0.0.  The prices are nonnegative by
 projection, so the scheduler skips the weight check of ``max_weight``;
 once per block one vectorized test refuses prices that a too-large step
 overflowed to inf or NaN.  Once per block of up to 64 rows the solver
-derives the block's alpha, beta and c from its prices with the kernel's
-``primal``, the vector layers (elementwise, so the bits are those of the
-loop), then evaluates the dual values, the window sums of r, the repair,
-the incumbent objectives, the dual values at the prices of each new
-incumbent (see below), the running best dual and incumbent, and the gap
-as row-wise array expressions, and stops at the first row that meets the
-gap; the block's later price steps are discarded.  The objective and the
-Lagrangian act row-wise on (rows, n) arrays, and the
-public :func:`dual_objective`, :func:`primal_objective` and
-:func:`lagrangian_value` call them on 1-D vectors, so they give the same
-bits as the trace.  :func:`dual_iterate`, :func:`dual_objective` and
-:class:`Trace` call the same ``primal``, the first two with the public,
-checked ``max_weight`` for r.  :class:`PrimalAllocation` and
-:class:`DualState` are built only at the API boundary.  The scalar
-``compression_subproblem`` and ``congestion_subproblem`` stay in
-:mod:`rdcontrol.layers` as the per-source reference.
+evaluates the window sums of r, the repair, the incumbent objectives and
+the running best incumbent as row-wise array expressions.  Then it
+stacks the (mu, lam, r) rows at the prices of each new incumbent (see
+below) under the block's own rows and makes one call of the kernel's
+``dual``, the one evaluation of the dual function g.  ``dual`` derives
+alpha, beta and c from the prices with the kernel's ``primal``, the
+layers' closed forms applied elementwise, so the bits are those of the
+loop.  The first rows of its result are the block's dual values, the
+rest the bounds at the implied prices.  The running best dual and the
+gap follow, and the solver stops at the first row that meets the gap;
+the block's later price steps are discarded.  The public
+:func:`dual_objective`, :func:`primal_objective` and
+:func:`lagrangian_value` call the same kernel methods on 1-D vectors, so
+they give the same bits as the trace; :func:`dual_objective` and
+:func:`dual_iterate` take r from the public, checked ``max_weight``, and
+:class:`Trace` derives its columns with the same ``primal``.  Each
+public function first checks that every vector it is given holds one
+entry per source.  :class:`PrimalAllocation` and :class:`DualState` are
+built only at the API boundary.  The scalar ``compression_subproblem``
+and ``congestion_subproblem`` in :mod:`rdcontrol.layers` are the
+per-source reference.
 
 A primal point is recovered from the ergodic average of the scheduled
 rates alone: saturate c at the averaged scheduled rate, c = min(avg_r,
@@ -78,9 +83,10 @@ Weak duality holds at any nonnegative prices, not only at those the loop
 visits.  So at each row where the incumbent improves, the certificate
 also takes the dual value at the prices that incumbent implies, its
 marginal utilities (``_Kernel.implied_prices``), with r from the solve's
-scheduler at those prices; prices that overflow give no value.  At an
-optimal incumbent these are KKT prices and the gap closes at once: a box
-stops at iteration 1.  The best dual at a row is the running minimum of
+scheduler at those prices.  Where a lam overflows to inf the value is
+NaN, which the running minimum passes over.  At an optimal incumbent
+these are KKT prices and the gap closes at once: a box stops at
+iteration 1.  The best dual at a row is the running minimum of
 the loop's dual values and these values up to that row, so it may come
 from prices that are no trace row, and the stopping row does not depend
 on the block size.  The loop's prices never see these values.
@@ -98,22 +104,14 @@ and c are closed forms of the prices, so the certificate and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedCombinationError
-from .layers import (
-    LogLinear,
-    LogRate,
-    SolverCaps,
-    UtilityU,
-    Zero,
-    compression_layer,
-    congestion_layer,
-)
+from .layers import LogLinear, LogRate, SolverCaps, UtilityU, Zero
 from .regions import RateRegion
 from .sources import BinarySource
 
@@ -369,9 +367,11 @@ class _Kernel:
     :meth:`primal` is the one derivation of the subproblem primal from the
     prices, for the public functions, the certificate and the trace;
     :func:`solve`'s loop runs the same closed forms as one stacked in-place
-    pass.  The objective, the Lagrangian and the repair act row-wise on
-    (rows, n) arrays, so one call covers a block of iterates, and a call on
-    1-D vectors gives the bits of one such row.  Evaluate them under
+    pass.  :meth:`dual` is the one evaluation of the dual function g, for
+    :func:`dual_objective` and the certificate.  The layers, the objective,
+    the Lagrangian, g and the repair act row-wise on (rows, n) arrays, so
+    one call covers a block of iterates, and a call on 1-D vectors gives
+    the bits of one such row.  Evaluate them under
     ``np.errstate(**_QUIET)``.
     """
 
@@ -391,9 +391,23 @@ class _Kernel:
     def primal(self, mu: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
         """The compression and congestion layers at the prices: the
         subproblem (alpha, beta, c) for one row of prices or a (rows, n)
-        block.  The scheduled rate r is the region's ``max_weight(lam)``."""
-        alpha, beta = compression_layer(mu, self.K, self.alpha_max)
-        return alpha, beta, congestion_layer(lam, mu, self.w, self.c_min, self.c_max)
+        block, with the bits of ``compression_subproblem`` and
+        ``congestion_subproblem`` source by source.  alpha = min(1/min(mu,
+        K), alpha_max), beta = -alpha where mu > K else 0, and c =
+        clip(w/(lam - mu), c_min, c_max) where lam > mu else c_max.  The
+        scheduled rate r is the region's ``max_weight(lam)``."""
+        alpha = np.minimum(1.0 / np.minimum(mu, self.K), self.alpha_max)
+        beta = np.where(mu <= self.K, 0.0, -alpha)
+        # the difference is floored at +0.0 (-0.0 + 0.0 is +0.0), so where
+        # lam <= mu the quotient is w/+0.0: inf, or NaN for w = 0, and fmin
+        # takes both to c_max
+        diff = np.maximum(lam - mu, 0.0) + 0.0
+        return alpha, beta, np.maximum(np.fmin(self.w / diff, self.c_max), self.c_min)
+
+    def dual(self, mu: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Per row, the dual value g(mu, lam): the Lagrangian at the
+        layers' maximizers, with r the region's ``max_weight(lam)``."""
+        return self.lagrangian(*self.primal(mu, lam), r, mu, lam)
 
     def objective(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Per row, sum ln(alpha) + K.beta + w.ln(c), the last over the
@@ -432,6 +446,19 @@ class _Kernel:
         return alpha, np.minimum(c, self.alpha_max) - alpha, c
 
 
+def _check_lengths(scn: Scenario, *args: PrimalAllocation | DualState) -> None:
+    """Every vector of ``args`` holds one entry per source of ``scn``."""
+    for arg in args:
+        for f in fields(arg):
+            shape = getattr(arg, f.name).shape
+            if shape != (scn.n,):
+                raise DomainError(
+                    f"{type(arg).__name__}.{f.name} must have shape ({scn.n},), one entry "
+                    f"per source of the scenario, got {shape}",
+                    field=f.name,
+                )
+
+
 def _check_domain(primal: PrimalAllocation, kernel: _Kernel) -> None:
     """The objective's domain: alpha > 0, and c > 0 where w > 0."""
     alpha = primal.alpha
@@ -447,6 +474,7 @@ def _check_domain(primal: PrimalAllocation, kernel: _Kernel) -> None:
 def primal_objective(primal: PrimalAllocation, scn: Scenario) -> float:
     """sum_i V_i(alpha_i, beta_i) + U_i(c_i); DomainError where a utility
     is undefined (alpha <= 0, or c <= 0 where w > 0)."""
+    _check_lengths(scn, primal)
     kernel = _Kernel(scn)
     _check_domain(primal, kernel)
     return float(kernel.objective(primal.alpha, primal.beta, primal.c))
@@ -454,6 +482,7 @@ def primal_objective(primal: PrimalAllocation, scn: Scenario) -> float:
 
 def lagrangian_value(primal: PrimalAllocation, dual: DualState, scn: Scenario) -> float:
     """Objective minus price-weighted constraint residuals."""
+    _check_lengths(scn, primal, dual)
     kernel = _Kernel(scn)
     _check_domain(primal, kernel)
     return float(
@@ -463,10 +492,9 @@ def lagrangian_value(primal: PrimalAllocation, dual: DualState, scn: Scenario) -
 
 def dual_objective(dual: DualState, scn: Scenario) -> float:
     """g(mu, lambda): the Lagrangian maximized layer by layer at the prices."""
-    kernel = _Kernel(scn)
+    _check_lengths(scn, dual)
     with np.errstate(**_QUIET):
-        primal = *kernel.primal(dual.mu, dual.lam), scn.region.max_weight(dual.lam)
-        return float(kernel.lagrangian(*primal, dual.mu, dual.lam))
+        return float(_Kernel(scn).dual(dual.mu, dual.lam, scn.region.max_weight(dual.lam)))
 
 
 def dual_iterate(
@@ -476,6 +504,7 @@ def dual_iterate(
     take a projected subgradient step on both price vectors."""
     if not gamma > 0:
         raise DomainError(f"dual_iterate: step must be > 0, got {gamma}")
+    _check_lengths(scn, state)
     with np.errstate(**_QUIET):
         alpha, beta, c = _Kernel(scn).primal(state.mu, state.lam)
         r = scn.region.max_weight(state.lam)
@@ -486,6 +515,7 @@ def dual_iterate(
 
 def primal_violation(primal: PrimalAllocation, scn: Scenario) -> float:
     """Worst additive violation across all coupling and region constraints."""
+    _check_lengths(scn, primal)
     a = primal.alpha
     b = primal.beta
     c = primal.c
@@ -500,14 +530,6 @@ def primal_violation(primal: PrimalAllocation, scn: Scenario) -> float:
     return max(0.0, worst)
 
 
-def _repair(r: np.ndarray, scn: Scenario) -> PrimalAllocation:
-    """The point the solver builds from an averaged scheduled rate r:
-    c = min(r, c_max), then (alpha, beta) by the compression rule under
-    alpha_max."""
-    r = np.array(r, dtype=float)
-    return PrimalAllocation(*_Kernel(scn).repair(r), r)
-
-
 def solve(scn: Scenario) -> SolveReport:
     """Run the dual iteration until the gap certificate holds.
 
@@ -515,20 +537,19 @@ def solve(scn: Scenario) -> SolveReport:
     Iterations run in blocks of at most ``_BLOCK`` that never span a
     window restart.  Inside a block each iteration only evaluates what the
     price step reads (alpha + beta, c and r), records (mu, lam, r) and
-    takes the step; then alpha, beta and c derived from the block's
-    prices, the dual values, the window averages of r, their repaired
-    points and objectives, the dual values at the prices each new
-    incumbent implies, and the relative gap
-    ``(best_dual - best_obj) / (1 + |best_obj|)`` are evaluated for the
-    whole block as row-wise array expressions.  ``best_obj`` is the best
-    objective of an incumbent: the point repaired from the window average
-    of r, when every c_i >= c_min, hence feasible for the capped problem;
-    ``best_dual`` is the least of those dual values so far.  The run stops
-    at the first iteration whose gap is below ``tol_gap``, and the trace
-    and report end there; the block's later price steps are discarded.  By
-    weak duality that point is within ``tol_gap`` of the capped optimum.
-    Hitting ``max_iters`` first returns ``converged=False`` rather than
-    raising.
+    takes the step.  Then the window averages of r, their repaired points
+    and objectives are evaluated for the whole block as row-wise array
+    expressions, and one ``_Kernel.dual`` call gives the dual values at
+    the block's prices and at the prices each new incumbent implies.  The
+    relative gap ``(best_dual - best_obj) / (1 + |best_obj|)`` follows
+    row by row.  ``best_obj`` is the best objective of an incumbent: the
+    point repaired from the window average of r, when every c_i >= c_min,
+    hence feasible for the capped problem; ``best_dual`` is the least of
+    those dual values so far.  The run stops at the first iteration whose
+    gap is below ``tol_gap``, and the trace and report end there; the
+    block's later price steps are discarded.  By weak duality that point
+    is within ``tol_gap`` of the capped optimum.  Hitting ``max_iters``
+    first returns ``converged=False`` rather than raising.
     """
     kernel = _Kernel(scn)
     K, step_size = kernel.K, kernel.step_size
@@ -604,10 +625,8 @@ def solve(scn: Scenario) -> SolveReport:
                     f"the step (gamma0 = {scn.step.gamma0}) is too large",
                     field="gamma0",
                 )
-            mu_b, lam_b, r_b = blk.transpose(1, 0, 2)
-            dual = kernel.lagrangian(*kernel.primal(mu_b, lam_b), r_b, mu_b, lam_b)
             # accumulate adds row by row, the same sums as a running +=
-            sums = np.add.accumulate(np.vstack((sum_r, r_b)))[1:]
+            sums = np.add.accumulate(np.vstack((sum_r, blk[:, 2])))[1:]
             avg_r = sums / np.arange(count + 1, count + m + 1)[:, None]
             point = kernel.repair(avg_r)
             # only c >= c_min makes a point of the capped problem
@@ -617,17 +636,19 @@ def solve(scn: Scenario) -> SolveReport:
             prev_obj = np.fmax.accumulate(np.concatenate(([best_obj], obj)))
             run_obj = prev_obj[1:]
             better = np.flatnonzero(run_obj > prev_obj[:-1])
-            bounds = dual
-            if better.size:
-                # each new incumbent's row also takes the dual value at the
-                # finite prices that incumbent implies
-                mu_i, lam_i = kernel.implied_prices(point[2][better])
-                r_i = np.array([schedule(row) for row in lam_i])
-                implied = kernel.lagrangian(*kernel.primal(mu_i, lam_i), r_i, mu_i, lam_i)
-                bounds = dual.copy()
-                bounds[better] = np.fmin(
-                    dual[better], np.where(np.isfinite(lam_i).all(axis=-1), implied, math.inf)
-                )
+            # the (mu, lam, r) rows at the prices each new incumbent implies,
+            # stacked under the block's own: one pass evaluates g on both
+            implied = np.empty((better.size, 3, n))
+            implied[:, 0], implied[:, 1] = kernel.implied_prices(point[2][better])
+            for row in implied:
+                row[2] = schedule(row[1])
+            values = kernel.dual(*np.concatenate((blk, implied)).transpose(1, 0, 2))
+            dual = values[:m]
+            # each new incumbent's row also takes the value at its implied
+            # prices.  Where lam overflows to inf, that value is NaN (inf * 0
+            # or inf - inf in the price terms), and fmin passes over it.
+            bounds = dual.copy()
+            bounds[better] = np.fmin(dual[better], values[m:])
             run_dual = np.fmin.accumulate(np.concatenate(([best_dual], bounds)))[1:]
             gaps = np.where(
                 run_obj > -math.inf, (run_dual - run_obj) / (1.0 + np.abs(run_obj)), math.inf

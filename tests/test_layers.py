@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from rdcontrol import (
     BinarySource,
+    BoxRegion,
     DomainError,
     LogLinear,
     LogRate,
+    Scenario,
     SolverCaps,
+    SourceSpec,
     Zero,
     binary_entropy,
     compression_given_rate,
@@ -19,7 +22,7 @@ from rdcontrol import (
     congestion_subproblem,
     operating_point,
 )
-from rdcontrol.layers import compression_layer, congestion_layer
+from rdcontrol.orchestrator import _Kernel
 
 CAPS = SolverCaps()
 
@@ -128,6 +131,15 @@ def test_congestion_subproblem_grid(w, lam, mu):
 
 # ------------------------------------------------- vector layer forms
 
+def kernel_of(Ks, Us, caps):
+    """The solver's kernel for sources with these K and U under ``caps``."""
+    return _Kernel(Scenario(
+        sources=tuple(SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), U) for K, U in zip(Ks, Us)),
+        region=BoxRegion((1.0,) * len(Ks)),
+        caps=caps,
+    ))
+
+
 @st.composite
 def layer_batches(draw):
     """Per-source (K, U, mu, lam) with the branch points drawn on purpose:
@@ -153,14 +165,13 @@ def layer_batches(draw):
 @settings(max_examples=300, deadline=None)
 @given(layer_batches())
 def test_vector_layers_equal_scalar_reference(batch):
+    # the kernel's layers, which solve and every public function evaluate
     caps, sources = batch
-    K = np.array([s[0] for s in sources])
-    w = np.array([s[1].w for s in sources])
+    kernel = kernel_of([s[0] for s in sources], [s[1] for s in sources], caps)
     mu = np.array([s[2] for s in sources])
     lam = np.array([s[3] for s in sources])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        alpha, beta = compression_layer(mu, K, caps.alpha_max)
-        c = congestion_layer(lam, mu, w, caps.c_min, caps.c_max)
+        alpha, beta, c = kernel.primal(mu, lam)
     for i, (K_i, U_i, mu_i, lam_i) in enumerate(sources):
         ref = compression_subproblem(LogLinear(K_i), mu_i, caps)
         assert (alpha[i], beta[i]) == ref
@@ -171,8 +182,9 @@ def test_vector_layers_equal_scalar_reference(batch):
 
 def test_congestion_layer_reads_a_negative_zero_difference_as_lam_equal_mu():
     # lam = -0.0, mu = +0.0 gives lam - mu = -0.0; w/(-0.0) would be -inf
+    kernel = kernel_of([1.0, 1.0], [LogRate(1.0), Zero()], SolverCaps(c_min=0.1, c_max=5.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = congestion_layer(np.array([-0.0, -0.0]), np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.1, 5.0)
+        c = kernel.primal(np.array([0.0, 0.0]), np.array([-0.0, -0.0]))[2]
     assert np.array_equal(c, [5.0, 5.0])
 
 

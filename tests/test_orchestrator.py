@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -26,13 +27,14 @@ from rdcontrol import (
     Zero,
     dual_iterate,
     dual_objective,
+    kkt_residuals,
     lagrangian_value,
     primal_objective,
     primal_violation,
     solve,
 )
-from rdcontrol.layers import compression_layer, congestion_layer
-from rdcontrol.orchestrator import MAX_ITERS, MAX_TRACE_CELLS
+from rdcontrol.layers import compression_subproblem, congestion_subproblem
+from rdcontrol.orchestrator import MAX_ITERS, MAX_TRACE_CELLS, _Kernel
 
 
 def single_source_scenario(cap=10.0, K=1.0, w=1.0, **kw):
@@ -323,11 +325,15 @@ def test_solve_repair_respects_alpha_cap():
     assert primal_violation(report.recovered, scn) <= 1e-12
 
 
+def repaired(r, scn):
+    """The point the solver builds from an averaged scheduled rate r."""
+    return PrimalAllocation(*_Kernel(scn).repair(r), r)
+
+
 def test_repair_matches_layer_rule_under_alpha_cap():
     # the vectorized repair against the per-source closed form of the layer;
     # r up to twice c_max, so the saturation at c_max is exercised too
     from rdcontrol.layers import compression_given_rate
-    from rdcontrol.orchestrator import _repair
 
     Ks = (0.01, 0.5, 1.0, 3.0)
     scn = Scenario(
@@ -340,7 +346,7 @@ def test_repair_matches_layer_rule_under_alpha_cap():
     rng = np.random.default_rng(3)
     for _ in range(200):
         r = rng.uniform(0.0, 40.0, len(Ks))
-        rep = _repair(r, scn)
+        rep = repaired(r, scn)
         for i, K in enumerate(Ks):
             ci = min(r[i], scn.caps.c_max)
             alpha = min(compression_given_rate(K, ci), scn.caps.alpha_max)
@@ -374,8 +380,6 @@ def test_saturated_repair_is_feasible_and_dominates_clipping(draw):
     # the objective is nondecreasing in c under the compression rule, so
     # c = min(r, c_max) beats the earlier repair, which clipped the averaged
     # subproblem c to r, wherever both are points of the capped problem
-    from rdcontrol.orchestrator import _repair
-
     K, w, alpha_max, c_min, c_max, c, r = draw
     scn = Scenario(
         sources=tuple(
@@ -385,7 +389,7 @@ def test_saturated_repair_is_feasible_and_dominates_clipping(draw):
         region=BoxRegion(tuple(r)),
         caps=SolverCaps(alpha_max=alpha_max, c_max=c_max, c_min=c_min),
     )
-    new = _repair(r, scn)
+    new = repaired(r, scn)
     assert primal_violation(new, scn) <= 1e-12
 
     clipped = np.minimum(c, r)
@@ -663,8 +667,9 @@ LAYER_RUNS = {
 
 @pytest.mark.parametrize("name", list(LAYER_RUNS))
 def test_trace_rows_agree_with_the_reference_layers(name):
-    # solve evaluates both layers in one stacked pass of its own; every row
-    # must still be the vector layers' and max_weight's point bit for bit
+    # solve evaluates both layers in one stacked pass of its own, and the
+    # trace derives alpha, beta and c with the kernel; every element must
+    # still be the scalar reference layers' point, and r max_weight's
     factory, reaches = LAYER_RUNS[name]
     scn = factory()
     tr = solve(scn).trace
@@ -674,12 +679,11 @@ def test_trace_rows_agree_with_the_reference_layers(name):
     def bits(x):
         return np.asarray(x, dtype=float).view(np.int64)
 
-    K = np.array([spec.V.K for spec in scn.sources])
-    w = np.array([spec.U.w for spec in scn.sources])
-    caps = scn.caps
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        alpha, beta = compression_layer(tr.mu, K, caps.alpha_max)
-        c = congestion_layer(tr.lam, tr.mu, w, caps.c_min, caps.c_max)
+    alpha, beta, c = (np.empty(tr.mu.shape) for _ in range(3))
+    for (k, i), mu in np.ndenumerate(tr.mu):
+        spec, lam = scn.sources[i], tr.lam[k, i]
+        alpha[k, i], beta[k, i] = compression_subproblem(spec.V, mu, scn.caps)
+        c[k, i] = congestion_subproblem(spec.U, lam, mu, scn.caps)
     assert np.array_equal(bits(tr.alpha), bits(alpha))
     assert np.array_equal(bits(tr.beta), bits(beta))
     assert np.array_equal(bits(tr.c), bits(c))
@@ -761,8 +765,6 @@ def test_trace_prices_hit_the_projection():
 def test_trace_primal_obj_is_the_best_repaired_window_average():
     # rebuild the power-of-two restarted window average of r from the raw
     # rows; the running best of its repaired points is the primal_obj column
-    from rdcontrol.orchestrator import _repair
-
     scn = cases.mac_asymmetric()
     report = solve(scn)
     tr = report.trace
@@ -775,7 +777,7 @@ def test_trace_primal_obj_is_the_best_repaired_window_average():
             count, next_restart = 0, 2 * next_restart
         sum_r += tr.r[k]
         count += 1
-        point = _repair(sum_r / count, scn)
+        point = repaired(sum_r / count, scn)
         if point.c.min() >= scn.caps.c_min and primal_objective(point, scn) > best:
             best, best_point = primal_objective(point, scn), point
         assert tr.primal_obj[k] == best
@@ -800,6 +802,38 @@ def test_primal_objective_domain_follows_the_utilities():
         primal_objective(PrimalAllocation([0.5, 1.0], [0.0, -1.0], [0.5, 0.0], [1.0, 1.0]), scn)
     with pytest.raises(DomainError, match="LogLinear"):
         primal_objective(PrimalAllocation([0.5, math.nan], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0]), scn)
+
+
+PUBLIC_CALLS = {
+    "primal_objective": (("primal",), lambda p, d, scn: primal_objective(p, scn)),
+    "primal_violation": (("primal",), lambda p, d, scn: primal_violation(p, scn)),
+    "lagrangian_value": (("primal", "dual"), lambda p, d, scn: lagrangian_value(p, d, scn)),
+    "dual_objective": (("dual",), lambda p, d, scn: dual_objective(d, scn)),
+    "dual_iterate": (("dual",), lambda p, d, scn: dual_iterate(d, scn, 0.1)),
+    "kkt_residuals": (("primal", "dual"), lambda p, d, scn: kkt_residuals(p, d, scn)),
+}
+
+
+@pytest.mark.parametrize("name", list(PUBLIC_CALLS))
+def test_vectors_of_the_wrong_length_name_the_expected_shape(name):
+    # n = 2: every vector of length 3 is refused with a DomainError naming
+    # the expected shape, not numpy's broadcasting error
+    reads, call = PUBLIC_CALLS[name]
+    scn = Scenario(
+        sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0)),) * 2,
+        region=BoxRegion((1.0, 1.0)),
+    )
+    primal = PrimalAllocation([0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0])
+    dual = DualState([1.0, 1.0], [1.0, 1.0])
+    call(primal, dual, scn)
+    bad = []
+    if "primal" in reads:
+        bad += [(replace(primal, **{f: [0.5] * 3}), dual) for f in ("alpha", "beta", "c", "r")]
+    if "dual" in reads:
+        bad.append((primal, DualState([1.0] * 3, [1.0] * 3)))
+    for p, d in bad:
+        with pytest.raises(DomainError, match=r"must have shape \(2,\)"):
+            call(p, d, scn)
 
 
 @pytest.mark.parametrize(
@@ -837,14 +871,62 @@ def test_dual_value_is_exact_where_c_sits_at_c_max():
     assert report.best_dual >= report.recovered_objective
 
 
+@pytest.mark.parametrize("max_iters", [1, 200])
+def test_implied_prices_that_overflow_give_no_bound(max_iters):
+    # the repaired c is the 5e-324 cap, so the implied lam = mu + w/c
+    # overflows to inf; the dual value there is NaN, and the certificate
+    # must pass over it, keeping the row's own dual value (the only one at
+    # max_iters = 1)
+    scn = Scenario(
+        sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), LogRate(1.0)),),
+        region=BoxRegion((5e-324,)),
+        caps=SolverCaps(alpha_max=20.0, c_max=20.0, c_min=0.0),
+        max_iters=max_iters,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(scn)
+    assert report.recovered is not None
+    assert cases.implied_prices(scn, report.recovered.c)[1] == [math.inf]
+    assert report.best_dual >= report.recovered_objective
+    assert report.best_dual == report.trace.dual_obj.min()
+
+
 # ------------------------------------------------- the block certificate
+
+def block_count(iterations):
+    """How many blocks :func:`solve` runs to reach ``iterations``: at most
+    64 rows each, and none spans a window restart at a power of two."""
+    t, next_restart, blocks = 0, 2, 0
+    while t < iterations:
+        if t + 1 == next_restart:
+            next_restart *= 2
+        t += min(64, next_restart - 1 - t)
+        blocks += 1
+    return blocks
+
+
+@pytest.mark.parametrize("name", ["box_two_mixed", "mac_asymmetric", "box_two_mixed-c_max1", "vertex_base"])
+def test_solve_evaluates_the_dual_once_per_block(monkeypatch, name):
+    # the block's rows and the implied-price rows of its new incumbents go
+    # through one kernel pass, also in blocks where no incumbent improves
+    calls = []
+    dual = _Kernel.dual
+
+    def counting(self, mu, lam, r):
+        calls.append(len(mu))
+        return dual(self, mu, lam, r)
+
+    monkeypatch.setattr(_Kernel, "dual", counting)
+    report = solve(LAYER_RUNS[name][0]())
+    assert len(calls) == block_count(report.iterations)
+    assert sum(calls) >= report.iterations
+
 
 def sequential_solve(scn):
     """The solve loop one iteration at a time through the public functions:
     the reference for the blocked certificate in :func:`solve`.  Each new
     incumbent also offers the dual value at the finite prices it implies."""
-    from rdcontrol.orchestrator import _repair
-
     state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
     rows, pobj, dobj = [], [], []
     sum_r, count, next_restart = np.zeros(scn.n), 0, 2
@@ -858,7 +940,7 @@ def sequential_solve(scn):
             sum_r, count, next_restart = np.zeros(scn.n), 0, 2 * next_restart
         sum_r = sum_r + primal.r
         count += 1
-        point = _repair(sum_r / count, scn)
+        point = repaired(sum_r / count, scn)
         if point.c.min() >= scn.caps.c_min:
             obj = primal_objective(point, scn)
             if obj > best_obj:
