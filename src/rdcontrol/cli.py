@@ -152,7 +152,8 @@ def cmd_fig1(args) -> int:
     if not 2 <= args.steps <= MAX_FIG1_STEPS:
         raise RdControlError(f"steps must be in [2, {MAX_FIG1_STEPS}], got {args.steps}")
     grid = np.linspace(args.c_min, args.c_max, args.steps)
-    # max(1/K, c_min), so 1/K when it lies inside the grid; refuses K <= 0
+    # max(1/K, c_min), so 1/K when it lies inside the grid; refuses every K
+    # that LogLinear refuses
     breakpoint_c = compression_given_rate(args.K, args.c_min)
     if args.c_min < breakpoint_c < args.c_max:
         grid = np.unique(np.append(grid, breakpoint_c))

@@ -133,8 +133,7 @@ def compression_given_rate(K: float, c: float) -> float:
     The unconstrained maximizer is 1/K; the constraint alpha >= c (i.e.
     beta = c - alpha <= 0) clips it to c when the compressed rate is high.
     """
-    if not K > 0:
-        raise DomainError(f"compression_given_rate: K must be > 0, got {K}")
+    LogLinear(K)  # the one rule for K: finite and > 0, with 1/K finite
     if not c > 0:
         raise DomainError(f"compression_given_rate: c must be > 0, got {c}")
     inv_k = 1.0 / K
@@ -150,8 +149,7 @@ def operating_point(p: float, K: float, c: float) -> tuple[float, float]:
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"operating_point: p must be in (0,1), got {p}")
-    if not K > 0:
-        raise DomainError(f"operating_point: K must be > 0, got {K}")
+    LogLinear(K)  # the one rule for K
     if not c > 0:
         raise DomainError(f"operating_point: c must be > 0, got {c}")
     hp = binary_entropy(p)

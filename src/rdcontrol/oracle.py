@@ -168,8 +168,9 @@ def _source_scan(a_pts: np.ndarray, c_pts: np.ndarray, K: float, w: float, caps:
     """
     # Each c-length array is built in its own buffer and dropped once dead,
     # so at most five are alive, c_pts included.  IEEE + and * commute, so
-    # U + K*c is K*c + U bit for bit.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # U + K*c is K*c + U bit for bit.  w*ln(c) overflows to -inf for a huge
+    # w at c < 1, which is its float value.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = np.where(a_pts > 0, np.log(a_pts), -np.inf) - K * a_pts  # -inf: alpha <= 0
         # U = w*ln(c): -inf at c <= 0 where w > 0, 0 at every c where w = 0
         if w > 0:

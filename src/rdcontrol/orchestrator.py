@@ -18,8 +18,8 @@ iteration is a handful of array operations.  :class:`SourceSpec` is the
 one place that tests a utility's type; past it a source is its
 parameters.  :func:`solve` compiles the scenario once into plain float
 arrays -- K, 1/K, the rate weights w (``U.w``, 0 for ``Zero``), the
-sources with w > 0, the caps -- and binds the region's per-solve
-scheduler (see :mod:`rdcontrol.regions`) and ``step.step_size``.  The
+sources with w > 0, the caps -- and binds the region's ``_schedule``
+(see :mod:`rdcontrol.regions`) and ``step.step_size``.  The
 price step reads only alpha + beta, c and r, so the loop computes only
 those, in two stages.  Per iteration it is a fixed run of eleven
 in-place numpy calls on one preallocated (8, n) working array, each on
@@ -29,12 +29,13 @@ c_max), min(mask/mu, alpha_max)) -- whose second row is alpha + beta bit
 for bit (+0.0 where mu > K), and c = max(first row, c_min); one copy of
 the rows the run keeps into the current block; and the four calls of one
 projected step on the stacked (mu, lam).  Nothing is allocated.  The
-scheduler's point is copied into the two r rows, a twelfth call, on
-every region alike.  The congestion layer's ``+ 0.0`` (which turns a
--0.0 price difference into +0.0) is not needed: the prices start at
-``dual_init + 0.0`` and max(0, price + step) of a price that is not -0.0
-is never -0.0, so lam - mu is never -0.0.  The prices are nonnegative by
-projection, so the scheduler skips the weight check of ``max_weight``;
+scheduled point is copied into the two r rows, a twelfth call, on
+every region alike.  No price that reaches a layer is -0.0, so lam - mu
+is never -0.0 and the congestion layer needs no ``+ 0.0``: ``DualState``
+and ``Scenario.dual_init`` store +0.0 in place of -0.0, max(0, price +
+step) of a price that is not -0.0 is never -0.0, and implied prices are
+> 0.  The prices are nonnegative by projection, so ``_schedule`` skips
+the weight check of ``max_weight``;
 once per block one vectorized test refuses prices that a too-large step
 overflowed to inf or NaN.  Once per block of up to 64 rows the solver
 evaluates the window sums of r, the repair, the incumbent objectives and
@@ -82,11 +83,11 @@ A block never spans a restart.
 Weak duality holds at any nonnegative prices, not only at those the loop
 visits.  So at each row where the incumbent improves, the certificate
 also takes the dual value at the prices that incumbent implies, its
-marginal utilities (``_Kernel.implied_prices``), with r from the solve's
-scheduler at those prices.  Where a lam overflows to inf the value is
-NaN, which the running minimum passes over.  At an optimal incumbent
-these are KKT prices and the gap closes at once: a box stops at
-iteration 1.  The best dual at a row is the running minimum of
+marginal utilities (``_Kernel.implied_prices``), with r from the
+region's ``_schedule`` at those prices.  Where a lam overflows to inf
+the value is NaN, which the running minimum passes over.  At an optimal
+incumbent these are KKT prices and the gap closes at once: a box stops
+at iteration 1.  The best dual at a row is the running minimum of
 the loop's dual values and these values up to that row, so it may come
 from prices that are no trace row, and the stopping row does not depend
 on the block size.  The loop's prices never see these values.
@@ -398,10 +399,10 @@ class _Kernel:
         scheduled rate r is the region's ``max_weight(lam)``."""
         alpha = np.minimum(1.0 / np.minimum(mu, self.K), self.alpha_max)
         beta = np.where(mu <= self.K, 0.0, -alpha)
-        # the difference is floored at +0.0 (-0.0 + 0.0 is +0.0), so where
-        # lam <= mu the quotient is w/+0.0: inf, or NaN for w = 0, and fmin
+        # no price is -0.0, so the difference is floored at +0.0: where
+        # lam <= mu the quotient is w/+0.0, inf or NaN for w = 0, and fmin
         # takes both to c_max
-        diff = np.maximum(lam - mu, 0.0) + 0.0
+        diff = np.maximum(lam - mu, 0.0)
         return alpha, beta, np.maximum(np.fmin(self.w / diff, self.c_max), self.c_min)
 
     def dual(self, mu: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -555,7 +556,7 @@ def solve(scn: Scenario) -> SolveReport:
     K, step_size = kernel.K, kernel.step_size
     # 0-d operands: a Python float costs every ufunc call a scalar conversion
     zero, c_min = np.array(0.0), np.array(kernel.c_min)
-    schedule = scn.region._scheduler()
+    schedule = scn.region._schedule
     n, max_iters, tol_gap = scn.n, scn.max_iters, scn.tol_gap
     # the working rows (dpos, mu, lam, r, q, s, c, r): dpos = max(lam - mu, 0),
     # q = min(w/dpos, c_max) and s = alpha + beta.  r is held twice: beside

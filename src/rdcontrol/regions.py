@@ -12,15 +12,17 @@ Three concrete families:
 ``max_weight(lam)`` maximizes ``lam . r`` over the region with a
 deterministic tie-break (descending weight, then ascending user index),
 so repeated solves of the same instance are bit-identical.  It checks the
-weights and returns a fresh array.  The dual solver calls no
-``max_weight``: once per solve it asks the region for ``_scheduler()``,
-because its prices are nonnegative vectors of the right length by
-construction.  For every region the scheduler is a check-free function of
-the weights that gives ``max_weight``'s point bit for bit, and may hand
-back an array it keeps (the solver copies it): a :class:`BoxRegion`'s caps
-maximize every weight vector, so it returns its one read-only caps array;
-a :class:`GaussianMacRegion` remembers the greedy vertex of each serving
-order for the one solve, up to ``_VERTEX_MEMO`` orders at a time; and a
+weights and returns a fresh array.  Every region answers that question
+once, in its unchecked ``_schedule(lam)``: ``max_weight`` is
+``_schedule`` of the checked weights, copied.  The dual solver binds
+``_schedule`` itself, because its prices are nonnegative vectors of the
+right length by construction.  ``_schedule`` returns a read-only array
+the region keeps, which a caller copies: a :class:`BoxRegion`'s caps
+maximize every weight vector, so it returns its one caps array; a
+:class:`GaussianMacRegion` remembers the greedy vertex of each serving
+order, up to ``_VERTEX_MEMO`` orders at a time, for the life of the
+region (the vertex of an order is a pure function of the frozen region,
+so sharing it across solves changes no output); and a
 :class:`VertexRegion` returns a row of its vertex matrix.
 ``contains`` and ``violation`` raise :class:`DomainError` on a non-finite
 rate: a NaN coordinate would otherwise drop out of the max and hide a
@@ -32,14 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError
 
 
-# serving orders a MAC scheduler remembers.  A solve meets one order per
+# serving orders a MAC region remembers.  A solve meets one order per
 # iteration at most: 522 in 2,534 iterations on a 6-user MAC, 12,000 in
 # 12,000 on a 40-user one, where an order costs about 0.8 kB
 _VERTEX_MEMO = 1024
@@ -75,6 +77,12 @@ def _linprog(**lp):
     from scipy.optimize import linprog
 
     return linprog(method="highs", **lp)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only: an array ``_schedule`` hands out and keeps."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_weights(lam: Sequence[float], dim: int) -> np.ndarray:
@@ -116,18 +124,14 @@ class BoxRegion:
 
     @cached_property
     def _caps(self) -> np.ndarray:
-        caps = np.array(self.caps)
-        caps.flags.writeable = False
-        return caps
+        return _read_only(np.array(self.caps))
 
-    def _scheduler(self) -> Callable[[np.ndarray], np.ndarray]:
+    def _schedule(self, lam: np.ndarray) -> np.ndarray:
         # every cap is a maximizer coordinate; zero weights tie-break to the cap
-        caps = self._caps
-        return lambda lam: caps
+        return self._caps
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
-        _check_weights(lam, self.dim)
-        return self._caps.copy()
+        return self._schedule(_check_weights(lam, self.dim)).copy()
 
 
 @dataclass(frozen=True)
@@ -207,28 +211,25 @@ class GaussianMacRegion:
         w = lam.tolist()
         return tuple(sorted(range(self.dim), key=w.__getitem__, reverse=True))
 
-    def _scheduler(self) -> Callable[[np.ndarray], np.ndarray]:
-        """``max_weight`` without the check, remembering the vertex of each
-        serving order it meets in ``schedule.memo``.  The memo is emptied
-        when it holds ``_VERTEX_MEMO`` orders, so it keeps up with the
-        orders of the later iterations."""
-        vertices: dict[tuple[int, ...], np.ndarray] = {}
+    @cached_property
+    def _memo(self) -> dict[tuple[int, ...], np.ndarray]:
+        return {}
 
-        def schedule(lam: np.ndarray) -> np.ndarray:
-            order = self._order(lam)
-            r = vertices.get(order)
-            if r is None:
-                if len(vertices) == _VERTEX_MEMO:
-                    vertices.clear()
-                # a permutation by construction, so no check
-                r = vertices[order] = self._vertex(order)
-            return r
-
-        schedule.memo = vertices
-        return schedule
+    def _schedule(self, lam: np.ndarray) -> np.ndarray:
+        """The greedy vertex of the serving order of ``lam``, remembered in
+        ``_memo``.  The memo is emptied when it holds ``_VERTEX_MEMO``
+        orders, so it keeps up with the orders of the later iterations."""
+        order = self._order(lam)
+        r = self._memo.get(order)
+        if r is None:
+            if len(self._memo) == _VERTEX_MEMO:
+                self._memo.clear()
+            # a permutation by construction, so no check
+            r = self._memo[order] = _read_only(self._vertex(order))
+        return r
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
-        return self._vertex(self._order(_check_weights(lam, self.dim)))
+        return self._schedule(_check_weights(lam, self.dim)).copy()
 
 
 @dataclass(frozen=True)
@@ -289,17 +290,14 @@ class VertexRegion:
 
     @cached_property
     def _V(self) -> np.ndarray:
-        return np.array(self.vertices)
+        return _read_only(np.array(self.vertices))
 
-    def _best_row(self, lam: np.ndarray) -> np.ndarray:
+    def _schedule(self, lam: np.ndarray) -> np.ndarray:
         V = self._V
-        return V[np.argmax(V @ lam)]  # first index on exact ties; a view
-
-    def _scheduler(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self._best_row
+        return V[np.argmax(V @ lam)]  # first index on exact ties; a read-only view
 
     def max_weight(self, lam: Sequence[float]) -> np.ndarray:
-        return self._best_row(_check_weights(lam, self.dim)).copy()
+        return self._schedule(_check_weights(lam, self.dim)).copy()
 
 
 RateRegion = Union[BoxRegion, GaussianMacRegion, VertexRegion]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,12 +13,15 @@ import cases
 from rdcontrol import (
     BinarySource,
     BoxRegion,
+    DomainError,
     LogLinear,
     LogRate,
     Scenario,
     SolverCaps,
     SourceSpec,
     binary_entropy,
+    compression_given_rate,
+    operating_point,
     solve,
 )
 from rdcontrol.cli import _CSV_CHUNK, MAX_FIG1_STEPS, fmt, main, write_trace_csv
@@ -239,6 +243,24 @@ def test_verify_refuses_a_bad_steps_before_solving(tmp_path, steps, named, monke
     assert "verdict" not in captured.out
 
 
+def test_verify_warns_nothing_on_a_huge_rate_weight(tmp_path):
+    # w*ln(c) overflows to -inf at c < 1 on the oracle's grid; that is its
+    # float value, not a fault to report
+    doc = solver_doc(caps=(0.5,))
+    doc["sources"][0]["U"]["w"] = 1.7e308
+    doc["solver"]["caps"] = {"alpha_max": 20.0, "c_max": 20.0}
+    scn = write_scenario(tmp_path, doc)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rdcontrol.cli", "verify", scn,
+         "--steps", "50"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert "oracle_objective" in proc.stdout
+
+
 def test_verify_agrees_on_a_64_link_box(tmp_path, capsys):
     # the grid cap once counted 64 * 1,600^2 points here, not the 204,800
     # axis points the scan builds, and refused the grid
@@ -312,6 +334,21 @@ def test_fig1_refuses_non_finite_bounds_by_flag(tmp_path, flag, value):
     assert proc.returncode == 1
     # the grid is checked before numpy sees it
     assert proc.stderr == f"error: {flag} must be finite, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("K", [math.inf, math.nan, 0.0, -1.0, 5e-324])
+def test_fig1_and_its_layers_apply_the_rule_of_K(tmp_path, K, capsys):
+    # one rule for K, LogLinear's: finite, > 0, and 1/K finite
+    for call in (lambda: compression_given_rate(K, 0.5), lambda: operating_point(0.3, K, 0.5)):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.field == "K"
+    out = tmp_path / "x.csv"
+    code = main(["fig1", f"--K={K}", "--p", "0.3", "--c-min", "0.1", "--c-max", "2",
+                 "--steps", "5", "--out", str(out)])
+    assert code == 1
+    assert "K" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fig1_steps_cap_refused_before_allocating(tmp_path, monkeypatch, capsys):

@@ -180,14 +180,6 @@ def test_vector_layers_equal_scalar_reference(batch):
     assert not np.signbit(beta[beta == 0.0]).any()
 
 
-def test_congestion_layer_reads_a_negative_zero_difference_as_lam_equal_mu():
-    # lam = -0.0, mu = +0.0 gives lam - mu = -0.0; w/(-0.0) would be -inf
-    kernel = kernel_of([1.0, 1.0], [LogRate(1.0), Zero()], SolverCaps(c_min=0.1, c_max=5.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = kernel.primal(np.array([0.0, 0.0]), np.array([-0.0, -0.0]))[2]
-    assert np.array_equal(c, [5.0, 5.0])
-
-
 # ------------------------------------------------- rule given the rate
 
 def test_compression_given_rate_branches():

@@ -118,6 +118,12 @@ def test_negative_zero_prices_are_zero_prices():
     assert not np.signbit(dual.mu).any()
     assert dual_objective(dual, scn) == dual_objective(DualState([0.0, 0.0], [1.0, 1.0]), scn)
     assert math.isfinite(dual_objective(dual, scn))
+    # lam = -0.0 with mu = +0.0 would make lam - mu = -0.0, which no layer
+    # floors: DualState is where the rule lives
+    dual = DualState([0.0, 0.0], [-0.0, -0.0])
+    assert not np.signbit(dual.lam).any()
+    want = dual_objective(DualState([0.0, 0.0], [0.0, 0.0]), scn)
+    assert np.float64(dual_objective(dual, scn)).view(np.int64) == np.float64(want).view(np.int64)
 
     def first_row(dual_init):
         tr = solve(replace(scn, dual_init=dual_init, max_iters=1)).trace
@@ -520,6 +526,35 @@ def test_solve_runs_no_scalar_layer(monkeypatch):
     report = solve(replace(mac_four(), max_iters=50_000))
     assert report.converged
     assert report.iterations == 1030  # no implied prices certify it earlier
+
+
+@pytest.mark.parametrize("region", ["mac", "vertex"])
+def test_solve_schedules_through_the_region_class(region, monkeypatch):
+    # a wrapper on the class, as a method tracer patches it, sees every
+    # scheduling call of a solve: one per iteration, more for implied prices
+    factory = {"mac": lambda: replace(mac_four(), max_iters=50_000), "vertex": vertex_base}[region]
+
+    def bits(report):
+        tr = report.trace
+        rows = np.concatenate((tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r), axis=1)
+        tail = (report.best_dual, report.recovered_objective, report.gap)
+        return np.append(rows.ravel(), tail).view(np.int64)
+
+    plain = solve(factory())
+    cls = type(factory().region)
+    original = cls.__dict__["_schedule"]
+    calls = []
+
+    def counted(self, lam):
+        calls.append(1)
+        return original(self, lam)
+
+    monkeypatch.setattr(cls, "_schedule", counted)
+    wrapped = solve(factory())
+    assert plain.iterations > 100
+    assert len(calls) >= wrapped.iterations
+    assert np.array_equal(bits(wrapped), bits(plain))
+    assert (wrapped.iterations, wrapped.stop_reason) == (plain.iterations, plain.stop_reason)
 
 
 def test_incumbent_needs_c_at_least_c_min():

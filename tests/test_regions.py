@@ -273,24 +273,46 @@ MAXIMIZER_REGIONS = REGIONS + [
 ]
 
 
+def reference_maximizer(region, lam):
+    """max lam.r over the region, built apart from the region's own code:
+    the caps of a box, the greedy vertex of a stable descending sort on a
+    MAC, the first argmax row of a vertex list."""
+    if isinstance(region, BoxRegion):
+        return np.array(region.caps)
+    if isinstance(region, GaussianMacRegion):
+        return region.vertex(np.argsort(-lam, kind="stable").tolist())
+    V = np.array(region.vertices)
+    scores = V @ lam
+    return V[np.flatnonzero(scores == scores.max())[0]]
+
+
+def maximizer_draws(dim):
+    rng = np.random.default_rng(3)
+    draws = [np.zeros(dim), np.ones(dim)]
+    for _ in range(200):
+        # a few distinct levels make ties and zeros common
+        draws.append(rng.choice([0.0, 0.5, 1.0, 2.0], dim))
+        draws.append(rng.uniform(0.0, 3.0, dim))
+    return draws
+
+
 @pytest.mark.parametrize("region", MAXIMIZER_REGIONS, ids=lambda r: type(r).__name__ + str(r.dim))
 def test_private_maximizer_is_the_public_max_weight(region):
-    # the solver binds one ``_scheduler()`` per solve and checks its prices
-    # once per block, so the scheduler must give max_weight's point bit for
-    # bit, ties and zeros included, also from its memo of earlier prices
-    schedule = region._scheduler()
-
+    # the solver binds ``_schedule`` and checks its prices once per block,
+    # so ``_schedule`` must give the reference point bit for bit, ties and
+    # zeros included, also from a MAC's memo and after the memo is emptied;
+    # ``max_weight`` gives the same point, checked
     def bits(x):
         return np.asarray(x, dtype=float).view(np.int64)
 
-    rng = np.random.default_rng(3)
-    draws = [np.zeros(region.dim), np.ones(region.dim)]
-    for _ in range(200):
-        # a few distinct levels make ties and zeros common
-        draws.append(rng.choice([0.0, 0.5, 1.0, 2.0], region.dim))
-        draws.append(rng.uniform(0.0, 3.0, region.dim))
-    for lam in draws:
-        assert np.array_equal(bits(schedule(lam)), bits(region.max_weight(lam)))
+    draws = maximizer_draws(region.dim)
+    for rerun in range(3):
+        if rerun == 2 and isinstance(region, GaussianMacRegion):
+            region._memo.clear()
+        for lam in draws:
+            want = bits(reference_maximizer(region, lam))
+            assert np.array_equal(bits(region._schedule(lam)), want)
+            assert np.array_equal(bits(region.max_weight(lam)), want)
     with pytest.raises(DomainError, match="nonnegative"):
         region.max_weight(-draws[-1])
     for bad in (NAN, math.inf, -math.inf):
@@ -300,33 +322,45 @@ def test_private_maximizer_is_the_public_max_weight(region):
         region.max_weight(np.ones(region.dim + 1))
 
 
+@pytest.mark.parametrize("region", MAXIMIZER_REGIONS, ids=lambda r: type(r).__name__ + str(r.dim))
+def test_schedule_returns_read_only_arrays(region):
+    # ``_schedule`` hands out arrays the region keeps; no caller can edit
+    # them, and ``max_weight``'s copy may be edited without reaching them
+    for lam in maximizer_draws(region.dim)[:20]:
+        r = region._schedule(lam)
+        assert not r.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            r[0] = -1.0
+        mine = region.max_weight(lam)
+        mine[:] = -1.0
+        assert np.array_equal(region._schedule(lam), reference_maximizer(region, lam))
+
+
 def test_mac_scheduler_memo_is_bounded():
     # more distinct serving orders than the memo holds, then the first ones
     # again after they were dropped: the memo never passes its cap, and
-    # every answer is still max_weight's point
+    # every answer is still the reference point
     from rdcontrol.regions import _VERTEX_MEMO
 
     region = GaussianMacRegion((3.0, 1.0, 2.0, 0.5, 4.0, 1.5, 2.5), 1.0)
-    schedule = region._scheduler()
     orders = list(itertools.islice(itertools.permutations(range(7)), _VERTEX_MEMO + 200))
     draws = [np.array(order, dtype=float) for order in orders]
     sizes = []
     for lam in draws + draws[:50]:
-        assert np.array_equal(schedule(lam), region.max_weight(lam))
-        sizes.append(len(schedule.memo))
+        assert np.array_equal(region._schedule(lam), reference_maximizer(region, lam))
+        sizes.append(len(region._memo))
     assert max(sizes) == _VERTEX_MEMO >= 1024
     assert sizes[-1] == 250  # emptied at the 1,025th order, then 200 + 50 more
 
 
 def test_max_weight_result_does_not_alias_the_region():
-    # the box scheduler returns one read-only array, built once, for any
-    # weights; the public copy may be edited
+    # the box returns one read-only array, built once, for any weights;
+    # the public copy may be edited
     box = BoxRegion((5.0, 7.0))
-    schedule = box._scheduler()
-    caps = schedule(np.array([1.0, 1.0]))
+    caps = box._schedule(np.array([1.0, 1.0]))
     assert not caps.flags.writeable and np.array_equal(caps, [5.0, 7.0])
     for lam in ([0.0, 0.0], [3.0, 0.5], [0.5, 3.0]):
-        assert schedule(np.array(lam)) is caps and box._scheduler()(np.array(lam)) is caps
+        assert box._schedule(np.array(lam)) is caps
     box.max_weight([1.0, 1.0])[0] = -1.0
     assert np.array_equal(box.max_weight([1.0, 1.0]), [5.0, 7.0])
     reg = VertexRegion(((1.0, 0.0), (0.0, 1.0)))
@@ -335,7 +369,7 @@ def test_max_weight_result_does_not_alias_the_region():
 
 
 def test_mac_max_weight_returns_a_fresh_array():
-    # the solver's scheduler remembers one vertex per serving order;
+    # the region remembers one vertex per serving order;
     # max_weight must hand out an array no later call shares
     region = GaussianMacRegion((3.0, 1.0, 2.0), 1.0)
     lam = np.array([1.0, 3.0, 2.0])
