@@ -11,7 +11,9 @@ is relaxed with prices mu (rate-distortion constraint) and lambda
 subproblems at the current prices (Jacobi style: all three see the same
 pre-update duals), then takes a projected subgradient step on (mu, lambda).
 The subproblems carry the :class:`SolverCaps` box, so every dual value
-bounds the *capped* problem from above.
+bounds the *capped* problem from above.  This dual loop is the paper's
+method.  The polish (see below) is a primal-side step beside it that
+reuses its scheduling layer; the loop's prices never see it.
 
 Every layer is a closed form applied to each source independently, so an
 iteration is a handful of array operations.  :class:`SourceSpec` is the
@@ -61,17 +63,17 @@ and ``congestion_subproblem`` in :mod:`rdcontrol.layers` are the
 per-source reference.
 
 A primal point is recovered from the ergodic average of the scheduled
-rates alone: saturate c at the averaged scheduled rate, c = min(avg_r,
-c_max), then set (alpha, beta) by the closed-form compression rule
-clipped to ``alpha_max``.  The repaired point has c <= r with r a convex
-mix of region points, c <= c_max, alpha + beta = min(c, alpha_max) <= c
-and alpha <= alpha_max; it counts as an incumbent only when also every
-c_i >= c_min, the last constraint of the capped problem.  Under that
-rule the capped objective is nondecreasing in every c_i (slope K + w/c
-on the distortion branch, (1 + w)/c on the lossless one, w/c above
-``alpha_max``, 0 for a ``Zero`` source), so the largest feasible c
-given r is the best one, and the averages of the subproblem alpha, beta
-and c are not needed.  An incumbent is feasible for the problem the
+rates alone, or polished from it (below): saturate c at the averaged
+scheduled rate, c = min(avg_r, c_max), then set (alpha, beta) by the
+closed-form compression rule clipped to ``alpha_max``.  The repaired
+point has c <= r with r a convex mix of region points, c <= c_max,
+alpha + beta = min(c, alpha_max) <= c and alpha <= alpha_max; it counts
+as an incumbent only when also every c_i >= c_min, the last constraint
+of the capped problem.  Under that rule the capped objective is
+nondecreasing in every c_i (slope K + w/c on the distortion branch,
+(1 + w)/c on the lossless one, w/c above ``alpha_max``, 0 for a ``Zero``
+source), so the largest feasible c given r is the best one, and the
+averages of the subproblem alpha, beta and c are not needed.  An incumbent is feasible for the problem the
 duals bound, so by weak duality the relative gap between the best dual
 value and the best incumbent objective is a complete optimality
 certificate, and it is the only stopping test.  The average window
@@ -91,6 +93,22 @@ at iteration 1.  The best dual at a row is the running minimum of
 the loop's dual values and these values up to that row, so it may come
 from prices that are no trace row, and the stopping row does not depend
 on the block size.  The loop's prices never see these values.
+
+The window average approaches the optimum slowly, so between blocks the
+solver polishes the best incumbent with conditional-gradient steps
+(Frank & Wolfe, 1956; Jaggi, ICML 2013), ``_Kernel.polish``.  After a
+block that did not stop, while iterations remain, up to ``_POLISH`` steps
+each take the prices the incumbent implies, the region point
+``_schedule`` returns at them -- so the paper's scheduling layer is the
+linear oracle -- and the best point of the segment toward it, by a
+vectorized bracketing line search on the concave objective.  A convex
+mix of region points is in the region, so a polished point counts as an
+incumbent when its repair has every c_i >= c_min and its objective is
+higher.  It enters the next block as the carried-in best incumbent, and
+the (mu, lam, r) row at its implied prices joins that block's one
+``dual`` call, whose value bounds every row of the block.  The loop never
+reads a polished point, so every kept trace row is the one the loop alone
+keeps, and only the stopping row moves.
 
 The trace records, per iteration, the raw subproblem primal, the dual
 objective at the current prices and the best incumbent objective seen so
@@ -205,6 +223,16 @@ class Scenario:
                 f"region dimension {self.region.dim} != number of sources {len(self.sources)}",
                 field="region",
             )
+        # w*ln(c) at either end of [c_min, c_max] that overflows makes every
+        # dual value inf, so no gap could ever close
+        ends = [self.caps.c_max] + ([self.caps.c_min] if self.caps.c_min > 0 else [])
+        for i, spec in enumerate(self.sources):
+            if not all(math.isfinite(spec.U.w * math.log(c)) for c in ends):
+                raise DomainError(
+                    f"rate weight w = {spec.U.w} overflows w*ln(c) at c in "
+                    f"[{self.caps.c_min}, {self.caps.c_max}]",
+                    field=f"sources[{i}].U.w",
+                )
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
             raise DomainError(
                 f"max_iters must be an integer, got {self.max_iters!r}", field="max_iters"
@@ -327,8 +355,9 @@ class SolveReport:
     """Outcome of :func:`solve`.
 
     ``recovered`` is the incumbent: of the points repaired from the window
-    average of r with every c_i >= c_min, the one with the best finite
-    objective seen anywhere in the run.  It is feasible for the capped
+    average of r or polished from an incumbent (see :func:`solve`), with
+    every c_i >= c_min, the one with the best finite objective seen
+    anywhere in the run.  It is feasible for the capped
     problem the duals bound, so ``gap``, the relative distance
     ``(best_dual - recovered_objective) / (1 + |recovered_objective|)``,
     is >= 0 up to rounding.  ``best_dual`` is the least dual value of the
@@ -360,6 +389,11 @@ _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 # most iterations :func:`solve` runs before it certifies them together
 _BLOCK = 64
+# most Frank-Wolfe steps that polish the incumbent after a block that did
+# not stop, and the grid points and zoom levels of each step's line search
+_POLISH = 8
+_GRID = 33
+_ZOOM = 4
 
 
 class _Kernel:
@@ -385,6 +419,8 @@ class _Kernel:
         self.rate = slice(None) if rate.all() else np.flatnonzero(rate)
         self.w_rate = self.w[self.rate]
         self.alpha_max = scn.caps.alpha_max
+        # the c below which the compression rule is on its distortion branch
+        self.kink = np.minimum(self.inv_K, self.alpha_max)
         self.c_min = scn.caps.c_min
         self.c_max = scn.caps.c_max
         self.step_size = scn.step.step_size
@@ -431,12 +467,71 @@ class _Kernel:
         implies, its marginal utilities: mu = K where c < min(1/K,
         alpha_max), else 1/min(c, alpha_max), and lam = mu + w/c, with lam
         = mu where w = 0.  At an optimal point these are KKT prices."""
-        mu = np.where(
-            c < np.minimum(self.inv_K, self.alpha_max), self.K, 1.0 / np.minimum(c, self.alpha_max)
-        )
+        mu = np.where(c < self.kink, self.K, 1.0 / np.minimum(c, self.alpha_max))
         lam = mu.copy()
         lam[..., self.rate] += self.w_rate / c[..., self.rate]
         return mu, lam
+
+    def polish(self, schedule, r: np.ndarray, obj: float):
+        """Up to ``_POLISH`` Frank-Wolfe steps from the incumbent with
+        scheduled rate r and objective obj, with the region's ``_schedule``
+        as the linear oracle.  Each step takes the prices lam that the
+        repair of r implies, the vertex v = schedule(lam) and the step
+        (1 - gamma) r + gamma v of :meth:`step_length`; it stops when lam.(v
+        - r) <= 0 or the step does not raise the objective of a point with
+        every c_i >= c_min.  A convex mix of region points stays in the
+        region.  Returns None when no step was taken, else the polished
+        ((alpha, beta, c, r), objective, (mu, lam, v)), the last the dual
+        row at its implied prices."""
+        mu, lam = self.implied_prices(np.minimum(r, self.c_max))
+        v = schedule(lam)
+        found = None
+        for _ in range(_POLISH):
+            # NaN where an implied lam overflowed to inf
+            if not 0.0 < lam @ (v - r) < math.inf:
+                break
+            gamma = self.step_length(r, v)
+            step = (1.0 - gamma) * r + gamma * v
+            point = self.repair(step)
+            if not point[2].min() >= self.c_min:
+                break
+            step_obj = float(self.objective(*point))
+            if not step_obj > obj:
+                break
+            r, obj = step, step_obj
+            mu, lam = self.implied_prices(point[2])
+            v = schedule(lam)
+            found = (*point, r)
+        return None if found is None else (found, obj, (mu, lam, v))
+
+    def step_length(self, r: np.ndarray, v: np.ndarray) -> float:
+        """The gamma in [0, 1] that maximizes the objective of the repair
+        of (1 - gamma) r + gamma v.  The objective is concave along the
+        segment, so its derivative, the implied lam times v - r with lam
+        read as 0 where the point is at c_max, falls with gamma.  (Where c
+        passes alpha_max the implied lam exceeds the marginal utility w/c
+        by 1/alpha_max, so there the search may overshoot; :meth:`polish`
+        keeps a step only if it raises the objective.)  A grid of ``_GRID``
+        points brackets the root of the derivative, each of ``_ZOOM``
+        levels grids the bracket again, and the root of the chord through
+        the last bracket's two slopes is the result."""
+        d = v - r
+        grid = np.linspace(0.0, 1.0, _GRID)[:, None]
+        lo, hi = 0.0, 1.0
+        for _ in range(_ZOOM):
+            gamma = lo + (hi - lo) * grid
+            x = r + gamma * d
+            lam = self.implied_prices(np.minimum(x, self.c_max))[1]
+            lam[x >= self.c_max] = 0.0
+            slope = lam @ d
+            k = int(np.argmin(slope > 0.0))  # the first point where it stops rising
+            if slope[k] > 0.0:
+                return hi
+            if k == 0:
+                return lo
+            lo, hi = float(gamma[k - 1, 0]), float(gamma[k, 0])
+            rise, fall = slope[k - 1], slope[k]
+        return lo + (hi - lo) * float(rise / (rise - fall))
 
     def repair(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Saturate c at the scheduled rate, c = min(r, c_max), then
@@ -551,6 +646,14 @@ def solve(scn: Scenario) -> SolveReport:
     block's later price steps are discarded.  By weak duality that point
     is within ``tol_gap`` of the capped optimum.  Hitting ``max_iters``
     first returns ``converged=False`` rather than raising.
+
+    The dual loop is the paper's method.  After a block that does not stop,
+    while iterations remain, ``_Kernel.polish`` takes up to ``_POLISH``
+    Frank-Wolfe steps from the best incumbent's r, with the region's
+    ``_schedule`` as the linear oracle: a primal-side step that reuses the
+    scheduling layer.  A point it raises is the incumbent the next block
+    starts from, and the dual value at its implied prices joins that
+    block's ``dual`` call.  The loop's prices never see it.
     """
     kernel = _Kernel(scn)
     K, step_size = kernel.K, kernel.step_size
@@ -586,6 +689,9 @@ def solve(scn: Scenario) -> SolveReport:
 
     # per block, the kept rows with their primal and dual objectives
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # the (mu, lam, r) row at the prices of an incumbent polished after the
+    # last block, if any, for the next block's dual call
+    polished = np.empty((0, 3, n))
 
     best_dual = math.inf
     best_point = None
@@ -643,14 +749,16 @@ def solve(scn: Scenario) -> SolveReport:
             implied[:, 0], implied[:, 1] = kernel.implied_prices(point[2][better])
             for row in implied:
                 row[2] = schedule(row[1])
-            values = kernel.dual(*np.concatenate((blk, implied)).transpose(1, 0, 2))
+            values = kernel.dual(*np.concatenate((blk, implied, polished)).transpose(1, 0, 2))
             dual = values[:m]
             # each new incumbent's row also takes the value at its implied
             # prices.  Where lam overflows to inf, that value is NaN (inf * 0
             # or inf - inf in the price terms), and fmin passes over it.
             bounds = dual.copy()
-            bounds[better] = np.fmin(dual[better], values[m:])
-            run_dual = np.fmin.accumulate(np.concatenate(([best_dual], bounds)))[1:]
+            bounds[better] = np.fmin(dual[better], values[m:m + better.size])
+            # the bound of the polished incumbent holds from the first row
+            head = np.concatenate(([best_dual], values[m + better.size:]))
+            run_dual = np.fmin.accumulate(np.concatenate((head, bounds)))[head.size:]
             gaps = np.where(
                 run_obj > -math.inf, (run_dual - run_obj) / (1.0 + np.abs(run_obj)), math.inf
             )
@@ -669,6 +777,12 @@ def solve(scn: Scenario) -> SolveReport:
             if hits.size:
                 stop_reason = "gap"
                 break
+            polished = polished[:0]
+            if best_point is not None and t < max_iters:
+                found = kernel.polish(schedule, best_point[3], best_obj)
+                if found is not None:
+                    best_point, best_obj, row = found
+                    polished = np.array([row])
 
     kept_rows, primal_obj, dual_obj = zip(*blocks)
     mu_t, lam_t, r_t = np.concatenate(kept_rows).transpose(1, 0, 2)

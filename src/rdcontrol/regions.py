@@ -16,7 +16,9 @@ weights and returns a fresh array.  Every region answers that question
 once, in its unchecked ``_schedule(lam)``: ``max_weight`` is
 ``_schedule`` of the checked weights, copied.  The dual solver binds
 ``_schedule`` itself, because its prices are nonnegative vectors of the
-right length by construction.  ``_schedule`` returns a read-only array
+right length by construction, and its Frank-Wolfe polish uses the same
+``_schedule`` as its linear oracle: the region point that maximizes the
+gradient the incumbent's implied prices give.  ``_schedule`` returns a read-only array
 the region keeps, which a caller copies: a :class:`BoxRegion`'s caps
 maximize every weight vector, so it returns its one caps array; a
 :class:`GaussianMacRegion` remembers the greedy vertex of each serving

@@ -99,12 +99,22 @@ def box16() -> Scenario:
     )
 
 
+def _benchgen() -> dict:
+    """The globals of the benchmark's generator, ``perfbench/benchgen.py``."""
+    return runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "benchgen.py"))
+
+
 def box64_doc() -> dict:
     """The 64-link box document ``box_doc(random.Random("matrix:1"), 64)``
-    of the benchmark's generator, ``perfbench/benchgen.py``."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "benchgen.py"
-    benchgen = runpy.run_path(str(path))
-    return benchgen["box_doc"](random.Random("matrix:1"), 64)
+    of the benchmark's generator."""
+    return _benchgen()["box_doc"](random.Random("matrix:1"), 64)
+
+
+def mac40_doc() -> dict:
+    """The 40-user MAC document ``mac_doc(random.Random("matrix:1"), 40)``
+    of the benchmark's generator: powers 1..40, noise 1, tol_gap 1e-2.  The
+    seed draws only each source's p, which the solver does not read."""
+    return _benchgen()["mac_doc"](random.Random("matrix:1"), 40)
 
 
 # (name, scenario factory, oracle grid steps)

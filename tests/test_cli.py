@@ -244,11 +244,12 @@ def test_verify_refuses_a_bad_steps_before_solving(tmp_path, steps, named, monke
 
 
 def test_verify_warns_nothing_on_a_huge_rate_weight(tmp_path):
-    # w*ln(c) overflows to -inf at c < 1 on the oracle's grid; that is its
-    # float value, not a fault to report
+    # w*ln(c) overflows to -inf at the grid's c = 1e-3 < 1, below the
+    # scenario's c_min = 0; that is its float value, not a fault to report.
+    # w*ln(c_max) = 1.5e308 is finite, so the scenario admits this w.
     doc = solver_doc(caps=(0.5,))
-    doc["sources"][0]["U"]["w"] = 1.7e308
-    doc["solver"]["caps"] = {"alpha_max": 20.0, "c_max": 20.0}
+    doc["sources"][0]["U"]["w"] = 5e307
+    doc["solver"]["caps"] = {"alpha_max": 20.0, "c_max": 20.0, "c_min": 0.0}
     scn = write_scenario(tmp_path, doc)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
@@ -256,9 +257,26 @@ def test_verify_warns_nothing_on_a_huge_rate_weight(tmp_path):
          "--steps", "50"],
         env=env, capture_output=True, text=True,
     )
-    assert proc.returncode == 2
+    assert proc.returncode == 0
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
-    assert "oracle_objective" in proc.stdout
+    assert "verdict: ok" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "w, caps",
+    [(1.7e308, {"c_max": 20.0}), (1e307, {"c_max": 1.0, "c_min": 1e-9})],
+    ids=["at-c_max", "at-c_min"],
+)
+def test_verify_refuses_a_rate_weight_whose_log_term_overflows(tmp_path, w, caps, capsys):
+    # every dual value was inf, verify ran 50,000 iterations and printed
+    # relative_difference 0 beside verdict: mismatch
+    doc = solver_doc(caps=(0.5,))
+    doc["sources"][0]["U"]["w"] = w
+    doc["solver"]["caps"] = {"alpha_max": 20.0, **caps}
+    assert main(["verify", write_scenario(tmp_path, doc), "--steps", "50"]) == 1
+    captured = capsys.readouterr()
+    assert "sources[0].U.w" in captured.err and "Traceback" not in captured.err
+    assert "verdict" not in captured.out
 
 
 def test_verify_agrees_on_a_64_link_box(tmp_path, capsys):

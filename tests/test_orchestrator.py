@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
+import rdcontrol.orchestrator
 from rdcontrol import (
     BinarySource,
     BoxRegion,
@@ -35,6 +36,7 @@ from rdcontrol import (
 )
 from rdcontrol.layers import compression_subproblem, congestion_subproblem
 from rdcontrol.orchestrator import MAX_ITERS, MAX_TRACE_CELLS, _Kernel
+from rdcontrol.scenario import scenario_from_dict
 
 
 def single_source_scenario(cap=10.0, K=1.0, w=1.0, **kw):
@@ -409,7 +411,7 @@ def test_saturated_repair_is_feasible_and_dominates_clipping(draw):
 
 
 def test_solve_non_convergence_flag():
-    scn = replace(mac_four(), max_iters=3)
+    scn = replace(mac_four(), max_iters=3, tol_gap=UNMET_GAP)
     report = solve(scn)
     assert not report.converged
     assert report.iterations == 3
@@ -418,7 +420,7 @@ def test_solve_non_convergence_flag():
 
 def test_solve_stop_reason():
     assert solve(cases.box_two_mixed()).stop_reason == "gap"
-    assert solve(replace(mac_four(), max_iters=3)).stop_reason == "max_iters"
+    assert solve(replace(mac_four(), max_iters=3, tol_gap=UNMET_GAP)).stop_reason == "max_iters"
     # LogRate on a zero-capacity link: no repaired point has c >= c_min
     starved = solve(single_source_scenario(cap=0.0, max_iters=200))
     assert (starved.stop_reason, starved.recovered, starved.converged) == ("no_incumbent", None, False)
@@ -440,7 +442,7 @@ PINNED_ITERATIONS = {
     "box_single_wide": 1,
     "box_single_tight": 1,
     "box_two_mixed": 1,
-    "mac_symmetric": 5,
+    "mac_symmetric": 2,
     "mac_asymmetric": 2,
 }
 
@@ -455,7 +457,7 @@ def test_solve_iteration_counts_are_pinned(name, factory, steps):
 
 def vertex_base():
     # the benchmark's three time-sharing points with literal coordinates, so
-    # no r row goes through ``math.log2``; 513 iterations
+    # no r row goes through ``math.log2``; 2 iterations, 513 unpolished
     return Scenario(
         sources=tuple(
             SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), LogRate(w))
@@ -480,7 +482,9 @@ def over_c_max(factory):
 # MAC cases are left out: their vertices go through ``math.log2``, whose
 # last bit may differ between platforms.  The paper's boxes stop at row 1;
 # ``box_two_mixed`` under c_max = 1 (445 rows) and ``vertex_base`` keep
-# long runs under the record.
+# long runs under the record.  The rows are the dual loop's, which the
+# polish never feeds, so the record is of runs without it: ``vertex_base``
+# then certifies at row 513, where polished it stops at row 2.
 GOLDEN_TRACE_SHA256 = {
     "box_single_wide": (
         cases.box_single_wide, "9622a1a78d0ba119a5dfea5ec2af966b6e91f7bd8f0720711b654501ae6d1a91"
@@ -501,15 +505,26 @@ GOLDEN_TRACE_SHA256 = {
 }
 
 
+GOLDEN_ROWS = {"box_two_mixed-c_max1": 445, "vertex_base": 513}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA256))
-def test_trace_rows_match_golden_bits(name):
+def test_trace_rows_match_golden_bits(name, monkeypatch):
     import hashlib
 
+    def rows(trace):
+        tr = trace
+        return np.concatenate((tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r), axis=1)
+
     factory, want = GOLDEN_TRACE_SHA256[name]
-    tr = solve(factory()).trace
-    rows = np.concatenate((tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r), axis=1)
-    digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
+    polished = rows(solve(factory()).trace)
+    monkeypatch.setattr(rdcontrol.orchestrator, "_POLISH", 0)
+    loop = rows(solve(factory()).trace)
+    assert len(loop) == GOLDEN_ROWS.get(name, 1)
+    digest = hashlib.sha256(np.ascontiguousarray(loop, dtype="<f8").tobytes()).hexdigest()
     assert digest == want
+    # the polish moves only the stopping row
+    assert np.array_equal(polished, loop[: len(polished)])
 
 
 def test_solve_runs_no_scalar_layer(monkeypatch):
@@ -523,16 +538,16 @@ def test_solve_runs_no_scalar_layer(monkeypatch):
     for module in (rdcontrol.orchestrator, rdcontrol.layers):
         for name in ("compression_subproblem", "congestion_subproblem"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
-    report = solve(replace(mac_four(), max_iters=50_000))
-    assert report.converged
-    assert report.iterations == 1030  # no implied prices certify it earlier
+    report = solve(replace(mac_four(), max_iters=1030, tol_gap=UNMET_GAP))
+    assert (report.iterations, report.stop_reason) == (1030, "max_iters")
 
 
 @pytest.mark.parametrize("region", ["mac", "vertex"])
 def test_solve_schedules_through_the_region_class(region, monkeypatch):
     # a wrapper on the class, as a method tracer patches it, sees every
     # scheduling call of a solve: one per iteration, more for implied prices
-    factory = {"mac": lambda: replace(mac_four(), max_iters=50_000), "vertex": vertex_base}[region]
+    # and the polish
+    factory = {"mac": long_mac, "vertex": long_vertex}[region]
 
     def bits(report):
         tr = report.trace
@@ -595,6 +610,23 @@ def mac_four():
         step=Diminishing(0.3),
         max_iters=400,
     )
+
+
+# A gap that no incumbent of ``long_mac`` or ``long_vertex`` meets, so they
+# run to ``max_iters`` and polish after every block.  On ``mac_four`` the
+# polish stalls near 9e-10: on a face of the region a step that float
+# arithmetic cannot see raise the objective leaves r about sqrt(eps) off the
+# optimum, and the gap at its prices is linear in that distance.  Under
+# c_max = 1 the prices ``vertex_base``'s incumbents imply certify nothing.
+UNMET_GAP = 1e-12
+
+
+def long_mac():
+    return replace(mac_four(), tol_gap=UNMET_GAP)
+
+
+def long_vertex():
+    return replace(over_c_max(vertex_base)(), tol_gap=UNMET_GAP, max_iters=400)
 
 
 # The box runs from here on put a cap above c_max: the repair saturates c at
@@ -697,6 +729,8 @@ LAYER_RUNS = {
     "vertex_base": (vertex_base, None),
     "c_min_binds": (c_min_binds, lambda tr: (tr.c == 0.3).any()),
     "box_two_mixed-c_max1": (over_c_max(cases.box_two_mixed), lambda tr: len(tr) > 1),
+    "long_mac": (long_mac, lambda tr: len(tr) == 400),
+    "long_vertex": (long_vertex, lambda tr: len(tr) == 400),
 }
 
 
@@ -797,12 +831,25 @@ def test_trace_prices_hit_the_projection():
     assert (tr.mu[1:] == 0.0).any()
 
 
-def test_trace_primal_obj_is_the_best_repaired_window_average():
+def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
     # rebuild the power-of-two restarted window average of r from the raw
-    # rows; the running best of its repaired points is the primal_obj column
-    scn = cases.mac_asymmetric()
+    # rows, and take the point each block's polish returned; the running
+    # best of these incumbents is the primal_obj column
+    scn = replace(long_mac(), max_iters=200)
+    polish = _Kernel.polish
+    calls = []
+
+    def recording(self, schedule, r, obj):
+        found = polish(self, schedule, r, obj)
+        calls.append((r.copy(), obj, found))
+        return found
+
+    monkeypatch.setattr(_Kernel, "polish", recording)
     report = solve(scn)
     tr = report.trace
+    ends = block_ends(len(tr))[:-1]  # no polish after the last block
+    assert len(calls) == len(ends)
+    assert any(found is not None for *_, found in calls)
     sum_r = np.zeros(scn.n)
     count, next_restart = 0, 2
     best, best_point = -math.inf, None
@@ -816,7 +863,15 @@ def test_trace_primal_obj_is_the_best_repaired_window_average():
         if point.c.min() >= scn.caps.c_min and primal_objective(point, scn) > best:
             best, best_point = primal_objective(point, scn), point
         assert tr.primal_obj[k] == best
-    assert report.recovered_objective == best
+        if t in ends:
+            # the polish starts from the incumbent, and what it returns is one
+            r, obj, found = calls[ends.index(t)]
+            assert obj == best and np.array_equal(r, best_point.r)
+            if found is not None:
+                assert found[1] > best
+                best, best_point = found[1], PrimalAllocation(*found[0])
+                assert primal_objective(best_point, scn) == best
+    assert report.recovered_objective == best == tr.primal_obj[-1]
     for name in ("alpha", "beta", "c", "r"):
         assert np.array_equal(getattr(report.recovered, name), getattr(best_point, name))
 
@@ -906,6 +961,24 @@ def test_dual_value_is_exact_where_c_sits_at_c_max():
     assert report.best_dual >= report.recovered_objective
 
 
+def test_implied_prices_match_the_reference_on_every_branch():
+    # K = 0.01 puts 1/K = 100 above alpha_max = 20, so that source's kink is
+    # alpha_max; the rows put c below, at and above each kink, and the
+    # polish reads these prices at every point of its line search
+    scn = Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), U)
+            for K, U in ((0.01, LogRate(1.0)), (1.0, Zero()), (4.0, LogRate(2.0)))
+        ),
+        region=BoxRegion((1.0, 1.0, 1.0)),
+        caps=cases.CAPS_20,
+    )
+    c = np.array([[x, x, x] for x in (0.1, 0.25, 0.5, 1.0, 10.0, 20.0, 30.0, 150.0)])
+    mu, lam = _Kernel(scn).implied_prices(c)
+    for row, m, l in zip(c, mu, lam):
+        assert np.array_equal(np.array(cases.implied_prices(scn, row)), np.array([m, l]))
+
+
 @pytest.mark.parametrize("max_iters", [1, 200])
 def test_implied_prices_that_overflow_give_no_bound(max_iters):
     # the repaired c is the 5e-324 cap, so the implied lam = mu + w/c
@@ -929,22 +1002,31 @@ def test_implied_prices_that_overflow_give_no_bound(max_iters):
 
 # ------------------------------------------------- the block certificate
 
-def block_count(iterations):
-    """How many blocks :func:`solve` runs to reach ``iterations``: at most
-    64 rows each, and none spans a window restart at a power of two."""
-    t, next_restart, blocks = 0, 2, 0
+def block_ends(iterations):
+    """The last iteration of each block :func:`solve` runs to reach
+    ``iterations``: at most 64 rows each, and none spans a window restart
+    at a power of two."""
+    t, next_restart, ends = 0, 2, []
     while t < iterations:
         if t + 1 == next_restart:
             next_restart *= 2
-        t += min(64, next_restart - 1 - t)
-        blocks += 1
-    return blocks
+        t = min(t + min(64, next_restart - 1 - t), iterations)
+        ends.append(t)
+    return ends
 
 
-@pytest.mark.parametrize("name", ["box_two_mixed", "mac_asymmetric", "box_two_mixed-c_max1", "vertex_base"])
+def block_count(iterations):
+    """How many blocks :func:`solve` runs to reach ``iterations``."""
+    return len(block_ends(iterations))
+
+
+@pytest.mark.parametrize(
+    "name", ["box_two_mixed", "mac_asymmetric", "box_two_mixed-c_max1", "vertex_base", "long_mac"]
+)
 def test_solve_evaluates_the_dual_once_per_block(monkeypatch, name):
-    # the block's rows and the implied-price rows of its new incumbents go
-    # through one kernel pass, also in blocks where no incumbent improves
+    # the block's rows, the implied-price rows of its new incumbents and the
+    # row of an incumbent polished after the last block go through one
+    # kernel pass, also in blocks where no incumbent improves
     calls = []
     dual = _Kernel.dual
 
@@ -958,15 +1040,25 @@ def test_solve_evaluates_the_dual_once_per_block(monkeypatch, name):
     assert sum(calls) >= report.iterations
 
 
+def test_polish_certifies_a_40_user_mac():
+    # the dual loop alone ran to max_iters = 12,000 with a gap of 0.0131
+    report = solve(scenario_from_dict(cases.mac40_doc()))
+    assert report.stop_reason == "gap"
+
+
 def sequential_solve(scn):
     """The solve loop one iteration at a time through the public functions:
     the reference for the blocked certificate in :func:`solve`.  Each new
-    incumbent also offers the dual value at the finite prices it implies."""
+    incumbent also offers the dual value at the finite prices it implies.
+    After each block that does not stop, while iterations remain, the
+    kernel's polish steps from the incumbent's r; a point it raises is the
+    new incumbent and offers the dual value at its implied prices."""
     state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
     rows, pobj, dobj = [], [], []
     sum_r, count, next_restart = np.zeros(scn.n), 0, 2
     best_dual, best_obj, best_point, gap = math.inf, -math.inf, None, math.inf
     stop_reason = "max_iters"
+    ends = set(block_ends(scn.max_iters))
     for t in range(1, scn.max_iters + 1):
         g = dual_objective(state, scn)
         best_dual = min(best_dual, g)
@@ -992,6 +1084,14 @@ def sequential_solve(scn):
             stop_reason = "gap"
             break
         state = new_state
+        if t in ends and t < scn.max_iters and best_point is not None:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                found = _Kernel(scn).polish(scn.region._schedule, best_point.r, best_obj)
+            if found is not None:
+                point, best_obj, (mu, lam, _) = found
+                best_point = PrimalAllocation(*point)
+                assert primal_objective(best_point, scn) == best_obj
+                best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
     if best_point is None:
         stop_reason = "no_incumbent"
     return dict(
@@ -1017,12 +1117,17 @@ BLOCK_RUNS = [
     )
     for max_iters in (1, 2, 3, 63, 64, 65, 127, 128, 129, 50_000)
 ] + [("starved", starved_pair, 130)] + [
-    # the scheduled rates of these regions move, so the block keeps them too
+    # the scheduled rates of these regions move, so the block keeps them
+    # too; at a gap no incumbent meets, the polish runs after every block
     (name, factory, max_iters)
-    for name, factory in (("mac", mac_four), ("vertex", vertex_base))
-    for max_iters in (1, 63, 64, 65, 129, 50_000)
+    for name, factory in (("mac", long_mac), ("vertex", long_vertex))
+    for max_iters in (1, 63, 64, 65, 129)
 ] + [
-    # the prices of the first incumbents certify these within five rows
+    # the polished incumbent of the first block certifies these at row 2
+    ("mac", mac_four, 50_000), ("vertex", vertex_base, 50_000),
+] + [
+    # the prices of the first incumbents, polished or not, certify these
+    # within two rows
     (name, factory, 50_000)
     for name, factory in (
         ("box_two_mixed", cases.box_two_mixed), ("mac_symmetric", cases.mac_symmetric),
@@ -1035,9 +1140,9 @@ BLOCK_RUNS = [
     "name, factory, max_iters", BLOCK_RUNS, ids=[f"{run[0]}-{run[2]}" for run in BLOCK_RUNS]
 )
 def test_block_certificate_matches_sequential_loop(name, factory, max_iters):
-    # block edges at every power of two up to 128, a gap stop in the middle
-    # of a block (max_iters 50,000), a run with no incumbent and runs that
-    # the implied prices stop
+    # block edges at every power of two up to 128, with polished incumbents
+    # carried across them, a gap stop in the middle of a block (max_iters
+    # 50,000), a run with no incumbent and runs that the implied prices stop
     scn = replace(factory(), max_iters=max_iters)
     report = solve(scn)
     ref = sequential_solve(scn)

@@ -13,12 +13,14 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdcontrol import ScenarioError, primal_violation, solve
+from rdcontrol.orchestrator import _Kernel
 from rdcontrol.cli import main
 from rdcontrol.scenario import mac_scenario_from_dict, scenario_from_dict
 
@@ -26,8 +28,8 @@ rate = st.one_of(st.sampled_from([0.0, 1e-10, 5e-324]), st.floats(0.0, 5.0))
 
 
 @st.composite
-def scenario_docs(draw):
-    n = draw(st.integers(1, 3))
+def scenario_docs(draw, kinds=("box", "mac", "vertices"), sizes=st.integers(1, 3)):
+    n = draw(sizes)
     sources = [
         {
             "kind": "binary",
@@ -41,7 +43,7 @@ def scenario_docs(draw):
         }
         for _ in range(n)
     ]
-    kind = draw(st.sampled_from(["box", "mac", "vertices"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "box":
         region = {"kind": "box", "caps": draw(st.lists(rate, min_size=n, max_size=n))}
     elif kind == "mac":
@@ -153,7 +155,8 @@ def test_certificate_holds_on_random_scenarios(doc):
 
     # weak duality: every dual value along the trace, and the best dual,
     # which may come from the prices an incumbent implies, bound the best
-    # incumbent (the last primal_obj), so the relative gap is >= -1e-12
+    # incumbent, a repaired window average or a polished point (the last
+    # primal_obj), so the relative gap is >= -1e-12
     if report.recovered is not None:
         best = report.recovered_objective
         assert tr.primal_obj[-1] == best
@@ -178,6 +181,53 @@ def test_certificate_holds_on_random_scenarios(doc):
     if report.recovered is not None:
         for name in ("alpha", "beta", "c", "r"):
             assert np.array_equal(getattr(again.recovered, name), getattr(report.recovered, name))
+
+
+@st.composite
+def polish_docs(draw):
+    """A MAC or vertex scenario of 2-4 sources, with powers of at least 0.5
+    and 2-5 vertices, at a gap no run meets, so the polish runs after every
+    block."""
+    n = draw(st.integers(2, 4))
+    doc = draw(scenario_docs(kinds=("mac", "vertices"), sizes=st.just(n)))
+    region = doc["region"]
+    if region["kind"] == "mac":
+        region["powers"] = draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n))
+    else:
+        vertex = st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)
+        region["vertices"] = draw(st.lists(vertex, min_size=2, max_size=5))
+    doc["solver"]["tol_gap"] = 1e-12
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(polish_docs())
+def test_polish_keeps_its_points_in_the_region_and_raises_them(doc):
+    # every point the polish returns has every c_i >= c_min, lies in the
+    # region and has a higher objective than the incumbent it started from
+    scn = scenario_from_dict(doc)
+    polish = _Kernel.polish
+    calls = []
+
+    def recording(self, schedule, r, obj):
+        found = polish(self, schedule, r, obj)
+        calls.append((obj, found))
+        return found
+
+    with mock.patch.object(_Kernel, "polish", recording):
+        report = solve(scn)
+    for obj, found in calls:
+        if found is not None:
+            (alpha, beta, c, r), polished, _ = found
+            assert polished > obj
+            assert c.min() >= scn.caps.c_min
+            assert scn.region.contains(r)
+    primal = report.trace.primal_obj
+    assert np.array_equal(primal, np.maximum.accumulate(primal))
+    if report.recovered is not None:
+        best = report.recovered_objective
+        assert scn.region.contains(report.recovered.r)
+        assert report.best_dual - best >= -1e-12 * (1.0 + abs(best))
 
 
 def _run_cli(command, doc):
