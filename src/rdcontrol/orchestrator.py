@@ -68,19 +68,19 @@ scheduled rate, c = min(avg_r, c_max), then set (alpha, beta) by the
 closed-form compression rule clipped to ``alpha_max``.  The repaired
 point has c <= r with r a convex mix of region points, c <= c_max,
 alpha + beta = min(c, alpha_max) <= c and alpha <= alpha_max; it counts
-as an incumbent only when also every c_i >= c_min, the last constraint
-of the capped problem.  Under that rule the capped objective is
-nondecreasing in every c_i (slope K + w/c on the distortion branch,
-(1 + w)/c on the lossless one, w/c above ``alpha_max``, 0 for a ``Zero``
-source), so the largest feasible c given r is the best one, and the
-averages of the subproblem alpha, beta and c are not needed.  An incumbent is feasible for the problem the
-duals bound, so by weak duality the relative gap between the best dual
-value and the best incumbent objective is a complete optimality
-certificate, and it is the only stopping test.  The average window
-restarts at power-of-two iteration counts, so at any time it spans at
-least the most recent half of the run; a from-start average would carry
-the early transient at O(1/t) and stall well above the gap tolerance.
-A block never spans a restart.
+as an incumbent only when also every c_i >= c_min, the last constraint of the
+capped problem.  Under that rule the capped objective is nondecreasing
+in every c_i (slope K + w/c on the distortion branch, (1 + w)/c on the
+lossless one, w/c above ``alpha_max``, 0 for a ``Zero`` source), so the
+largest feasible c given r is the best one, and the averages of the
+subproblem alpha, beta and c are not needed.  An incumbent is feasible
+for the problem the duals bound, so by weak duality the relative gap
+between the best dual value and the best incumbent objective is a
+complete optimality certificate, and it is the only stopping test.  The
+average window restarts at power-of-two iteration counts, so at any time
+it spans at least the most recent half of the run; a from-start average
+would carry the early transient at O(1/t) and stall well above the gap
+tolerance.  A block never spans a restart.
 
 Weak duality holds at any nonnegative prices, not only at those the loop
 visits.  So at each row where the incumbent improves, the certificate
@@ -507,23 +507,23 @@ class _Kernel:
     def step_length(self, r: np.ndarray, v: np.ndarray) -> float:
         """The gamma in [0, 1] that maximizes the objective of the repair
         of (1 - gamma) r + gamma v.  The objective is concave along the
-        segment, so its derivative, the implied lam times v - r with lam
-        read as 0 where the point is at c_max, falls with gamma.  (Where c
-        passes alpha_max the implied lam exceeds the marginal utility w/c
-        by 1/alpha_max, so there the search may overshoot; :meth:`polish`
-        keeps a step only if it raises the objective.)  A grid of ``_GRID``
-        points brackets the root of the derivative, each of ``_ZOOM``
-        levels grids the bracket again, and the root of the chord through
-        the last bracket's two slopes is the result."""
+        segment, so its derivative falls with gamma: the marginal
+        utilities times v - r, which are the implied lam, less mu where c
+        > alpha_max leaves alpha + beta <= c slack, and 0 where the point
+        is at c_max.  A grid of ``_GRID`` points brackets the root of the
+        derivative, each of ``_ZOOM`` levels grids the bracket again, and
+        the root of the chord through the last bracket's two slopes is the
+        result."""
         d = v - r
         grid = np.linspace(0.0, 1.0, _GRID)[:, None]
         lo, hi = 0.0, 1.0
         for _ in range(_ZOOM):
             gamma = lo + (hi - lo) * grid
             x = r + gamma * d
-            lam = self.implied_prices(np.minimum(x, self.c_max))[1]
-            lam[x >= self.c_max] = 0.0
-            slope = lam @ d
+            c = np.minimum(x, self.c_max)
+            mu, lam = self.implied_prices(c)
+            marginal = lam - np.where(c > self.alpha_max, mu, 0.0)
+            slope = np.where(x < self.c_max, marginal, 0.0) @ d
             k = int(np.argmin(slope > 0.0))  # the first point where it stops rising
             if slope[k] > 0.0:
                 return hi

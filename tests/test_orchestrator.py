@@ -1040,6 +1040,30 @@ def test_solve_evaluates_the_dual_once_per_block(monkeypatch, name):
     assert sum(calls) >= report.iterations
 
 
+@pytest.mark.parametrize("alpha_max, c_max", [(20.0, 20.0), (0.5, 20.0), (20.0, 0.6)])
+def test_step_length_maximizes_the_objective_along_the_segment(alpha_max, c_max):
+    # the polish's line search against a grid of 20,001 points on segments
+    # between random points of the region, whose rates cross alpha_max or
+    # c_max in the last two cases
+    scn = replace(mac_four(), caps=SolverCaps(alpha_max=alpha_max, c_max=c_max, c_min=1e-9))
+    kernel, region = _Kernel(scn), scn.region
+    rng = np.random.default_rng(7)
+    grid = np.linspace(0.0, 1.0, 20_001)[:, None]
+
+    def vertex():
+        return region.vertex(rng.permutation(scn.n).tolist())
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(10):
+            r = sum(share * vertex() for share in rng.dirichlet(np.ones(3)))
+            v = vertex()
+            gamma = kernel.step_length(r, v)
+            best = kernel.objective(*kernel.repair((1.0 - grid) * r + grid * v)).max()
+            got = kernel.objective(*kernel.repair((1.0 - gamma) * r + gamma * v))
+            assert 0.0 <= gamma <= 1.0
+            assert got >= best - 1e-12 * (1.0 + abs(best))
+
+
 def test_polish_certifies_a_40_user_mac():
     # the dual loop alone ran to max_iters = 12,000 with a gap of 0.0131
     report = solve(scenario_from_dict(cases.mac40_doc()))
