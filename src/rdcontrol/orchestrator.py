@@ -63,24 +63,24 @@ and ``congestion_subproblem`` in :mod:`rdcontrol.layers` are the
 per-source reference.
 
 A primal point is recovered from the ergodic average of the scheduled
-rates alone, or polished from it (below): saturate c at the averaged
-scheduled rate, c = min(avg_r, c_max), then set (alpha, beta) by the
-closed-form compression rule clipped to ``alpha_max``.  The repaired
-point has c <= r with r a convex mix of region points, c <= c_max,
-alpha + beta = min(c, alpha_max) <= c and alpha <= alpha_max; it counts
-as an incumbent only when also every c_i >= c_min, the last constraint of the
-capped problem.  Under that rule the capped objective is nondecreasing
-in every c_i (slope K + w/c on the distortion branch, (1 + w)/c on the
-lossless one, w/c above ``alpha_max``, 0 for a ``Zero`` source), so the
-largest feasible c given r is the best one, and the averages of the
-subproblem alpha, beta and c are not needed.  An incumbent is feasible
-for the problem the duals bound, so by weak duality the relative gap
-between the best dual value and the best incumbent objective is a
-complete optimality certificate, and it is the only stopping test.  The
-average window restarts at power-of-two iteration counts, so at any time
-it spans at least the most recent half of the run; a from-start average
-would carry the early transient at O(1/t) and stall well above the gap
-tolerance.  A block never spans a restart.
+rates alone: saturate c at the averaged scheduled rate, c = min(avg_r,
+c_max), then set (alpha, beta) by the closed-form compression rule
+clipped to ``alpha_max``.  The repaired point has c <= r with r a convex
+mix of region points, c <= c_max, alpha + beta = min(c, alpha_max) <= c
+and alpha <= alpha_max; it counts as an incumbent only when also every
+c_i >= c_min, the last constraint of the capped problem.  Under that
+rule the capped objective is nondecreasing in every c_i (slope K + w/c
+on the distortion branch, (1 + w)/c on the lossless one, w/c above
+``alpha_max``, 0 for a ``Zero`` source), so the largest feasible c
+given r is the best one, and the averages of the subproblem alpha, beta
+and c are not needed.  An incumbent is feasible for the problem the
+duals bound, so by weak duality the relative gap between the best dual
+value and the best incumbent objective is a complete optimality
+certificate, and it is the only stopping test.  The average window
+restarts at power-of-two iteration counts, so at any time it spans at
+least the most recent half of the run; a from-start average would carry
+the early transient at O(1/t) and stall well above the gap tolerance.
+A block never spans a restart.
 
 Weak duality holds at any nonnegative prices, not only at those the loop
 visits.  So at each row where the incumbent improves, the certificate
@@ -108,7 +108,8 @@ higher.  It enters the next block as the carried-in best incumbent, and
 the (mu, lam, r) row at its implied prices joins that block's one
 ``dual`` call, whose value bounds every row of the block.  The loop never
 reads a polished point, so every kept trace row is the one the loop alone
-keeps, and only the stopping row moves.
+keeps, and only the stopping row moves.  ``recovered`` is the best
+window-average repair or polished point.
 
 The trace records, per iteration, the raw subproblem primal, the dual
 objective at the current prices and the best incumbent objective seen so
@@ -757,8 +758,9 @@ def solve(scn: Scenario) -> SolveReport:
             bounds = dual.copy()
             bounds[better] = np.fmin(dual[better], values[m:m + better.size])
             # the bound of the polished incumbent holds from the first row
-            head = np.concatenate(([best_dual], values[m + better.size:]))
-            run_dual = np.fmin.accumulate(np.concatenate((head, bounds)))[head.size:]
+            carried = values[m + better.size:]
+            run_dual = np.fmin.accumulate(np.concatenate(([best_dual], carried, bounds)))
+            run_dual = run_dual[1 + carried.size:]
             gaps = np.where(
                 run_obj > -math.inf, (run_dual - run_obj) / (1.0 + np.abs(run_obj)), math.inf
             )

@@ -16,19 +16,19 @@ weights and returns a fresh array.  Every region answers that question
 once, in its unchecked ``_schedule(lam)``: ``max_weight`` is
 ``_schedule`` of the checked weights, copied.  The dual solver binds
 ``_schedule`` itself, because its prices are nonnegative vectors of the
-right length by construction, and its Frank-Wolfe polish uses the same
+right length by construction.  Its Frank-Wolfe polish uses the same
 ``_schedule`` as its linear oracle: the region point that maximizes the
-gradient the incumbent's implied prices give.  ``_schedule`` returns a read-only array
-the region keeps, which a caller copies: a :class:`BoxRegion`'s caps
-maximize every weight vector, so it returns its one caps array; a
-:class:`GaussianMacRegion` remembers the greedy vertex of each serving
-order, up to ``_VERTEX_MEMO`` orders at a time, for the life of the
-region (the vertex of an order is a pure function of the frozen region,
-so sharing it across solves changes no output); and a
-:class:`VertexRegion` returns a row of its vertex matrix.
-``contains`` and ``violation`` raise :class:`DomainError` on a non-finite
-rate: a NaN coordinate would otherwise drop out of the max and hide a
-real violation elsewhere.
+gradient given by the incumbent's implied prices.  ``_schedule`` returns
+a read-only array the region keeps, which a caller copies: a
+:class:`BoxRegion`'s caps maximize every weight vector, so it returns its
+one caps array; a :class:`GaussianMacRegion` remembers the greedy vertex
+of each serving order, up to ``_VERTEX_MEMO`` orders at a time, for the
+life of the region (the vertex of an order is a pure function of the
+frozen region, so sharing it across solves changes no output); and a
+:class:`VertexRegion` returns a row of its vertex matrix.  ``contains``
+and ``violation`` raise :class:`DomainError` on a non-finite rate: a NaN
+coordinate would otherwise drop out of the max and hide a real violation
+elsewhere.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from .errors import DomainError
 
 
 # serving orders a MAC region remembers.  A solve meets one order per
-# iteration at most: 522 in 2,534 iterations on a 6-user MAC, 12,000 in
-# 12,000 on a 40-user one, where an order costs about 0.8 kB
+# iteration and per polish step at most: without the polish, 522 in 2,534
+# iterations on a 6-user MAC and 12,000 in 12,000 on a 40-user one, where
+# an order costs about 0.8 kB; with it, 23 and 176
 _VERTEX_MEMO = 1024
 
 
