@@ -488,7 +488,7 @@ class _Kernel:
         v = schedule(lam)
         found = None
         for _ in range(_POLISH):
-            # NaN where an implied lam overflowed to inf
+            # inf or NaN where an implied lam overflowed to inf
             if not 0.0 < lam @ (v - r) < math.inf:
                 break
             gamma = self.step_length(r, v)

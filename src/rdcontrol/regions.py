@@ -18,17 +18,18 @@ once, in its unchecked ``_schedule(lam)``: ``max_weight`` is
 ``_schedule`` itself, because its prices are nonnegative vectors of the
 right length by construction.  Its Frank-Wolfe polish uses the same
 ``_schedule`` as its linear oracle: the region point that maximizes the
-gradient given by the incumbent's implied prices.  ``_schedule`` returns
-a read-only array the region keeps, which a caller copies: a
-:class:`BoxRegion`'s caps maximize every weight vector, so it returns its
-one caps array; a :class:`GaussianMacRegion` remembers the greedy vertex
-of each serving order, up to ``_VERTEX_MEMO`` orders at a time, for the
-life of the region (the vertex of an order is a pure function of the
-frozen region, so sharing it across solves changes no output); and a
-:class:`VertexRegion` returns a row of its vertex matrix.  ``contains``
-and ``violation`` raise :class:`DomainError` on a non-finite rate: a NaN
-coordinate would otherwise drop out of the max and hide a real violation
-elsewhere.
+gradient given by the incumbent's implied prices.  ``_schedule``
+returns a read-only array
+the region keeps, which a caller copies: a :class:`BoxRegion`'s caps
+maximize every weight vector, so it returns its one caps array; a
+:class:`GaussianMacRegion` remembers the greedy vertex of each serving
+order, up to ``_VERTEX_MEMO`` orders at a time, for the life of the
+region (the vertex of an order is a pure function of the frozen region,
+so sharing it across solves changes no output); and a
+:class:`VertexRegion` returns a row of its vertex matrix.
+``contains`` and ``violation`` raise :class:`DomainError` on a non-finite
+rate: a NaN coordinate would otherwise drop out of the max and hide a
+real violation elsewhere.
 """
 
 from __future__ import annotations

@@ -512,8 +512,7 @@ GOLDEN_ROWS = {"box_two_mixed-c_max1": 445, "vertex_base": 513}
 def test_trace_rows_match_golden_bits(name, monkeypatch):
     import hashlib
 
-    def rows(trace):
-        tr = trace
+    def rows(tr):
         return np.concatenate((tr.mu, tr.lam, tr.alpha, tr.beta, tr.c, tr.r), axis=1)
 
     factory, want = GOLDEN_TRACE_SHA256[name]
