@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdcontrol import ScenarioError, primal_violation, solve
-from rdcontrol.orchestrator import _Kernel
 from rdcontrol.cli import main
+from rdcontrol.orchestrator import _Kernel
 from rdcontrol.scenario import mac_scenario_from_dict, scenario_from_dict
 
 rate = st.one_of(st.sampled_from([0.0, 1e-10, 5e-324]), st.floats(0.0, 5.0))
@@ -186,8 +186,8 @@ def test_certificate_holds_on_random_scenarios(doc):
 @st.composite
 def polish_docs(draw):
     """A MAC or vertex scenario of 2-4 sources, with powers of at least 0.5
-    and 2-5 vertices, at a gap no run meets, so the polish runs after every
-    block."""
+    and 2-5 vertices, at a gap of 1e-12, so the polish runs after most
+    blocks."""
     n = draw(st.integers(2, 4))
     doc = draw(scenario_docs(kinds=("mac", "vertices"), sizes=st.just(n)))
     region = doc["region"]
