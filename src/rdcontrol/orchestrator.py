@@ -35,9 +35,9 @@ scheduled point is copied into the two r rows, a twelfth call, on
 every region alike.  No price that reaches a layer is -0.0, so lam - mu
 is never -0.0 and the congestion layer needs no ``+ 0.0``: ``DualState``
 and ``Scenario.dual_init`` store +0.0 in place of -0.0, max(0, price +
-step) of a price that is not -0.0 is never -0.0, and implied prices are
-> 0.  The prices are nonnegative by projection, so ``_schedule`` skips
-the weight check of ``max_weight``;
+step) of a price that is not -0.0 is never -0.0, and an implied price
+is > 0 or +0.0.  The prices are nonnegative by projection, so
+``_schedule`` skips the weight check of ``max_weight``;
 once per block one vectorized test refuses prices that a too-large step
 overflowed to inf or NaN.  Once per block of up to 64 rows the solver
 evaluates the window sums of r, the repair, the incumbent objectives and
@@ -84,31 +84,39 @@ A block never spans a restart.
 
 Weak duality holds at any nonnegative prices, not only at those the loop
 visits.  So at each row where the incumbent improves, the certificate
-also takes the dual value at the prices that incumbent implies, its
-marginal utilities (``_Kernel.implied_prices``), with r from the
-region's ``_schedule`` at those prices.  Where a lam overflows to inf
-the value is NaN, which the running minimum passes over.  At an optimal
-incumbent these are KKT prices and the gap closes at once: a box stops
-at iteration 1.  The best dual at a row is the running minimum of
-the loop's dual values and these values up to that row, so it may come
-from prices that are no trace row, and the stopping row does not depend
-on the block size.  The loop's prices never see these values.
+also takes the dual value at the prices that incumbent implies, with r
+from the region's ``_schedule`` at those prices.
+``_Kernel.implied_prices`` is the one derivation of them: lam is the
+gradient in the scheduled rate r of the repaired objective
+objective(repair(r)), the marginal utilities (Kelly, Maulloo & Tan,
+1998), and mu its part that alpha + beta <= c carries.  A price is 0
+where its constraint is slack (complementary slackness): mu above
+``alpha_max``, lam from ``c_max`` on.  Where a lam overflows to inf the
+value is NaN, which the running minimum passes over.  At an optimal
+incumbent off the kinks of the objective these are KKT prices and the
+gap closes at once: a box stops at iteration 1, also where c_max or
+alpha_max binds.  The best dual at a row is the running minimum of the
+loop's dual values and these values up to that row, so it may come from
+prices that are no trace row, and the stopping row does not depend on
+the block size.  The loop's prices never see these values.
 
 The window average approaches the optimum slowly, so between blocks the
 solver polishes the best incumbent with conditional-gradient steps
 (Frank & Wolfe, 1956; Jaggi, ICML 2013), ``_Kernel.polish``.  After a
-block that did not stop, while iterations remain, up to ``_POLISH`` steps
-each take the prices the incumbent implies, the region point
-``_schedule`` returns at them -- so the paper's scheduling layer is the
-linear oracle -- and the best point of the segment toward it, by a
-vectorized bracketing line search on the concave objective.  A convex
-mix of region points is in the region, so a polished point counts as an
-incumbent when its repair has every c_i >= c_min and its objective is
-higher.  It enters the next block as the carried-in best incumbent, and
-the (mu, lam, r) row at its implied prices joins that block's one
-``dual`` call, whose value bounds every row of the block.  The loop never
-reads a polished point, so every kept trace row is the one the loop alone
-keeps, and only the stopping row moves.  ``recovered`` is the best
+block that did not stop, while iterations remain, and only when the
+incumbent moved since the last polish, up to ``_POLISH`` steps each take
+the same gradient lam at the incumbent, the region point ``_schedule``
+returns at it -- so the paper's scheduling layer is the linear oracle --
+and the best point of the segment toward it, by a vectorized bracketing
+line search whose slope is that gradient again, along the segment.  So
+the certificate, the linear oracle and the line search read one
+gradient.  A convex mix of region points is in the region, so a polished
+point counts as an incumbent when its repair has every c_i >= c_min and
+its objective is higher.  It enters the next block as the carried-in
+best incumbent, and the (mu, lam, r) row at its implied prices joins
+that block's one ``dual`` call, whose value bounds every row of the
+block.  The loop never reads a polished point, so every kept trace row
+is the one the loop alone keeps, and only the stopping row moves.  ``recovered`` is the best
 window-average repair or polished point.
 
 The trace records, per iteration, the raw subproblem primal, the dual
@@ -463,28 +471,36 @@ class _Kernel:
         penalty = -mu * (alpha + beta) + (mu - lam) * c + lam * r
         return self.objective(alpha, beta, c) + penalty.sum(axis=-1)
 
-    def implied_prices(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the prices a repaired point with compressed rate c
-        implies, its marginal utilities: mu = K where c < min(1/K,
-        alpha_max), else 1/min(c, alpha_max), and lam = mu + w/c, with lam
-        = mu where w = 0.  At an optimal point these are KKT prices."""
-        mu = np.where(c < self.kink, self.K, 1.0 / np.minimum(c, self.alpha_max))
+    def implied_prices(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the prices that the repair of the scheduled rate r
+        implies, with c = min(r, c_max): lam is the gradient of the
+        repaired objective in r, one-sided where r = c_max, and mu its
+        part that the compression constraint alpha + beta <= c carries.
+        mu = K where c < min(1/K, alpha_max), 1/c up to alpha_max and 0
+        above it, where that constraint is slack; lam = mu + w/c, with lam
+        = mu where w = 0, and lam = 0 where r >= c_max, where c <= r is
+        slack.  At an optimal point these are KKT prices.  The same lam is
+        the certificate's price, the polish's linear objective and the
+        slope of :meth:`step_length`."""
+        c = np.minimum(r, self.c_max)
+        mu = np.where(c < self.kink, self.K, np.where(c > self.alpha_max, 0.0, 1.0 / c))
         lam = mu.copy()
         lam[..., self.rate] += self.w_rate / c[..., self.rate]
-        return mu, lam
+        return mu, np.where(r < self.c_max, lam, 0.0)
 
     def polish(self, schedule, r: np.ndarray, obj: float):
         """Up to ``_POLISH`` Frank-Wolfe steps from the incumbent with
         scheduled rate r and objective obj, with the region's ``_schedule``
-        as the linear oracle.  Each step takes the prices lam that the
-        repair of r implies, the vertex v = schedule(lam) and the step
-        (1 - gamma) r + gamma v of :meth:`step_length`; it stops when lam.(v
-        - r) <= 0 or the step does not raise the objective of a point with
+        as the linear oracle.  Each step takes lam, the gradient of the
+        repaired objective at r from :meth:`implied_prices`, the vertex v =
+        schedule(lam) and the step (1 - gamma) r + gamma v of
+        :meth:`step_length`; it stops when the Frank-Wolfe gap lam.(v - r)
+        is <= 0 or the step does not raise the objective of a point with
         every c_i >= c_min.  A convex mix of region points stays in the
         region.  Returns None when no step was taken, else the polished
         ((alpha, beta, c, r), objective, (mu, lam, v)), the last the dual
         row at its implied prices."""
-        mu, lam = self.implied_prices(np.minimum(r, self.c_max))
+        mu, lam = self.implied_prices(r)
         v = schedule(lam)
         found = None
         for _ in range(_POLISH):
@@ -500,7 +516,7 @@ class _Kernel:
             if not step_obj > obj:
                 break
             r, obj = step, step_obj
-            mu, lam = self.implied_prices(point[2])
+            mu, lam = self.implied_prices(step)
             v = schedule(lam)
             found = (*point, r)
         return None if found is None else (found, obj, (mu, lam, v))
@@ -508,23 +524,17 @@ class _Kernel:
     def step_length(self, r: np.ndarray, v: np.ndarray) -> float:
         """The gamma in [0, 1] that maximizes the objective of the repair
         of (1 - gamma) r + gamma v.  The objective is concave along the
-        segment, so its derivative falls with gamma: the marginal
-        utilities times v - r, which are the implied lam, less mu where c
-        > alpha_max leaves alpha + beta <= c slack, and 0 where the point
-        is at c_max.  A grid of ``_GRID`` points brackets the root of the
-        derivative, each of ``_ZOOM`` levels grids the bracket again, and
-        the root of the chord through the last bracket's two slopes is the
-        result."""
+        segment, so its derivative, the gradient lam of
+        :meth:`implied_prices` at the point times v - r, falls with gamma.
+        A grid of ``_GRID`` points brackets the root of the derivative,
+        each of ``_ZOOM`` levels grids the bracket again, and the root of
+        the chord through the last bracket's two slopes is the result."""
         d = v - r
         grid = np.linspace(0.0, 1.0, _GRID)[:, None]
         lo, hi = 0.0, 1.0
         for _ in range(_ZOOM):
             gamma = lo + (hi - lo) * grid
-            x = r + gamma * d
-            c = np.minimum(x, self.c_max)
-            mu, lam = self.implied_prices(c)
-            marginal = lam - np.where(c > self.alpha_max, mu, 0.0)
-            slope = np.where(x < self.c_max, marginal, 0.0) @ d
+            slope = self.implied_prices(r + gamma * d)[1] @ d
             k = int(np.argmin(slope > 0.0))  # the first point where it stops rising
             if slope[k] > 0.0:
                 return hi
@@ -649,7 +659,9 @@ def solve(scn: Scenario) -> SolveReport:
     first returns ``converged=False`` rather than raising.
 
     The dual loop is the paper's method.  After a block that does not stop,
-    while iterations remain, ``_Kernel.polish`` takes up to ``_POLISH``
+    while iterations remain and the incumbent moved since the last polish
+    (a polish from the same incumbent finds nothing again),
+    ``_Kernel.polish`` takes up to ``_POLISH``
     Frank-Wolfe steps from the best incumbent's r, with the region's
     ``_schedule`` as the linear oracle: a primal-side step that reuses the
     scheduling layer.  A point it raises is the incumbent the next block
@@ -747,7 +759,7 @@ def solve(scn: Scenario) -> SolveReport:
             # the (mu, lam, r) rows at the prices each new incumbent implies,
             # stacked under the block's own: one pass evaluates g on both
             implied = np.empty((better.size, 3, n))
-            implied[:, 0], implied[:, 1] = kernel.implied_prices(point[2][better])
+            implied[:, 0], implied[:, 1] = kernel.implied_prices(avg_r[better])
             for row in implied:
                 row[2] = schedule(row[1])
             values = kernel.dual(*np.concatenate((blk, implied, polished)).transpose(1, 0, 2))
@@ -779,8 +791,10 @@ def solve(scn: Scenario) -> SolveReport:
             if hits.size:
                 stop_reason = "gap"
                 break
+            # a polish from an incumbent that has not moved finds nothing again
+            fresh = better.size or polished.size
             polished = polished[:0]
-            if best_point is not None and t < max_iters:
+            if fresh and t < max_iters:
                 found = kernel.polish(schedule, best_point[3], best_obj)
                 if found is not None:
                     best_point, best_obj, row = found

@@ -104,6 +104,12 @@ def _benchgen() -> dict:
     return runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "benchgen.py"))
 
 
+def workload_doc(workload: str, name: str) -> dict:
+    """The document ``name`` of ``workload_inputs(workload, 1)`` of the
+    benchmark's generator."""
+    return _benchgen()["workload_inputs"](workload, 1)["docs"][name]
+
+
 def box64_doc() -> dict:
     """The 64-link box document ``box_doc(random.Random("matrix:1"), 64)``
     of the benchmark's generator."""
@@ -127,17 +133,35 @@ SOLVER_CASES = [
 ]
 
 
-def implied_prices(scn: Scenario, c) -> tuple[list[float], list[float]]:
-    """The prices a repaired point with compressed rate c implies, source
-    by source: mu = K below the kink min(1/K, alpha_max), else
-    1/min(c, alpha_max); lam = mu + w/c, or mu where w = 0."""
-    alpha_max = scn.caps.alpha_max
+def implied_prices(scn: Scenario, r) -> tuple[list[float], list[float]]:
+    """The prices the repair of the scheduled rate r implies, source by
+    source.  The repair puts c = min(r, c_max) and alpha + beta = min(c,
+    alpha_max), so the repaired objective phi(r) = ln(alpha) + K.beta +
+    w.ln(c) has the slope
+      K + w/c      on the distortion branch, c < min(1/K, alpha_max)
+                   (alpha = min(1/K, alpha_max), beta = c - alpha),
+      (1 + w)/c    on the lossless branch up to alpha_max (alpha = c),
+      w/c          above alpha_max (alpha = alpha_max, beta = 0),
+      0            from c_max on, where c no longer follows r.
+    lam is that slope, the one at r = c_max taken from the right, and mu
+    is its part from the distortion term ln(alpha) + K.beta: K, 1/c or 0
+    by branch, the last where alpha + beta <= c is slack."""
+    caps = scn.caps
     mu, lam = [], []
-    for spec, ci in zip(scn.sources, map(float, c)):
+    for spec, ri in zip(scn.sources, map(float, r)):
         K, w = spec.V.K, spec.U.w
-        m = K if ci < min(1.0 / K, alpha_max) else 1.0 / min(ci, alpha_max)
+        c = min(ri, caps.c_max)
+        if c < min(1.0 / K, caps.alpha_max):
+            m = K
+        elif c <= caps.alpha_max:
+            m = 1.0 / c
+        else:
+            m = 0.0
         mu.append(m)
-        lam.append(m + w / ci if w > 0 else m)
+        if ri >= caps.c_max:
+            lam.append(0.0)
+        else:
+            lam.append(m + w / c if w > 0 else m)
     return mu, lam
 
 

@@ -117,8 +117,8 @@ def test_solve_exit_zero_and_trace(tmp_path, capsys):
 
 
 def test_solve_max_iters_one_exits_two(tmp_path):
-    # a cap above c_max: the prices the first incumbent implies certify nothing
-    scn = write_scenario(tmp_path, solver_doc(caps=(60.0,)))
+    # a cap below c_min: no point is an incumbent, so nothing certifies row 1
+    scn = write_scenario(tmp_path, solver_doc(caps=(1e-10,)))
     out = tmp_path / "trace.csv"
     code = main(["solve", scn, "--out", str(out), "--max-iters", "1"])
     assert code == 2
@@ -140,7 +140,7 @@ def test_solve_without_finite_incumbent_exits_two(tmp_path, capsys):
 def test_gamma0_override_keeps_the_step_rule(tmp_path):
     # --gamma0 rescales the document's rule: a constant step stays constant
     def run(kind, gamma0, *extra):
-        doc = solver_doc(caps=(60.0, 0.6), max_iters=300)  # 60 > c_max: no early stop
+        doc = solver_doc(caps=(1e-10, 0.6), max_iters=300)  # 1e-10 < c_min: no early stop
         doc["solver"]["step"] = {"kind": kind, "gamma0": gamma0}
         out = tmp_path / f"{kind}-{gamma0}-{len(extra)}.csv"
         main(["solve", write_scenario(tmp_path, doc), "--out", str(out), *extra])
@@ -512,8 +512,8 @@ def no_incumbent_scenario():
 
 
 def long_box16():
-    # c_max below the caps keeps the loop running: 2,624 rows
-    return replace(cases.box16(), caps=SolverCaps(alpha_max=20.0, c_max=1.0), tol_gap=1e-4)
+    # c_min above some caps: no incumbent, so the loop runs all 2,624 rows
+    return replace(cases.box16(), caps=SolverCaps(alpha_max=20.0, c_min=1.0), max_iters=2624)
 
 
 @pytest.mark.parametrize(

@@ -345,7 +345,7 @@ def test_kkt_residuals_small_after_convergence():
     for _, factory, _ in cases.SOLVER_CASES:
         scn = replace(factory(), tol_gap=1e-12)
         report = solve(scn)
-        dual = DualState(*cases.implied_prices(scn, report.recovered.c))
+        dual = DualState(*cases.implied_prices(scn, report.recovered.r))
         rep = kkt_residuals(report.recovered, dual, scn)
         assert rep.max_residual <= 1e-9
 
@@ -353,7 +353,7 @@ def test_kkt_residuals_small_after_convergence():
 def test_kkt_residuals_grow_under_perturbed_duals():
     scn = cases.box_single_tight()
     report = solve(scn)
-    dual = DualState(*cases.implied_prices(scn, report.recovered.c))
+    dual = DualState(*cases.implied_prices(scn, report.recovered.r))
     perturbed = DualState(dual.mu * 1.1, dual.lam * 1.1)
     at_opt = kkt_residuals(report.recovered, dual, scn)
     off_opt = kkt_residuals(report.recovered, perturbed, scn)

@@ -92,10 +92,10 @@ def test_default_max_iters_fits_the_trace_cap():
 
 
 def test_overflowing_prices_blame_the_step():
-    # the second cap is above c_max, so the prices the first incumbent
-    # implies certify nothing and the run reaches iteration 2
+    # the second cap is below c_min, so no point is an incumbent and the run
+    # reaches iteration 2
     src = SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0))
-    scn = Scenario(sources=(src, src), region=BoxRegion((1.0, 2e6)), step=Constant(1e305))
+    scn = Scenario(sources=(src, src), region=BoxRegion((1.0, 1e-10)), step=Constant(1e305))
     with pytest.raises(DomainError) as err:
         solve(scn)
     assert err.value.field == "gamma0"
@@ -438,21 +438,59 @@ def test_solve_deterministic():
 
 # ------------------------------------------------------- the array kernel
 
+def with_caps(factory, **changes):
+    """The scenario with the named fields of its caps changed."""
+    def build():
+        scn = factory()
+        return replace(scn, caps=replace(scn.caps, **changes))
+    return build
+
+
+def over_c_max(factory):
+    """The scenario with c_max = 1, below some of its caps.  There c <= r is
+    slack, the implied lam is 0, and a box certifies at row 1."""
+    return with_caps(factory, c_max=1.0)
+
+
+def under_c_min(factory):
+    """The scenario with c_min = 1, above some of its caps, and 400
+    iterations: no repaired point is an incumbent, so the loop runs them all
+    under any price rule."""
+    return lambda: replace(with_caps(factory, c_min=1.0)(), max_iters=400)
+
+
+def box16_doc_scenario():
+    return scenario_from_dict(cases.workload_doc("box_wide", "box16"))
+
+
+# Boxes that leave a constraint slack at the optimum: c_max below a cap
+# (c <= r), or alpha_max below the lossless rate (alpha + beta <= c).  The
+# implied price of a slack constraint is 0, so each certifies at its first
+# incumbent; prices that were not 0 there ran them for 445 to 8,000 rows.
+STRESS_BOXES = [
+    ("box16-c_max1", with_caps(box16_doc_scenario, c_max=1.0)),
+    ("box64-c_max1", with_caps(lambda: scenario_from_dict(cases.box64_doc()), c_max=1.0)),
+    ("box_two_mixed-c_max1", over_c_max(cases.box_two_mixed)),
+    ("box16-alpha_max0.5", with_caps(box16_doc_scenario, alpha_max=0.5)),
+    ("box_two_mixed-alpha_max0.5", with_caps(cases.box_two_mixed, alpha_max=0.5)),
+]
 PINNED_ITERATIONS = {
     "box_single_wide": 1,
     "box_single_tight": 1,
     "box_two_mixed": 1,
     "mac_symmetric": 2,
     "mac_asymmetric": 2,
+    **{name: 1 for name, _ in STRESS_BOXES},
 }
+PINNED_RUNS = [(name, factory) for name, factory, _ in cases.SOLVER_CASES] + STRESS_BOXES
 
 
-@pytest.mark.parametrize(
-    "name, factory, steps", cases.SOLVER_CASES, ids=[case[0] for case in cases.SOLVER_CASES]
-)
-def test_solve_iteration_counts_are_pinned(name, factory, steps):
+@pytest.mark.parametrize("name, factory", PINNED_RUNS, ids=[run[0] for run in PINNED_RUNS])
+def test_solve_iteration_counts_are_pinned(name, factory):
     # a change to the loop that moves these has changed the algorithm
-    assert solve(factory()).iterations == PINNED_ITERATIONS[name]
+    report = solve(factory())
+    assert report.iterations == PINNED_ITERATIONS[name]
+    assert report.stop_reason == "gap"
 
 
 def vertex_base():
@@ -470,19 +508,14 @@ def vertex_base():
     )
 
 
-def over_c_max(factory):
-    """The scenario with c_max = 1, below some of its caps, so the implied
-    prices certify no early row and the loop runs on."""
-    return lambda: replace(factory(), caps=SolverCaps(alpha_max=20.0, c_max=1.0, c_min=1e-9))
-
-
 # SHA-256 of the raw little-endian float64 bytes of the (mu, lam, alpha,
 # beta, c, r) trace rows.  ``dual_iterate`` shares the layer code with
 # ``solve``, so only a fixed record catches drift in that shared code.  The
 # MAC cases are left out: their vertices go through ``math.log2``, whose
-# last bit may differ between platforms.  The paper's boxes stop at row 1;
-# ``box_two_mixed`` under c_max = 1 (445 rows) and ``vertex_base`` keep
-# long runs under the record.  The rows are the dual loop's, which the
+# last bit may differ between platforms.  The paper's boxes stop at row 1,
+# and so does ``box_two_mixed`` under c_max = 1; ``box_two_mixed`` under
+# c_min = 1 (400 rows, no incumbent) and ``vertex_base`` keep long runs
+# under the record.  The rows are the dual loop's, which the
 # polish never feeds, so the record is of runs without it: ``vertex_base``
 # then certifies at row 513, where polished it stops at row 2.
 GOLDEN_TRACE_SHA256 = {
@@ -497,7 +530,11 @@ GOLDEN_TRACE_SHA256 = {
     ),
     "box_two_mixed-c_max1": (
         over_c_max(cases.box_two_mixed),
-        "02a9e60f7a9b0b9b2543f007f1879291899e1ce27a7214449e6bec6d0e4a1f1d",
+        "7c9fb3d4acf82614ae3ca2fa68172a08baf86189eb500917ce1f878e54d90777",
+    ),
+    "box_two_mixed-c_min1": (
+        under_c_min(cases.box_two_mixed),
+        "e5e419d2432822291e63fedc3735cf9286daf3fed875c98744e220279c455e21",
     ),
     "vertex_base": (
         vertex_base, "b41cb316860757e81fd6f392e7496c9f640cdf8919a78e737d273518be196d27"
@@ -505,7 +542,7 @@ GOLDEN_TRACE_SHA256 = {
 }
 
 
-GOLDEN_ROWS = {"box_two_mixed-c_max1": 445, "vertex_base": 513}
+GOLDEN_ROWS = {"box_two_mixed-c_min1": 400, "vertex_base": 513}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA256))
@@ -628,9 +665,8 @@ def long_vertex():
     return replace(over_c_max(vertex_base)(), tol_gap=UNMET_GAP, max_iters=400)
 
 
-# The box runs from here on put a cap above c_max: the repair saturates c at
-# c_max, so the prices the incumbent implies leave lam.(r - c) > 0 in their
-# dual value, and the run goes on past row 1
+# The box runs from here on put a cap below c_min: no repaired point is an
+# incumbent, so they run to max_iters whatever prices an incumbent implies
 def zero_constant():
     # w = 0 puts c at c_min or c_max, and lam = mu at the start
     return Scenario(
@@ -638,7 +674,7 @@ def zero_constant():
             SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), Zero()),
             SourceSpec(BinarySource(1.0, 0.5), LogLinear(2.0), LogRate(1.0)),
         ),
-        region=BoxRegion((0.5, 0.8)),
+        region=BoxRegion((1e-10, 0.8)),
         caps=SolverCaps(alpha_max=20.0, c_max=0.7, c_min=1e-9),
         step=Constant(0.05),
         max_iters=400,
@@ -700,11 +736,11 @@ def test_trace_rows_are_the_subproblem_iterates(name):
 
 
 def one_zero_box():
-    # a Zero source alone: w = 0 puts c at c_min or c_max; the cap is above
-    # c_max
+    # a Zero source alone: w = 0 puts c at c_min or c_max; the cap is below
+    # c_min
     return Scenario(
         sources=(SourceSpec(BinarySource(1.0, 0.5), LogLinear(1.0), Zero()),),
-        region=BoxRegion((25.0,)),
+        region=BoxRegion((1e-10,)),
         caps=cases.CAPS_20,
         step=Constant(0.05),
         max_iters=400,
@@ -714,7 +750,7 @@ def one_zero_box():
 def c_min_binds():
     return replace(
         cases.box_two_mixed(),
-        region=BoxRegion((2.0, 25.0)),
+        region=BoxRegion((2.0, 0.2)),
         caps=SolverCaps(alpha_max=20.0, c_max=20.0, c_min=0.3),
         max_iters=400,
     )
@@ -727,7 +763,9 @@ LAYER_RUNS = {
     "mac_four": (mac_four, None),
     "vertex_base": (vertex_base, None),
     "c_min_binds": (c_min_binds, lambda tr: (tr.c == 0.3).any()),
-    "box_two_mixed-c_max1": (over_c_max(cases.box_two_mixed), lambda tr: len(tr) > 1),
+    # the stress box: lam = 0 where r >= c_max, so its first incumbent certifies
+    "box_two_mixed-c_max1": (over_c_max(cases.box_two_mixed), lambda tr: len(tr) == 1),
+    "box_two_mixed-c_min1": (under_c_min(cases.box_two_mixed), lambda tr: len(tr) == 400),
     "long_mac": (long_mac, lambda tr: len(tr) == 400),
     "long_vertex": (long_vertex, lambda tr: len(tr) == 400),
 }
@@ -775,8 +813,10 @@ def _stored_bytes(arrays):
 
 @pytest.mark.parametrize(
     "factory",
-    [cases.box_two_mixed, over_c_max(cases.box_two_mixed), cases.mac_asymmetric, vertex_trio],
-    ids=["box_two_mixed", "box_two_mixed-c_max1", "mac_asymmetric", "vertex_trio"],
+    [cases.box_two_mixed, over_c_max(cases.box_two_mixed), under_c_min(cases.box_two_mixed),
+     cases.mac_asymmetric, vertex_trio],
+    ids=["box_two_mixed", "box_two_mixed-c_max1", "box_two_mixed-c_min1", "mac_asymmetric",
+         "vertex_trio"],
 )
 def test_trace_stores_prices_and_scheduled_rates(factory):
     # the prices fix alpha, beta and c, so a trace stores (mu, lam, r) and
@@ -833,7 +873,9 @@ def test_trace_prices_hit_the_projection():
 def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
     # rebuild the power-of-two restarted window average of r from the raw
     # rows, and take the point each block's polish returned; the running
-    # best of these incumbents is the primal_obj column
+    # best of these incumbents is the primal_obj column.  The polish runs at
+    # each block end where the incumbent moved since the last polish: a
+    # polish from the same incumbent would find nothing again
     scn = replace(long_mac(), max_iters=200)
     polish = _Kernel.polish
     calls = []
@@ -847,11 +889,13 @@ def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
     report = solve(scn)
     tr = report.trace
     ends = block_ends(len(tr))[:-1]  # no polish after the last block
-    assert len(calls) == len(ends)
     assert any(found is not None for *_, found in calls)
+    # some polish finds nothing, and some block end is skipped
+    assert any(found is None for *_, found in calls) and len(calls) < len(ends)
+    polishes = iter(calls)
     sum_r = np.zeros(scn.n)
     count, next_restart = 0, 2
-    best, best_point = -math.inf, None
+    best, best_point, moved = -math.inf, None, False
     for k, t in enumerate(tr.t):
         if t == next_restart:
             sum_r[:] = 0.0
@@ -860,16 +904,18 @@ def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
         count += 1
         point = repaired(sum_r / count, scn)
         if point.c.min() >= scn.caps.c_min and primal_objective(point, scn) > best:
-            best, best_point = primal_objective(point, scn), point
+            best, best_point, moved = primal_objective(point, scn), point, True
         assert tr.primal_obj[k] == best
-        if t in ends:
+        if t in ends and moved:
             # the polish starts from the incumbent, and what it returns is one
-            r, obj, found = calls[ends.index(t)]
+            r, obj, found = next(polishes)
             assert obj == best and np.array_equal(r, best_point.r)
+            moved = found is not None
             if found is not None:
                 assert found[1] > best
                 best, best_point = found[1], PrimalAllocation(*found[0])
                 assert primal_objective(best_point, scn) == best
+    assert next(polishes, None) is None
     assert report.recovered_objective == best == tr.primal_obj[-1]
     for name in ("alpha", "beta", "c", "r"):
         assert np.array_equal(getattr(report.recovered, name), getattr(best_point, name))
@@ -960,22 +1006,51 @@ def test_dual_value_is_exact_where_c_sits_at_c_max():
     assert report.best_dual >= report.recovered_objective
 
 
-def test_implied_prices_match_the_reference_on_every_branch():
-    # K = 0.01 puts 1/K = 100 above alpha_max = 20, so that source's kink is
-    # alpha_max; the rows put c below, at and above each kink, and the
-    # polish reads these prices at every point of its line search
-    scn = Scenario(
+def branch_scenario():
+    # K = 0.01 puts 1/K = 100 above alpha_max = 5, so that source's kink is
+    # alpha_max; the Zero source has w = 0
+    return Scenario(
         sources=tuple(
             SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), U)
             for K, U in ((0.01, LogRate(1.0)), (1.0, Zero()), (4.0, LogRate(2.0)))
         ),
         region=BoxRegion((1.0, 1.0, 1.0)),
-        caps=cases.CAPS_20,
+        caps=SolverCaps(alpha_max=5.0, c_max=20.0, c_min=1e-9),
     )
-    c = np.array([[x, x, x] for x in (0.1, 0.25, 0.5, 1.0, 10.0, 20.0, 30.0, 150.0)])
-    mu, lam = _Kernel(scn).implied_prices(c)
-    for row, m, l in zip(c, mu, lam):
+
+
+def test_implied_prices_match_the_reference_on_every_branch():
+    # the rows put r below, at and above each kink, between alpha_max and
+    # c_max, at c_max and above it; the certificate, the polish's linear
+    # oracle and its line search all read these prices
+    scn = branch_scenario()
+    r = np.array([[x, x, x] for x in (0.1, 0.25, 0.5, 1.0, 5.0, 10.0, 20.0, 30.0, 150.0)])
+    mu, lam = _Kernel(scn).implied_prices(r)
+    for row, m, l in zip(r, mu, lam):
         assert np.array_equal(np.array(cases.implied_prices(scn, row)), np.array([m, l]))
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, 2.0, 10.0, 20.0, 30.0])
+def test_implied_lam_is_the_slope_of_the_repaired_objective(x):
+    # the one-sided difference quotient of phi(r) = objective(repair(r)) in
+    # each r_i.  At x = 0.1 every source is on its distortion branch; at 1
+    # and 2 the K = 0.01 source still is, the others are lossless; 10 is
+    # above alpha_max = 5, where alpha + beta <= c is slack; 20 is c_max and
+    # 30 above it, where c <= r is slack and phi is flat to the right
+    scn = branch_scenario()
+    kernel = _Kernel(scn)
+    r = np.full(scn.n, x)
+    lam = kernel.implied_prices(r)[1]
+
+    def phi(r):
+        return float(kernel.objective(*kernel.repair(r)))
+
+    for i in range(scn.n):
+        h = 1e-7 * x
+        quotient = (phi(r + h * np.eye(scn.n)[i]) - phi(r)) / h
+        assert lam[i] == pytest.approx(quotient, rel=1e-5, abs=1e-6)
+    if x >= scn.caps.c_max:
+        assert not lam.any()
 
 
 @pytest.mark.parametrize("max_iters", [1, 200])
@@ -994,7 +1069,7 @@ def test_implied_prices_that_overflow_give_no_bound(max_iters):
         warnings.simplefilter("error")
         report = solve(scn)
     assert report.recovered is not None
-    assert cases.implied_prices(scn, report.recovered.c)[1] == [math.inf]
+    assert cases.implied_prices(scn, report.recovered.r)[1] == [math.inf]
     assert report.best_dual >= report.recovered_objective
     assert report.best_dual == report.trace.dual_obj.min()
 
@@ -1020,7 +1095,9 @@ def block_count(iterations):
 
 
 @pytest.mark.parametrize(
-    "name", ["box_two_mixed", "mac_asymmetric", "box_two_mixed-c_max1", "vertex_base", "long_mac"]
+    "name",
+    ["box_two_mixed", "mac_asymmetric", "box_two_mixed-c_max1", "box_two_mixed-c_min1",
+     "vertex_base", "long_mac"],
 )
 def test_solve_evaluates_the_dual_once_per_block(monkeypatch, name):
     # the block's rows, the implied-price rows of its new incumbents and the
@@ -1069,6 +1146,17 @@ def test_polish_certifies_a_40_user_mac():
     assert report.stop_reason == "gap"
 
 
+def test_polish_reads_the_slope_above_alpha_max():
+    # at alpha_max = 0.5 some of mac5's rates pass alpha_max, where the slope
+    # is w/c.  A linear oracle that read 1/alpha_max + w/c there steered the
+    # polish to an incumbent of objective -9.4320
+    scn = with_caps(lambda: scenario_from_dict(cases.workload_doc("shared_channel", "mac5")),
+                    alpha_max=0.5)()
+    report = solve(scn)
+    assert report.stop_reason == "gap"
+    assert report.recovered_objective > -9.4
+
+
 def sequential_solve(scn):
     """The solve loop one iteration at a time through the public functions:
     the reference for the blocked certificate in :func:`solve`.  Each new
@@ -1095,7 +1183,7 @@ def sequential_solve(scn):
             obj = primal_objective(point, scn)
             if obj > best_obj:
                 best_obj, best_point = obj, point
-                mu, lam = cases.implied_prices(scn, point.c)
+                mu, lam = cases.implied_prices(scn, point.r)
                 if all(map(math.isfinite, lam)):
                     best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
         if best_point is not None:
@@ -1136,9 +1224,15 @@ def starved_pair():
 BLOCK_RUNS = [
     (name, factory, max_iters)
     for name, factory in (
-        ("two", over_c_max(cases.box_two_mixed)), ("box16", over_c_max(cases.box16)),
+        ("two", under_c_min(cases.box_two_mixed)), ("box16", under_c_min(cases.box16)),
     )
-    for max_iters in (1, 2, 3, 63, 64, 65, 127, 128, 129, 50_000)
+    for max_iters in (1, 2, 3, 63, 64, 65, 127, 128, 129)
+] + [
+    # the same boxes under c_max = 1: their first incumbents certify at row 1
+    ("two", over_c_max(cases.box_two_mixed), 50_000), ("box16", over_c_max(cases.box16), 50_000),
+    # on the kink at alpha_max the implied prices certify nothing, and the
+    # gap stops the run at row 234, in the middle of a block
+    ("vertex_kink", with_caps(vertex_base, alpha_max=0.5), 50_000),
 ] + [("starved", starved_pair, 130)] + [
     # the scheduled rates of these regions move, so the block keeps them
     # too; at a gap no incumbent meets, the polish runs after every block
@@ -1164,8 +1258,8 @@ BLOCK_RUNS = [
 )
 def test_block_certificate_matches_sequential_loop(name, factory, max_iters):
     # block edges at every power of two up to 128, with polished incumbents
-    # carried across them, a gap stop in the middle of a block (max_iters
-    # 50,000), a run with no incumbent and runs that the implied prices stop
+    # carried across them, gap stops in the middle of a block (max_iters
+    # 50,000), runs with no incumbent and runs that the implied prices stop
     scn = replace(factory(), max_iters=max_iters)
     report = solve(scn)
     ref = sequential_solve(scn)
