@@ -479,7 +479,9 @@ class _Kernel:
         mu = K where c < min(1/K, alpha_max), 1/c up to alpha_max and 0
         above it, where that constraint is slack; lam = mu + w/c, with lam
         = mu where w = 0, and lam = 0 where r >= c_max, where c <= r is
-        slack.  At an optimal point these are KKT prices.  The same lam is
+        slack.  At c = alpha_max the slope drops, and mu = 1/alpha_max
+        there is the left branch's only where alpha_max >= 1/K.  At an
+        optimal point off that kink these are KKT prices.  The same lam is
         the certificate's price, the polish's linear objective and the
         slope of :meth:`step_length`."""
         c = np.minimum(r, self.c_max)

@@ -1045,8 +1045,8 @@ def test_implied_lam_is_the_slope_of_the_repaired_objective(x):
     def phi(r):
         return float(kernel.objective(*kernel.repair(r)))
 
+    h = 1e-7 * x
     for i in range(scn.n):
-        h = 1e-7 * x
         quotient = (phi(r + h * np.eye(scn.n)[i]) - phi(r)) / h
         assert lam[i] == pytest.approx(quotient, rel=1e-5, abs=1e-6)
     if x >= scn.caps.c_max:
@@ -1148,8 +1148,8 @@ def test_polish_certifies_a_40_user_mac():
 
 def test_polish_reads_the_slope_above_alpha_max():
     # at alpha_max = 0.5 some of mac5's rates pass alpha_max, where the slope
-    # is w/c.  A linear oracle that read 1/alpha_max + w/c there steered the
-    # polish to an incumbent of objective -9.4320
+    # is w/c.  Prices of 1/alpha_max + w/c there, which overstate it, steer
+    # the polish to an incumbent of objective -9.4320
     scn = with_caps(lambda: scenario_from_dict(cases.workload_doc("shared_channel", "mac5")),
                     alpha_max=0.5)()
     report = solve(scn)
@@ -1228,7 +1228,8 @@ BLOCK_RUNS = [
     )
     for max_iters in (1, 2, 3, 63, 64, 65, 127, 128, 129)
 ] + [
-    # the same boxes under c_max = 1: their first incumbents certify at row 1
+    # box_two_mixed and box16 under c_max = 1: their first incumbents
+    # certify at row 1
     ("two", over_c_max(cases.box_two_mixed), 50_000), ("box16", over_c_max(cases.box16), 50_000),
     # on the kink at alpha_max the implied prices certify nothing, and the
     # gap stops the run at row 234, in the middle of a block
