@@ -101,23 +101,32 @@ prices that are no trace row, and the stopping row does not depend on
 the block size.  The loop's prices never see these values.
 
 The window average approaches the optimum slowly, so between blocks the
-solver polishes the best incumbent with conditional-gradient steps
-(Frank & Wolfe, 1956; Jaggi, ICML 2013), ``_Kernel.polish``.  After a
-block that did not stop, while iterations remain, and only when the
-incumbent moved since the last polish, up to ``_POLISH`` steps each take
-the same gradient lam at the incumbent, the region point ``_schedule``
-returns at it -- so the paper's scheduling layer is the linear oracle --
-and the best point of the segment toward it, by a vectorized bracketing
-line search whose slope is that gradient again, along the segment.  So
-the certificate, the linear oracle and the line search read one
-gradient.  A convex mix of region points is in the region, so a polished
-point counts as an incumbent when its repair has every c_i >= c_min and
-its objective is higher.  It enters the next block as the carried-in
-best incumbent, and the (mu, lam, r) row at its implied prices joins
-that block's one ``dual`` call, whose value bounds every row of the
-block.  The loop never reads a polished point, so every kept trace row
-is the one the loop alone keeps, and only the stopping row moves.  ``recovered`` is the best
-window-average repair or polished point.
+solver polishes the best incumbent with away-step conditional-gradient
+steps (Frank & Wolfe, 1956; Guelat & Marcotte, 1986; Lacoste-Julien &
+Jaggi, NeurIPS 2015), ``_Kernel.polish``.  After a block that did not
+stop, while iterations remain, and only when the incumbent moved since
+the last polish, it starts from the incumbent's (mu, lam, v) row, which
+that block's ``dual`` call already holds.  Each step takes the gradient
+lam at the point and the region point v ``_schedule`` returns at it --
+so the paper's scheduling layer is the linear oracle -- and moves toward
+v, or away from the worst point of its active set (the region points it
+mixes), to the best point of that segment by a vectorized bracketing
+line search whose slope is that gradient again.  So the certificate, the
+linear oracle and the line search read one gradient.  Away steps
+converge linearly on a polytope such as the MAC or a vertex region, where
+plain Frank-Wolfe steps zig-zag at O(1/k).  The Frank-Wolfe gap lam.(v -
+r) is the dual value at the point's implied prices less its objective,
+so the polish stops once that gap meets ``tol_gap``, the test the next
+block's certificate applies.  A convex mix of region points is in the
+region, so a polished point counts as an incumbent when its repair has
+every c_i >= c_min and its objective is no lower: in a face a step short
+enough to close the gap further may only tie the objective in floating
+point.  It enters the next block as the carried-in best incumbent, and
+the (mu, lam, r) row at its implied prices joins that block's one
+``dual`` call, whose value bounds every row of the block.  The loop
+never reads a polished point, so every kept trace row is the one the
+loop alone keeps, and only the stopping row moves.  ``recovered`` is the
+best window-average repair or polished point.
 
 The trace records, per iteration, the raw subproblem primal, the dual
 objective at the current prices and the best incumbent objective seen so
@@ -398,10 +407,12 @@ _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 # most iterations :func:`solve` runs before it certifies them together
 _BLOCK = 64
-# most Frank-Wolfe steps that polish the incumbent after a block that did
-# not stop, and the grid points and zoom levels of each step's line search
-_POLISH = 8
-_GRID = 33
+# most away-step Frank-Wolfe steps of one polish of the incumbent after a
+# block that did not stop; it stops sooner, once its Frank-Wolfe gap meets
+# tol_gap.  Then the grid of 33 points on [0, 1], as a column, and the zoom
+# levels of each step's line search
+_POLISH = 64
+_GRID = np.linspace(0.0, 1.0, 33)[:, None]
 _ZOOM = 4
 
 
@@ -433,6 +444,7 @@ class _Kernel:
         self.c_min = scn.caps.c_min
         self.c_max = scn.caps.c_max
         self.step_size = scn.step.step_size
+        self.tol_gap = scn.tol_gap
 
     def primal(self, mu: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
         """The compression and congestion layers at the prices: the
@@ -476,66 +488,93 @@ class _Kernel:
         implies, with c = min(r, c_max): lam is the gradient of the
         repaired objective in r, one-sided where r = c_max, and mu its
         part that the compression constraint alpha + beta <= c carries.
-        mu = K where c < min(1/K, alpha_max), 1/c up to alpha_max and 0
+        mu = K where c <= min(1/K, alpha_max), 1/c up to alpha_max and 0
         above it, where that constraint is slack; lam = mu + w/c, with lam
         = mu where w = 0, and lam = 0 where r >= c_max, where c <= r is
-        slack.  At c = alpha_max the slope drops, and mu = 1/alpha_max
-        there is the left branch's only where alpha_max >= 1/K.  At an
-        optimal point off that kink these are KKT prices.  The same lam is
-        the certificate's price, the polish's linear objective and the
-        slope of :meth:`step_length`."""
+        slack.  At c = alpha_max the slope drops, and mu there is the left
+        branch's: K where alpha_max < 1/K, else 1/alpha_max.  At an optimal
+        point off that kink these are KKT prices.  The same lam is the
+        certificate's price, the polish's linear objective and the slope
+        of :meth:`step_length`."""
         c = np.minimum(r, self.c_max)
-        mu = np.where(c < self.kink, self.K, np.where(c > self.alpha_max, 0.0, 1.0 / c))
+        mu = np.where(c <= self.kink, self.K, np.where(c > self.alpha_max, 0.0, 1.0 / c))
         lam = mu.copy()
         lam[..., self.rate] += self.w_rate / c[..., self.rate]
         return mu, np.where(r < self.c_max, lam, 0.0)
 
-    def polish(self, schedule, r: np.ndarray, obj: float):
-        """Up to ``_POLISH`` Frank-Wolfe steps from the incumbent with
-        scheduled rate r and objective obj, with the region's ``_schedule``
-        as the linear oracle.  Each step takes lam, the gradient of the
-        repaired objective at r from :meth:`implied_prices`, the vertex v =
-        schedule(lam) and the step (1 - gamma) r + gamma v of
-        :meth:`step_length`; it stops when the Frank-Wolfe gap lam.(v - r)
-        is <= 0 or the step does not raise the objective of a point with
-        every c_i >= c_min.  A convex mix of region points stays in the
-        region.  Returns None when no step was taken, else the polished
-        ((alpha, beta, c, r), objective, (mu, lam, v)), the last the dual
-        row at its implied prices."""
-        mu, lam = self.implied_prices(r)
-        v = schedule(lam)
+    def polish(self, schedule, r: np.ndarray, obj: float, row: np.ndarray):
+        """Up to ``_POLISH`` away-step Frank-Wolfe steps (Guelat & Marcotte,
+        1986) from the incumbent with scheduled rate r, objective obj and
+        dual row (mu, lam, v): lam is the gradient of the repaired objective
+        at the point (:meth:`implied_prices`) and v = schedule(lam), the
+        region's ``_schedule`` as the linear oracle.  The active set is the
+        region points the polish mixes, the rows of ``atoms``, with their
+        ``weights``; at first it is r at weight 1.  The polish stops once
+        the Frank-Wolfe gap lam.(v - r), the dual value at (mu, lam, v)
+        less obj, is <= ``tol_gap`` (1 + |obj|).  Else, with a the atom of
+        least lam.a, a step goes away from a, toward the mix of the other
+        atoms r + (w_a/(1 - w_a))(r - a), where lam.(r - a) is the larger
+        gap, and toward v otherwise, as a new atom or more weight on an
+        equal one, to the point of :meth:`step_length` on that segment.  A
+        full step drops the atoms it empties.  The polish stops at a step
+        whose repair has some c_i < c_min, that lowers the objective or
+        that leaves r where it was; a step that only ties the objective is
+        taken.  Each point is a convex mix of region points.  Returns None
+        when no step was taken, else the polished ((alpha, beta, c, r),
+        objective, (mu, lam, v), (atoms, weights)), the third its dual row;
+        weights @ atoms is r up to rounding."""
+        mu, lam, v = row
+        atoms, weights = r[None], np.ones(1)
         found = None
         for _ in range(_POLISH):
             # inf or NaN where an implied lam overflowed to inf
-            if not 0.0 < lam @ (v - r) < math.inf:
+            gap = lam @ (v - r)
+            if not self.tol_gap * (1.0 + abs(obj)) < gap < math.inf:
                 break
-            gamma = self.step_length(r, v)
-            step = (1.0 - gamma) * r + gamma * v
+            # mix: the segment's end as weights on the atoms, either the
+            # atoms but a, or v as a new atom or an equal one
+            a = (atoms @ lam).argmin()
+            if lam @ (r - atoms[a]) > gap:
+                mix = weights.copy()
+                mix[a] = 0.0
+                mix /= mix.sum()
+                end = mix @ atoms
+            else:
+                mix = (atoms == v).all(axis=1) * 1.0
+                if not mix.any():
+                    atoms = np.concatenate((atoms, v[None]))
+                    weights, mix = np.concatenate((weights, [0.0])), np.concatenate((mix, [1.0]))
+                end = v
+            gamma = self.step_length(r, end)
+            step = (1.0 - gamma) * r + gamma * end
             point = self.repair(step)
             if not point[2].min() >= self.c_min:
                 break
             step_obj = float(self.objective(*point))
-            if not step_obj > obj:
+            if not step_obj >= obj or (step == r).all():
                 break
             r, obj = step, step_obj
+            if gamma == 1.0:  # a full step empties the atoms outside the mix
+                atoms, weights = atoms[mix > 0.0], mix[mix > 0.0]
+            else:
+                weights = (1.0 - gamma) * weights + gamma * mix
             mu, lam = self.implied_prices(step)
             v = schedule(lam)
             found = (*point, r)
-        return None if found is None else (found, obj, (mu, lam, v))
+        return None if found is None else (found, obj, (mu, lam, v), (atoms, weights))
 
     def step_length(self, r: np.ndarray, v: np.ndarray) -> float:
         """The gamma in [0, 1] that maximizes the objective of the repair
         of (1 - gamma) r + gamma v.  The objective is concave along the
         segment, so its derivative, the gradient lam of
         :meth:`implied_prices` at the point times v - r, falls with gamma.
-        A grid of ``_GRID`` points brackets the root of the derivative,
-        each of ``_ZOOM`` levels grids the bracket again, and the root of
-        the chord through the last bracket's two slopes is the result."""
+        The ``_GRID`` points bracket the root of the derivative, each of
+        ``_ZOOM`` levels grids the bracket again, and the root of the chord
+        through the last bracket's two slopes is the result."""
         d = v - r
-        grid = np.linspace(0.0, 1.0, _GRID)[:, None]
         lo, hi = 0.0, 1.0
         for _ in range(_ZOOM):
-            gamma = lo + (hi - lo) * grid
+            gamma = lo + (hi - lo) * _GRID
             slope = self.implied_prices(r + gamma * d)[1] @ d
             k = int(np.argmin(slope > 0.0))  # the first point where it stops rising
             if slope[k] > 0.0:
@@ -663,12 +702,13 @@ def solve(scn: Scenario) -> SolveReport:
     The dual loop is the paper's method.  After a block that does not stop,
     while iterations remain and the incumbent moved since the last polish
     (a polish from the same incumbent finds nothing again),
-    ``_Kernel.polish`` takes up to ``_POLISH``
-    Frank-Wolfe steps from the best incumbent's r, with the region's
-    ``_schedule`` as the linear oracle: a primal-side step that reuses the
-    scheduling layer.  A point it raises is the incumbent the next block
-    starts from, and the dual value at its implied prices joins that
-    block's ``dual`` call.  The loop's prices never see it.
+    ``_Kernel.polish`` takes up to ``_POLISH`` away-step Frank-Wolfe steps
+    from the best incumbent's r and its dual row, with the region's
+    ``_schedule`` as the linear oracle, and stops once its Frank-Wolfe gap
+    meets ``tol_gap``: a primal-side step that reuses the scheduling
+    layer.  A point it returns is the incumbent the next block starts
+    from, and the dual value at its implied prices joins that block's
+    ``dual`` call.  The loop's prices never see it.
     """
     kernel = _Kernel(scn)
     K, step_size = kernel.K, kernel.step_size
@@ -793,13 +833,14 @@ def solve(scn: Scenario) -> SolveReport:
             if hits.size:
                 stop_reason = "gap"
                 break
-            # a polish from an incumbent that has not moved finds nothing again
-            fresh = better.size or polished.size
+            # the incumbent's dual row, if it moved since the last polish: a
+            # polish from an incumbent that has not moved finds nothing again
+            start = implied[-1] if better.size else polished[0] if polished.size else None
             polished = polished[:0]
-            if fresh and t < max_iters:
-                found = kernel.polish(schedule, best_point[3], best_obj)
+            if start is not None and t < max_iters:
+                found = kernel.polish(schedule, best_point[3], best_obj, start)
                 if found is not None:
-                    best_point, best_obj, row = found
+                    best_point, best_obj, row, _ = found
                     polished = np.array([row])
 
     kept_rows, primal_obj, dual_obj = zip(*blocks)

@@ -116,11 +116,11 @@ def box64_doc() -> dict:
     return _benchgen()["box_doc"](random.Random("matrix:1"), 64)
 
 
-def mac40_doc() -> dict:
-    """The 40-user MAC document ``mac_doc(random.Random("matrix:1"), 40)``
-    of the benchmark's generator: powers 1..40, noise 1, tol_gap 1e-2.  The
+def matrix_mac_doc(n: int) -> dict:
+    """The n-user MAC document ``mac_doc(random.Random("matrix:1"), n)`` of
+    the benchmark's generator: powers 1..n, noise 1, tol_gap 1e-2.  The
     seed draws only each source's p, which the solver does not read."""
-    return _benchgen()["mac_doc"](random.Random("matrix:1"), 40)
+    return _benchgen()["mac_doc"](random.Random("matrix:1"), n)
 
 
 # (name, scenario factory, oracle grid steps)
@@ -138,20 +138,21 @@ def implied_prices(scn: Scenario, r) -> tuple[list[float], list[float]]:
     source.  The repair puts c = min(r, c_max) and alpha + beta = min(c,
     alpha_max), so the repaired objective phi(r) = ln(alpha) + K.beta +
     w.ln(c) has the slope
-      K + w/c      on the distortion branch, c < min(1/K, alpha_max)
+      K + w/c      on the distortion branch, c <= min(1/K, alpha_max)
                    (alpha = min(1/K, alpha_max), beta = c - alpha),
       (1 + w)/c    on the lossless branch up to alpha_max (alpha = c),
       w/c          above alpha_max (alpha = alpha_max, beta = 0),
       0            from c_max on, where c no longer follows r.
-    lam is that slope, the one at r = c_max taken from the right, and mu
-    is its part from the distortion term ln(alpha) + K.beta: K, 1/c or 0
-    by branch, the last where alpha + beta <= c is slack."""
+    lam is that slope, the one at c = alpha_max taken from the left and
+    the one at r = c_max from the right, and mu is its part from the
+    distortion term ln(alpha) + K.beta: K, 1/c or 0 by branch, the last
+    where alpha + beta <= c is slack."""
     caps = scn.caps
     mu, lam = [], []
     for spec, ri in zip(scn.sources, map(float, r)):
         K, w = spec.V.K, spec.U.w
         c = min(ri, caps.c_max)
-        if c < min(1.0 / K, caps.alpha_max):
+        if c <= min(1.0 / K, caps.alpha_max):
             m = K
         elif c <= caps.alpha_max:
             m = 1.0 / c

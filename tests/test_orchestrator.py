@@ -467,12 +467,35 @@ def box16_doc_scenario():
 # (c <= r), or alpha_max below the lossless rate (alpha + beta <= c).  The
 # implied price of a slack constraint is 0, so each certifies at its first
 # incumbent; prices that were not 0 there ran them for 445 to 8,000 rows.
+# ``box_single_tight`` under alpha_max = 0.5 puts its source at c =
+# alpha_max < 1/K, where the slope drops from K + w/c to w/c; mu = 1/alpha_max
+# > K there ran it for 1,247 rows.
 STRESS_BOXES = [
     ("box16-c_max1", with_caps(box16_doc_scenario, c_max=1.0)),
     ("box64-c_max1", with_caps(lambda: scenario_from_dict(cases.box64_doc()), c_max=1.0)),
     ("box_two_mixed-c_max1", over_c_max(cases.box_two_mixed)),
     ("box16-alpha_max0.5", with_caps(box16_doc_scenario, alpha_max=0.5)),
     ("box_two_mixed-alpha_max0.5", with_caps(cases.box_two_mixed, alpha_max=0.5)),
+    ("box_single_tight-alpha_max0.5", with_caps(cases.box_single_tight, alpha_max=0.5)),
+]
+
+
+def shared_channel_scenario(name):
+    return lambda: scenario_from_dict(cases.workload_doc("shared_channel", name))
+
+
+def matrix_mac_scenario(n):
+    return lambda: scenario_from_dict(cases.matrix_mac_doc(n))
+
+
+# The wider MACs certify once the first block's incumbent is polished: the
+# away steps run until its Frank-Wolfe gap meets tol_gap.  8 plain
+# Frank-Wolfe steps a block took 4, 4, 8 and 64 rows.
+WIDE_MACS = [
+    ("mac5", shared_channel_scenario("mac5")),
+    ("mac6", shared_channel_scenario("mac6")),
+    ("mac8", matrix_mac_scenario(8)),
+    ("mac40", matrix_mac_scenario(40)),
 ]
 PINNED_ITERATIONS = {
     "box_single_wide": 1,
@@ -481,8 +504,11 @@ PINNED_ITERATIONS = {
     "mac_symmetric": 2,
     "mac_asymmetric": 2,
     **{name: 1 for name, _ in STRESS_BOXES},
+    **{name: 2 for name, _ in WIDE_MACS},
 }
-PINNED_RUNS = [(name, factory) for name, factory, _ in cases.SOLVER_CASES] + STRESS_BOXES
+PINNED_RUNS = (
+    [(name, factory) for name, factory, _ in cases.SOLVER_CASES] + STRESS_BOXES + WIDE_MACS
+)
 
 
 @pytest.mark.parametrize("name, factory", PINNED_RUNS, ids=[run[0] for run in PINNED_RUNS])
@@ -650,10 +676,8 @@ def mac_four():
 
 # A gap that no incumbent of ``long_mac`` or ``long_vertex`` meets, so they
 # run to ``max_iters`` and polish after every block.  On ``mac_four`` the
-# polish stalls near 9e-10: on a face of the region a step that float
-# arithmetic cannot see raise the objective leaves r about sqrt(eps) off the
-# optimum, and the gap at its prices is linear in that distance.  Under
-# c_max = 1 the prices ``vertex_base``'s incumbents imply certify nothing.
+# polish certifies 3.3e-11 and no less.  Under c_max = 1 the prices
+# ``vertex_base``'s incumbents imply certify nothing.
 UNMET_GAP = 1e-12
 
 
@@ -880,8 +904,8 @@ def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
     polish = _Kernel.polish
     calls = []
 
-    def recording(self, schedule, r, obj):
-        found = polish(self, schedule, r, obj)
+    def recording(self, schedule, r, obj, row):
+        found = polish(self, schedule, r, obj, row)
         calls.append((r.copy(), obj, found))
         return found
 
@@ -1141,17 +1165,70 @@ def test_step_length_maximizes_the_objective_along_the_segment(alpha_max, c_max)
 
 
 def test_polish_certifies_a_40_user_mac():
-    # the dual loop alone ran to max_iters = 12,000 with a gap of 0.0131
-    report = solve(scenario_from_dict(cases.mac40_doc()))
+    # at tol_gap 1e-6 the dual loop with 8 plain Frank-Wolfe steps a block
+    # ran to max_iters = 12,000 with a gap of 3.1e-6, and with 64 steps a
+    # block it took 1,600 rows
+    report = solve(replace(matrix_mac_scenario(40)(), tol_gap=1e-6))
     assert report.stop_reason == "gap"
+    assert report.iterations < 1_600
+
+
+@pytest.mark.parametrize("name", ["mac5", "mac8"])
+def test_polish_certifies_tight_gaps_at_row_2(name):
+    # plain Frank-Wolfe, 8 steps a block, took 384 and 1,152 rows
+    report = solve(replace(dict(WIDE_MACS)[name](), tol_gap=1e-6))
+    assert (report.iterations, report.stop_reason) == (2, "gap")
+
+
+def test_polish_takes_steps_that_tie_the_objective():
+    # on a face of mac_four a step short enough to close the gap further
+    # no longer raises the objective in floating point; refusing such a
+    # step stalled the gap near 9.3e-10 (5.4e-10 under away steps), and the
+    # run went to max_iters = 400
+    report = solve(replace(mac_four(), tol_gap=1e-10))
+    assert report.stop_reason == "gap"
+
+
+@pytest.mark.parametrize("name", ["mac5", "mac40"])
+def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
+    # the Frank-Wolfe gap lam.(v - r) at a point is its dual value at the
+    # implied prices less its objective, so the polish takes steps while
+    # that gap is above tol_gap (1 + |obj|) and stops at the first point
+    # where it is not, the row the next block's certificate reads
+    scn = dict(WIDE_MACS)[name]()
+    start = solve(replace(scn, max_iters=1)).recovered
+    kernel, schedule = _Kernel(scn), scn.region._schedule
+    mu, lam = kernel.implied_prices(start.r)
+    implied = _Kernel.implied_prices
+    visited = [start.r]
+
+    def recording(self, r):
+        if r.ndim == 1:  # a point of the polish, not the line search's grid
+            visited.append(r.copy())
+        return implied(self, r)
+
+    monkeypatch.setattr(_Kernel, "implied_prices", recording)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        found = kernel.polish(
+            schedule, start.r, primal_objective(start, scn), np.array([mu, lam, schedule(lam)])
+        )
+        assert found is not None and len(visited) > 1
+        point, obj, row, _ = found
+        certified = []
+        for r in visited:
+            lam = implied(kernel, r)[1]
+            fw_gap = lam @ (schedule(lam) - r)
+            certified.append(fw_gap <= scn.tol_gap * (1.0 + abs(kernel.objective(*kernel.repair(r)))))
+        assert certified == [False] * (len(visited) - 1) + [True]
+        assert np.array_equal(visited[-1], point[3])
+        assert float(kernel.dual(*row)) - obj == pytest.approx(fw_gap, rel=1e-9)
 
 
 def test_polish_reads_the_slope_above_alpha_max():
     # at alpha_max = 0.5 some of mac5's rates pass alpha_max, where the slope
     # is w/c.  Prices of 1/alpha_max + w/c there, which overstate it, steer
     # the polish to an incumbent of objective -9.4320
-    scn = with_caps(lambda: scenario_from_dict(cases.workload_doc("shared_channel", "mac5")),
-                    alpha_max=0.5)()
+    scn = with_caps(shared_channel_scenario("mac5"), alpha_max=0.5)()
     report = solve(scn)
     assert report.stop_reason == "gap"
     assert report.recovered_objective > -9.4
@@ -1162,8 +1239,9 @@ def sequential_solve(scn):
     the reference for the blocked certificate in :func:`solve`.  Each new
     incumbent also offers the dual value at the finite prices it implies.
     After each block that does not stop, while iterations remain, the
-    kernel's polish steps from the incumbent's r; a point it raises is the
-    new incumbent and offers the dual value at its implied prices."""
+    kernel's polish steps from the incumbent's r and the dual row at its
+    implied prices; a point it returns is the new incumbent and offers the
+    dual value at its implied prices."""
     state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
     rows, pobj, dobj = [], [], []
     sum_r, count, next_restart = np.zeros(scn.n), 0, 2
@@ -1183,7 +1261,7 @@ def sequential_solve(scn):
             obj = primal_objective(point, scn)
             if obj > best_obj:
                 best_obj, best_point = obj, point
-                mu, lam = cases.implied_prices(scn, point.r)
+                mu, lam = best_prices = cases.implied_prices(scn, point.r)
                 if all(map(math.isfinite, lam)):
                     best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
         if best_point is not None:
@@ -1196,10 +1274,14 @@ def sequential_solve(scn):
             break
         state = new_state
         if t in ends and t < scn.max_iters and best_point is not None:
+            # the polish starts from the incumbent's dual row
+            mu, lam = map(np.array, best_prices)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                found = _Kernel(scn).polish(scn.region._schedule, best_point.r, best_obj)
+                row = np.array([mu, lam, scn.region._schedule(lam)])
+                found = _Kernel(scn).polish(scn.region._schedule, best_point.r, best_obj, row)
             if found is not None:
-                point, best_obj, (mu, lam, _) = found
+                point, best_obj, (mu, lam, _), _ = found
+                best_prices = (mu, lam)
                 best_point = PrimalAllocation(*point)
                 assert primal_objective(best_point, scn) == best_obj
                 best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))

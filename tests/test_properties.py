@@ -204,13 +204,16 @@ def polish_docs(draw):
 @given(polish_docs())
 def test_polish_keeps_its_points_in_the_region_and_raises_them(doc):
     # every point the polish returns has every c_i >= c_min, lies in the
-    # region and has a higher objective than the incumbent it started from
+    # region and has an objective no lower than the incumbent it started
+    # from (a step that only ties it is taken when it moves r).  Its active
+    # set holds region points with weights >= 0 that sum to 1 and whose mix
+    # is r.
     scn = scenario_from_dict(doc)
     polish = _Kernel.polish
     calls = []
 
-    def recording(self, schedule, r, obj):
-        found = polish(self, schedule, r, obj)
+    def recording(self, schedule, r, obj, row):
+        found = polish(self, schedule, r, obj, row)
         calls.append((obj, found))
         return found
 
@@ -218,10 +221,13 @@ def test_polish_keeps_its_points_in_the_region_and_raises_them(doc):
         report = solve(scn)
     for obj, found in calls:
         if found is not None:
-            (alpha, beta, c, r), polished, _ = found
-            assert polished > obj
+            (alpha, beta, c, r), polished, _, (atoms, weights) = found
+            assert polished >= obj
             assert c.min() >= scn.caps.c_min
             assert scn.region.contains(r)
+            assert all(map(scn.region.contains, atoms))
+            assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
+            assert np.allclose(weights @ atoms, r, rtol=1e-12, atol=1e-12)
     primal = report.trace.primal_obj
     assert np.array_equal(primal, np.maximum.accumulate(primal))
     if report.recovered is not None:
