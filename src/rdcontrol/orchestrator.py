@@ -523,7 +523,7 @@ class _Kernel:
         when no step was taken, else the polished ((alpha, beta, c, r),
         objective, (mu, lam, v), (atoms, weights)), the third its dual row;
         weights @ atoms is r up to rounding."""
-        mu, lam, v = row
+        _, lam, v = row
         atoms, weights = r[None], np.ones(1)
         found = None
         for _ in range(_POLISH):
