@@ -101,32 +101,38 @@ prices that are no trace row, and the stopping row does not depend on
 the block size.  The loop's prices never see these values.
 
 The window average approaches the optimum slowly, so between blocks the
-solver polishes the best incumbent with away-step conditional-gradient
-steps (Frank & Wolfe, 1956; Guelat & Marcotte, 1986; Lacoste-Julien &
-Jaggi, NeurIPS 2015), ``_Kernel.polish``.  After a block that did not
-stop, while iterations remain, and only when the incumbent moved since
-the last polish, it starts from the incumbent's (mu, lam, v) row, which
-that block's ``dual`` call already holds.  Each step takes the gradient
-lam at the point and the region point v ``_schedule`` returns at it --
-so the paper's scheduling layer is the linear oracle -- and moves toward
-v, or away from the worst point of its active set (the region points it
-mixes), to the best point of that segment by a vectorized bracketing
-line search whose slope is that gradient again.  So the certificate, the
-linear oracle and the line search read one gradient.  Away steps
-converge linearly on a polytope such as the MAC or a vertex region, where
-plain Frank-Wolfe steps zig-zag at O(1/k).  The Frank-Wolfe gap lam.(v -
-r) is the dual value at the point's implied prices less its objective,
-so the polish stops once that gap meets ``tol_gap``, the test the next
-block's certificate applies.  A convex mix of region points is in the
-region, so a polished point counts as an incumbent when its repair has
-every c_i >= c_min and its objective is no lower: in a face a step short
-enough to close the gap further may only tie the objective in floating
-point.  It enters the next block as the carried-in best incumbent, and
-the (mu, lam, r) row at its implied prices joins that block's one
-``dual`` call, whose value bounds every row of the block.  The loop
-never reads a polished point, so every kept trace row is the one the
-loop alone keeps, and only the stopping row moves.  ``recovered`` is the
-best window-average repair or polished point.
+solver polishes with away-step conditional-gradient steps (Frank &
+Wolfe, 1956; Guelat & Marcotte, 1986; Lacoste-Julien & Jaggi, NeurIPS
+2015), ``_Kernel.polish``.  Each step takes the gradient lam at the point
+and the region point v ``_schedule`` returns at it -- so the paper's
+scheduling layer is the linear oracle -- and moves toward v, or away
+from the worst point of its active set (the region points it mixes), to
+the best point of that segment by a vectorized bracketing line search
+whose slope is that gradient again.  So the certificate, the linear
+oracle and the line search read one gradient.  Away steps converge
+linearly on a polytope such as the MAC or a vertex region, where plain
+Frank-Wolfe steps zig-zag at O(1/k).  The Frank-Wolfe gap lam.(v - r) is
+the dual value at the point's implied prices less its objective, so the
+polish stops once that gap meets ``tol_gap``, the test the next block's
+certificate applies, or once it stops shrinking.  A convex mix of region
+points is in the region, so a polished point counts as an incumbent when
+its repair has every c_i >= c_min and its objective is no lower than the
+incumbent's: in a face a step short enough to close the gap further may
+only tie the objective in floating point.
+
+After a block that did not stop, while iterations remain, a polish that
+raised the incumbent goes on from it with its active set, and, unless
+that raises it again, a fresh polish starts from the block's best window
+average when that is the best window average so far.  A new incumbent is
+always such a record; an older record below a polished incumbent may
+still polish to a better point where the incumbent's polish stalled at a
+kink of the objective.  A polished incumbent enters the next block as
+the carried-in best incumbent, and the (mu, lam, r) row at its implied
+prices joins that block's one ``dual`` call, whose value bounds every
+row of the block.  The loop never reads a polished point, so every kept
+trace row is the one the loop alone keeps, and only the stopping row
+moves.  ``recovered`` is the best window-average repair or polished
+point.
 
 The trace records, per iteration, the raw subproblem primal, the dual
 objective at the current prices and the best incumbent objective seen so
@@ -407,11 +413,12 @@ _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 # most iterations :func:`solve` runs before it certifies them together
 _BLOCK = 64
-# most away-step Frank-Wolfe steps of one polish of the incumbent after a
-# block that did not stop; it stops sooner, once its Frank-Wolfe gap meets
-# tol_gap.  Then the grid of 33 points on [0, 1], as a column, and the zoom
-# levels of each step's line search
+# most away-step Frank-Wolfe steps of one polish after a block that did not
+# stop; it stops sooner, once its Frank-Wolfe gap meets tol_gap or has not
+# halved over the last _STALL steps.  Then the grid of 33 points on [0, 1],
+# as a column, and the zoom levels of each step's line search
 _POLISH = 64
+_STALL = 16
 _GRID = np.linspace(0.0, 1.0, 33)[:, None]
 _ZOOM = 4
 
@@ -502,34 +509,41 @@ class _Kernel:
         lam[..., self.rate] += self.w_rate / c[..., self.rate]
         return mu, np.where(r < self.c_max, lam, 0.0)
 
-    def polish(self, schedule, r: np.ndarray, obj: float, row: np.ndarray):
+    def polish(self, schedule, r: np.ndarray, obj: float, active=None):
         """Up to ``_POLISH`` away-step Frank-Wolfe steps (Guelat & Marcotte,
-        1986) from the incumbent with scheduled rate r, objective obj and
-        dual row (mu, lam, v): lam is the gradient of the repaired objective
-        at the point (:meth:`implied_prices`) and v = schedule(lam), the
-        region's ``_schedule`` as the linear oracle.  The active set is the
-        region points the polish mixes, the rows of ``atoms``, with their
-        ``weights``; at first it is r at weight 1.  The polish stops once
-        the Frank-Wolfe gap lam.(v - r), the dual value at (mu, lam, v)
-        less obj, is <= ``tol_gap`` (1 + |obj|).  Else, with a the atom of
-        least lam.a, a step goes away from a, toward the mix of the other
-        atoms r + (w_a/(1 - w_a))(r - a), where lam.(r - a) is the larger
-        gap, and toward v otherwise, as a new atom or more weight on an
-        equal one, to the point of :meth:`step_length` on that segment.  A
-        full step drops the atoms it empties.  The polish stops at a step
-        whose repair has some c_i < c_min, that lowers the objective or
-        that leaves r where it was; a step that only ties the objective is
-        taken.  Each point is a convex mix of region points.  Returns None
-        when no step was taken, else the polished ((alpha, beta, c, r),
-        objective, (mu, lam, v), (atoms, weights)), the third its dual row;
-        weights @ atoms is r up to rounding."""
-        _, lam, v = row
-        atoms, weights = r[None], np.ones(1)
-        found = None
+        1986) from the point with scheduled rate r and objective obj: lam is
+        the gradient of the repaired objective at the point
+        (:meth:`implied_prices`) and v = schedule(lam), the region's
+        ``_schedule`` as the linear oracle.  The active set is the region
+        points the polish mixes, the rows of ``atoms``, with their
+        ``weights``: ``active`` as an earlier polish returned it, or r at
+        weight 1.  The polish stops once the Frank-Wolfe gap lam.(v - r),
+        the dual value at (mu, lam, v) less obj, is <= ``tol_gap`` (1 +
+        |obj|), or is not half what it was ``_STALL`` steps before.  Else,
+        with a the atom of least lam.a, a step goes away from a, toward the
+        mix of the other atoms r + (w_a/(1 - w_a))(r - a), where lam.(r - a)
+        is the larger gap, and toward v otherwise, as a new atom or more
+        weight on an equal one, to the point of :meth:`step_length` on that
+        segment.  A full step drops the atoms it empties.  A step is taken
+        when its repair has every c_i >= c_min and it moves r without
+        lowering the objective, so a step that only ties it is taken.  The
+        first step refused from more than one atom is tried again from r
+        alone; the next ends the polish.  Each point is a convex mix of
+        region points.  Returns None when no step was taken, else the
+        polished ((alpha, beta, c, r), objective, (mu, lam, v), (atoms,
+        weights)), the third its dual row; weights @ atoms is r up to
+        rounding."""
+        mu, lam = self.implied_prices(r)
+        v = schedule(lam)
+        atoms, weights = (r[None], np.ones(1)) if active is None else active
+        found, restarted, gaps = None, False, []
         for _ in range(_POLISH):
             # inf or NaN where an implied lam overflowed to inf
             gap = lam @ (v - r)
+            gaps.append(gap)
             if not self.tol_gap * (1.0 + abs(obj)) < gap < math.inf:
+                break
+            if len(gaps) > _STALL and gap > 0.5 * gaps[-1 - _STALL]:
                 break
             # mix: the segment's end as weights on the atoms, either the
             # atoms but a, or v as a new atom or an equal one
@@ -548,11 +562,12 @@ class _Kernel:
             gamma = self.step_length(r, end)
             step = (1.0 - gamma) * r + gamma * end
             point = self.repair(step)
-            if not point[2].min() >= self.c_min:
-                break
-            step_obj = float(self.objective(*point))
+            step_obj = float(self.objective(*point)) if point[2].min() >= self.c_min else -math.inf
             if not step_obj >= obj or (step == r).all():
-                break
+                if restarted or len(atoms) == 1:
+                    break
+                atoms, weights, restarted = r[None], np.ones(1), True
+                continue
             r, obj = step, step_obj
             if gamma == 1.0:  # a full step empties the atoms outside the mix
                 atoms, weights = atoms[mix > 0.0], mix[mix > 0.0]
@@ -700,15 +715,17 @@ def solve(scn: Scenario) -> SolveReport:
     first returns ``converged=False`` rather than raising.
 
     The dual loop is the paper's method.  After a block that does not stop,
-    while iterations remain and the incumbent moved since the last polish
-    (a polish from the same incumbent finds nothing again),
-    ``_Kernel.polish`` takes up to ``_POLISH`` away-step Frank-Wolfe steps
-    from the best incumbent's r and its dual row, with the region's
-    ``_schedule`` as the linear oracle, and stops once its Frank-Wolfe gap
-    meets ``tol_gap``: a primal-side step that reuses the scheduling
-    layer.  A point it returns is the incumbent the next block starts
-    from, and the dual value at its implied prices joins that block's
-    ``dual`` call.  The loop's prices never see it.
+    while iterations remain, ``_Kernel.polish`` takes up to ``_POLISH``
+    away-step Frank-Wolfe steps, with the region's ``_schedule`` as the
+    linear oracle: a primal-side step that reuses the scheduling layer.
+    It goes on from the incumbent with the active set of a polish that
+    raised it, then, unless that raises it again, starts afresh from the
+    block's last record window average (the best so far), if any.  It
+    stops once its Frank-Wolfe gap meets ``tol_gap`` or stops shrinking.
+    A point it returns that is no worse than the incumbent is the
+    incumbent the next block starts from, and the dual value at its
+    implied prices joins that block's ``dual`` call.  The loop's prices
+    never see it.
     """
     kernel = _Kernel(scn)
     K, step_size = kernel.K, kernel.step_size
@@ -747,6 +764,10 @@ def solve(scn: Scenario) -> SolveReport:
     # the (mu, lam, r) row at the prices of an incumbent polished after the
     # last block, if any, for the next block's dual call
     polished = np.empty((0, 3, n))
+    # the best window-average objective so far, and the active set of the
+    # last polish if it raised the incumbent
+    best_avg = -math.inf
+    active = None
 
     best_dual = math.inf
     best_point = None
@@ -833,15 +854,28 @@ def solve(scn: Scenario) -> SolveReport:
             if hits.size:
                 stop_reason = "gap"
                 break
-            # the incumbent's dual row, if it moved since the last polish: a
-            # polish from an incumbent that has not moved finds nothing again
-            start = implied[-1] if better.size else polished[0] if polished.size else None
-            polished = polished[:0]
-            if start is not None and t < max_iters:
-                found = kernel.polish(schedule, best_point[3], best_obj, start)
-                if found is not None:
-                    best_point, best_obj, row, _ = found
+            # polish the incumbent with the active set of a polish that
+            # raised it, then, unless that raises it again, the block's last
+            # record window average afresh (a new incumbent is one)
+            records = np.fmax.accumulate(np.concatenate(([best_avg], obj)))
+            records, best_avg = np.flatnonzero(obj > records[:-1]), float(records[-1])
+            starts = []
+            if t < max_iters:
+                if active is not None and not better.size:
+                    starts.append((best_point[3], best_obj, active))
+                if records.size:
+                    starts.append((avg_r[records[-1]], float(obj[records[-1]]), None))
+            polished, active = polished[:0], None
+            for start in starts:
+                found = kernel.polish(schedule, *start)
+                if found is not None and found[1] >= best_obj:
+                    point, value, row, atoms = found
+                    if value > best_obj:
+                        active = atoms
+                    best_point, best_obj = point, value
                     polished = np.array([row])
+                if active is not None:
+                    break
 
     kept_rows, primal_obj, dual_obj = zip(*blocks)
     mu_t, lam_t, r_t = np.concatenate(kept_rows).transpose(1, 0, 2)

@@ -896,30 +896,33 @@ def test_trace_prices_hit_the_projection():
 
 def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
     # rebuild the power-of-two restarted window average of r from the raw
-    # rows, and take the point each block's polish returned; the running
-    # best of these incumbents is the primal_obj column.  The polish runs at
-    # each block end where the incumbent moved since the last polish: a
-    # polish from the same incumbent would find nothing again
+    # rows, and take the points the polishes after each block returned; the
+    # running best of these incumbents is the primal_obj column.  After a
+    # block, a polish goes on from the incumbent with the active set of a
+    # polish that raised it, unless a window average took its place, then,
+    # unless that raised it again, one starts from the block's last record
+    # window average
     scn = replace(long_mac(), max_iters=200)
     polish = _Kernel.polish
     calls = []
 
-    def recording(self, schedule, r, obj, row):
-        found = polish(self, schedule, r, obj, row)
-        calls.append((r.copy(), obj, found))
+    def recording(self, schedule, r, obj, active=None):
+        found = polish(self, schedule, r, obj, active)
+        calls.append((r.copy(), obj, active, found))
         return found
 
     monkeypatch.setattr(_Kernel, "polish", recording)
     report = solve(scn)
     tr = report.trace
     ends = block_ends(len(tr))[:-1]  # no polish after the last block
-    assert any(found is not None for *_, found in calls)
-    # some polish finds nothing, and some block end is skipped
-    assert any(found is None for *_, found in calls) and len(calls) < len(ends)
+    # both kinds of polish run, and some block end polishes nothing
+    assert any(active is not None for _, _, active, _ in calls)
+    assert any(active is None for _, _, active, _ in calls)
     polishes = iter(calls)
     sum_r = np.zeros(scn.n)
     count, next_restart = 0, 2
-    best, best_point, moved = -math.inf, None, False
+    best, best_point, best_avg, record, moved, active = -math.inf, None, -math.inf, None, False, None
+    idle = 0
     for k, t in enumerate(tr.t):
         if t == next_restart:
             sum_r[:] = 0.0
@@ -927,19 +930,33 @@ def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
         sum_r += tr.r[k]
         count += 1
         point = repaired(sum_r / count, scn)
-        if point.c.min() >= scn.caps.c_min and primal_objective(point, scn) > best:
-            best, best_point, moved = primal_objective(point, scn), point, True
+        if point.c.min() >= scn.caps.c_min:
+            obj = primal_objective(point, scn)
+            if obj > best_avg:
+                best_avg, record = obj, point
+            if obj > best:
+                best, best_point, moved = obj, point, True
         assert tr.primal_obj[k] == best
-        if t in ends and moved:
-            # the polish starts from the incumbent, and what it returns is one
-            r, obj, found = next(polishes)
-            assert obj == best and np.array_equal(r, best_point.r)
-            moved = found is not None
+        if t not in ends:
+            continue
+        starts = [] if active is None or moved else [(best_point.r, best, active)]
+        if record is not None:
+            starts.append((record.r, best_avg, None))
+        idle += not starts
+        record, moved, active = None, False, None
+        for start in starts:
+            r, obj, carried, found = next(polishes)
+            assert np.array_equal(r, start[0]) and obj == start[1] and carried is start[2]
             if found is not None:
-                assert found[1] > best
+                assert found[1] >= obj
+            if found is not None and found[1] >= best:
+                if found[1] > best:
+                    active = found[3]
                 best, best_point = found[1], PrimalAllocation(*found[0])
                 assert primal_objective(best_point, scn) == best
-    assert next(polishes, None) is None
+            if active is not None:
+                break
+    assert next(polishes, None) is None and idle
     assert report.recovered_objective == best == tr.primal_obj[-1]
     for name in ("alpha", "beta", "c", "r"):
         assert np.array_equal(getattr(report.recovered, name), getattr(best_point, name))
@@ -1167,10 +1184,12 @@ def test_step_length_maximizes_the_objective_along_the_segment(alpha_max, c_max)
 def test_polish_certifies_a_40_user_mac():
     # at tol_gap 1e-6 the dual loop with 8 plain Frank-Wolfe steps a block
     # ran to max_iters = 12,000 with a gap of 3.1e-6, and with 64 steps a
-    # block it took 1,600 rows
+    # block it took 1,600 rows.  Away steps that restarted from the lone
+    # incumbent every block took 1,216; carrying the active set to the next
+    # block's polish takes 8
     report = solve(replace(matrix_mac_scenario(40)(), tol_gap=1e-6))
     assert report.stop_reason == "gap"
-    assert report.iterations < 1_600
+    assert report.iterations == 8
 
 
 @pytest.mark.parametrize("name", ["mac5", "mac8"])
@@ -1198,9 +1217,8 @@ def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
     scn = dict(WIDE_MACS)[name]()
     start = solve(replace(scn, max_iters=1)).recovered
     kernel, schedule = _Kernel(scn), scn.region._schedule
-    mu, lam = kernel.implied_prices(start.r)
     implied = _Kernel.implied_prices
-    visited = [start.r]
+    visited = []
 
     def recording(self, r):
         if r.ndim == 1:  # a point of the polish, not the line search's grid
@@ -1209,10 +1227,8 @@ def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
 
     monkeypatch.setattr(_Kernel, "implied_prices", recording)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        found = kernel.polish(
-            schedule, start.r, primal_objective(start, scn), np.array([mu, lam, schedule(lam)])
-        )
-        assert found is not None and len(visited) > 1
+        found = kernel.polish(schedule, start.r, primal_objective(start, scn))
+        assert found is not None and len(visited) > 1 and np.array_equal(visited[0], start.r)
         point, obj, row, _ = found
         certified = []
         for r in visited:
@@ -1227,11 +1243,90 @@ def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
 def test_polish_reads_the_slope_above_alpha_max():
     # at alpha_max = 0.5 some of mac5's rates pass alpha_max, where the slope
     # is w/c.  Prices of 1/alpha_max + w/c there, which overstate it, steer
-    # the polish to an incumbent of objective -9.4320
+    # the polish to an incumbent of objective -9.4320; the run reads the
+    # slope and certifies -9.4002 at row 1,636
     scn = with_caps(shared_channel_scenario("mac5"), alpha_max=0.5)()
     report = solve(scn)
     assert report.stop_reason == "gap"
-    assert report.recovered_objective > -9.4
+    assert report.recovered_objective > -9.41
+
+
+def random_mac(kw, powers, alpha_max, gamma0, tol_gap, c_max=20.0):
+    """A MAC of sources with (K, w) from ``kw`` (w = 0 for ``Zero``), in the
+    form of the random MACs the polish was checked on."""
+    return Scenario(
+        sources=tuple(
+            SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), LogRate(w) if w else Zero())
+            for K, w in kw
+        ),
+        region=GaussianMacRegion(powers, 1.0),
+        caps=SolverCaps(alpha_max=alpha_max, c_max=c_max, c_min=1e-9),
+        step=Diminishing(gamma0),
+        max_iters=3000,
+        tol_gap=tol_gap,
+    )
+
+
+# Random MACs that a polish of 8 plain Frank-Wolfe steps a block certified
+# within 3,000 rows (at rows 1,472, 2,560 and 2,377).  Restarting every
+# polish from a lone incumbent crawled on the first two, and on the third
+# it stalled where two rates sit on the kink at alpha_max, above every
+# later window average, so all three ran to max_iters.
+CERTIFIED_MACS = {
+    "mac7": lambda: random_mac(
+        ((0.36, 0.276), (0.479, 0.77), (1.888, 1.506), (0.481, 2.852), (1.004, 2.992),
+         (2.267, 2.253), (0.362, 1.392)),
+        (4.094, 1.867, 6.009, 6.34, 5.382, 7.768, 7.789), 20.0, 0.3, 1e-6,
+    ),
+    "mac8": lambda: random_mac(
+        ((0.459, 1.955), (0.254, 0.857), (1.995, 0.829), (0.586, 1.313), (0.614, 2.075),
+         (0.604, 1.613), (0.258, 0.75), (4.003, 0.0)),
+        (7.206, 4.529, 1.103, 7.525, 7.382, 5.208, 6.163, 8.858), 2.0, 1.0, 1e-4,
+    ),
+    "mac6-kink": lambda: random_mac(
+        ((0.281, 0.356), (0.377, 1.226), (1.013, 0.864), (2.137, 0.693), (0.937, 1.582),
+         (1.599, 0.572)),
+        (1.942, 9.983, 8.001, 0.529, 0.907, 5.594), 0.5, 1.0, 1e-3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_MACS))
+def test_polish_keeps_the_certificates_of_random_macs(name):
+    report = solve(CERTIFIED_MACS[name]())
+    assert report.stop_reason == "gap"
+
+
+def test_polish_stops_once_its_gap_stops_halving(monkeypatch):
+    # on this MAC of Zero utilities under alpha_max = 1 and c_max = 2 the
+    # first polish's Frank-Wolfe gap stalls above tol_gap, and the polish
+    # stops _STALL steps after the gap last halved.  The next block's
+    # polish goes on from it with its active set, and the run certifies at
+    # row 4 (128 with 8 plain Frank-Wolfe steps a block)
+    scn = random_mac(((1.744, 0.0), (1.193, 0.0), (1.01, 0.0)), (2.951, 8.042, 8.558),
+                     1.0, 0.3, 1e-6, c_max=2.0)
+    assert (solve(scn).iterations, solve(scn).stop_reason) == (4, "gap")
+    start = solve(replace(scn, max_iters=1)).recovered
+    kernel, schedule = _Kernel(scn), scn.region._schedule
+    implied = _Kernel.implied_prices
+    visited = []
+
+    def recording(self, r):
+        if r.ndim == 1:  # a point of the polish, not the line search's grid
+            visited.append(r.copy())
+        return implied(self, r)
+
+    monkeypatch.setattr(_Kernel, "implied_prices", recording)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        found = kernel.polish(schedule, start.r, primal_objective(start, scn))
+        gaps = []
+        for r in visited:
+            lam = implied(kernel, r)[1]
+            gaps.append(lam @ (schedule(lam) - r))
+    stall = rdcontrol.orchestrator._STALL
+    assert found is not None and len(gaps) == stall + 2
+    assert min(gaps) > scn.tol_gap * (1.0 + abs(found[1]))
+    assert gaps[-1] > 0.5 * gaps[-1 - stall] and gaps[-2] <= 0.5 * gaps[-2 - stall]
 
 
 def sequential_solve(scn):
@@ -1239,13 +1334,16 @@ def sequential_solve(scn):
     the reference for the blocked certificate in :func:`solve`.  Each new
     incumbent also offers the dual value at the finite prices it implies.
     After each block that does not stop, while iterations remain, the
-    kernel's polish steps from the incumbent's r and the dual row at its
-    implied prices; a point it returns is the new incumbent and offers the
-    dual value at its implied prices."""
+    kernel's polish goes on from the incumbent with the active set of a
+    polish that raised it, unless a new incumbent came in the block, then,
+    unless that raised it again, starts from the block's last record window
+    average.  A point it returns that is no worse than the incumbent is the
+    new incumbent and offers the dual value at its implied prices."""
     state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
     rows, pobj, dobj = [], [], []
     sum_r, count, next_restart = np.zeros(scn.n), 0, 2
     best_dual, best_obj, best_point, gap = math.inf, -math.inf, None, math.inf
+    best_avg, record, moved, active = -math.inf, None, False, None
     stop_reason = "max_iters"
     ends = set(block_ends(scn.max_iters))
     for t in range(1, scn.max_iters + 1):
@@ -1259,9 +1357,11 @@ def sequential_solve(scn):
         point = repaired(sum_r / count, scn)
         if point.c.min() >= scn.caps.c_min:
             obj = primal_objective(point, scn)
+            if obj > best_avg:
+                best_avg, record = obj, point
             if obj > best_obj:
-                best_obj, best_point = obj, point
-                mu, lam = best_prices = cases.implied_prices(scn, point.r)
+                best_obj, best_point, moved = obj, point, True
+                mu, lam = cases.implied_prices(scn, point.r)
                 if all(map(math.isfinite, lam)):
                     best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
         if best_point is not None:
@@ -1273,18 +1373,23 @@ def sequential_solve(scn):
             stop_reason = "gap"
             break
         state = new_state
-        if t in ends and t < scn.max_iters and best_point is not None:
-            # the polish starts from the incumbent's dual row
-            mu, lam = map(np.array, best_prices)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                row = np.array([mu, lam, scn.region._schedule(lam)])
-                found = _Kernel(scn).polish(scn.region._schedule, best_point.r, best_obj, row)
-            if found is not None:
-                point, best_obj, (mu, lam, _), _ = found
-                best_prices = (mu, lam)
-                best_point = PrimalAllocation(*point)
-                assert primal_objective(best_point, scn) == best_obj
-                best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
+        if t in ends and t < scn.max_iters:
+            starts = [] if active is None or moved else [(best_point.r, best_obj, active)]
+            if record is not None:
+                starts.append((record.r, best_avg, None))
+            record, moved, active = None, False, None
+            for start in starts:
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    found = _Kernel(scn).polish(scn.region._schedule, *start)
+                if found is not None and found[1] >= best_obj:
+                    point, value, (mu, lam, _), atoms = found
+                    if value > best_obj:
+                        active = atoms
+                    best_obj, best_point = value, PrimalAllocation(*point)
+                    assert primal_objective(best_point, scn) == best_obj
+                    best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
+                if active is not None:
+                    break
     if best_point is None:
         stop_reason = "no_incumbent"
     return dict(

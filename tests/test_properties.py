@@ -204,16 +204,16 @@ def polish_docs(draw):
 @given(polish_docs())
 def test_polish_keeps_its_points_in_the_region_and_raises_them(doc):
     # every point the polish returns has every c_i >= c_min, lies in the
-    # region and has an objective no lower than the incumbent it started
-    # from (a step that only ties it is taken when it moves r).  Its active
-    # set holds region points with weights >= 0 that sum to 1 and whose mix
-    # is r.
+    # region and has an objective no lower than the point it started from
+    # (a step that only ties it is taken when it moves r).  Its active set,
+    # which the next polish may go on from, holds region points with
+    # weights >= 0 that sum to 1 and whose mix is r.
     scn = scenario_from_dict(doc)
     polish = _Kernel.polish
     calls = []
 
-    def recording(self, schedule, r, obj, row):
-        found = polish(self, schedule, r, obj, row)
+    def recording(self, schedule, r, obj, active=None):
+        found = polish(self, schedule, r, obj, active)
         calls.append((obj, found))
         return found
 
