@@ -1203,9 +1203,11 @@ def test_polish_takes_steps_that_tie_the_objective():
     # on a face of mac_four a step short enough to close the gap further
     # no longer raises the objective in floating point; refusing such a
     # step stalled the gap near 9.3e-10 (5.4e-10 under away steps), and the
-    # run went to max_iters = 400
+    # run went to max_iters = 400.  The carried polish's first step is such
+    # a step; tried again from r alone it certifies at row 2, where ending
+    # that polish there took 32 rows
     report = solve(replace(mac_four(), tol_gap=1e-10))
-    assert report.stop_reason == "gap"
+    assert (report.iterations, report.stop_reason) == (2, "gap")
 
 
 @pytest.mark.parametrize("name", ["mac5", "mac40"])
@@ -1267,11 +1269,12 @@ def random_mac(kw, powers, alpha_max, gamma0, tol_gap, c_max=20.0):
     )
 
 
-# Random MACs that a polish of 8 plain Frank-Wolfe steps a block certified
-# within 3,000 rows (at rows 1,472, 2,560 and 2,377).  Restarting every
-# polish from a lone incumbent crawled on the first two, and on the third
-# it stalled where two rates sit on the kink at alpha_max, above every
-# later window average, so all three ran to max_iters.
+# Random MACs that a polish of 8 plain Frank-Wolfe steps a block certifies
+# within 3,000 rows (at rows 1,472, 2,560 and 2,377).  Away steps that
+# start every polish from the lone incumbent crawl on the first two.  On
+# the third the polish stalls near the kink at alpha_max, at a point above
+# every later window average, and only a polish from one of those reaches
+# a point the certificate can meet.  Either way they ran to max_iters.
 CERTIFIED_MACS = {
     "mac7": lambda: random_mac(
         ((0.36, 0.276), (0.479, 0.77), (1.888, 1.506), (0.481, 2.852), (1.004, 2.992),
