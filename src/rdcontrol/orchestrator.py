@@ -545,10 +545,14 @@ class _Kernel:
                 break
             if len(gaps) > _STALL and gap > 0.5 * gaps[-1 - _STALL]:
                 break
-            # mix: the segment's end as weights on the atoms, either the
-            # atoms but a, or v as a new atom or an equal one
+            # mix: the segment's end as weights on the atoms: v when r is the
+            # lone atom, else the atoms but a, or v as a new atom or an
+            # equal one
             a = (atoms @ lam).argmin()
-            if lam @ (r - atoms[a]) > gap:
+            if len(weights) == 1:
+                atoms, weights = np.vstack((r, v)), np.array([1.0, 0.0])
+                mix, end = np.array([0.0, 1.0]), v
+            elif lam @ (r - atoms[a]) > gap:
                 mix = weights.copy()
                 mix[a] = 0.0
                 mix /= mix.sum()
@@ -855,16 +859,17 @@ def solve(scn: Scenario) -> SolveReport:
                 stop_reason = "gap"
                 break
             # polish the incumbent with the active set of a polish that
-            # raised it, then, unless that raises it again, the block's last
-            # record window average afresh (a new incumbent is one)
-            records = np.fmax.accumulate(np.concatenate(([best_avg], obj)))
-            records, best_avg = np.flatnonzero(obj > records[:-1]), float(records[-1])
+            # raised it, then, unless that raises it again, the block's best
+            # window average afresh if it is the best so far (a new
+            # incumbent is one)
+            j = int(obj.argmax())
             starts = []
             if t < max_iters:
                 if active is not None and not better.size:
                     starts.append((best_point[3], best_obj, active))
-                if records.size:
-                    starts.append((avg_r[records[-1]], float(obj[records[-1]]), None))
+                if obj[j] > best_avg:
+                    starts.append((avg_r[j], float(obj[j]), None))
+            best_avg = max(best_avg, float(obj[j]))
             polished, active = polished[:0], None
             for start in starts:
                 found = kernel.polish(schedule, *start)
