@@ -1300,6 +1300,20 @@ def test_polish_keeps_the_certificates_of_random_macs(name):
     assert report.stop_reason == "gap"
 
 
+def test_solve_takes_a_polished_point_that_ties_the_incumbent():
+    # the last polish of this 7-user MAC (fuzz:1 document 554) returns a
+    # point whose objective only ties the incumbent's, and the dual value at
+    # its implied prices certifies 1e-9 at row 32.  Refusing such a point
+    # ran it to max_iters, as 8 plain Frank-Wolfe steps a block do
+    scn = random_mac(
+        ((2.262, 1.739), (2.956, 0.0), (0.45, 1.012), (0.379, 0.0), (3.785, 2.29), (0.968, 0.0),
+         (0.257, 2.182)),
+        (6.761, 6.419, 4.992, 5.104, 3.745, 5.664, 4.407), 1.0, 1.0, 1e-9,
+    )
+    report = solve(scn)
+    assert (report.iterations, report.stop_reason) == (32, "gap")
+
+
 def test_polish_stops_once_its_gap_stops_halving(monkeypatch):
     # on this MAC of Zero utilities under alpha_max = 1 and c_max = 2 the
     # first polish's Frank-Wolfe gap stalls above tol_gap, and the polish
