@@ -1322,7 +1322,8 @@ def test_polish_stops_once_its_gap_stops_halving(monkeypatch):
     # row 4 (128 with 8 plain Frank-Wolfe steps a block)
     scn = random_mac(((1.744, 0.0), (1.193, 0.0), (1.01, 0.0)), (2.951, 8.042, 8.558),
                      1.0, 0.3, 1e-6, c_max=2.0)
-    assert (solve(scn).iterations, solve(scn).stop_reason) == (4, "gap")
+    report = solve(scn)
+    assert (report.iterations, report.stop_reason) == (4, "gap")
     start = solve(replace(scn, max_iters=1)).recovered
     kernel, schedule = _Kernel(scn), scn.region._schedule
     implied = _Kernel.implied_prices
