@@ -379,7 +379,7 @@ class SolveReport:
     """Outcome of :func:`solve`.
 
     ``recovered`` is the incumbent: of the points repaired from the window
-    average of r or polished from an incumbent (see :func:`solve`), with
+    average of r or polished from one (see :func:`solve`), with
     every c_i >= c_min, the one with the best finite objective seen
     anywhere in the run.  It is feasible for the capped
     problem the duals bound, so ``gap``, the relative distance

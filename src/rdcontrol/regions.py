@@ -18,7 +18,7 @@ once, in its unchecked ``_schedule(lam)``: ``max_weight`` is
 ``_schedule`` itself, because its prices are nonnegative vectors of the
 right length by construction.  Its Frank-Wolfe polish uses the same
 ``_schedule`` as its linear oracle: the region point that maximizes the
-gradient given by the incumbent's implied prices.  ``_schedule``
+gradient given by the polished point's implied prices.  ``_schedule``
 returns a read-only array
 the region keeps, which a caller copies: a :class:`BoxRegion`'s caps
 maximize every weight vector, so it returns its one caps array; a
@@ -47,7 +47,7 @@ from .errors import DomainError
 # serving orders a MAC region remembers.  A solve meets one order per
 # iteration and per polish step at most: without the polish, 522 in 2,534
 # iterations on a 6-user MAC and 12,000 in 12,000 on a 40-user one, where
-# an order costs about 0.8 kB; with it, 23 and 176
+# an order costs about 0.8 kB; with it, 12 and 51
 _VERTEX_MEMO = 1024
 
 
