@@ -546,13 +546,12 @@ class _Kernel:
             if len(gaps) > _STALL and gap > 0.5 * gaps[-1 - _STALL]:
                 break
             # mix: the segment's end as weights on the atoms: v when r is the
-            # lone atom, else the atoms but a, or v as a new atom or an
-            # equal one
-            a = (atoms @ lam).argmin()
+            # lone atom, else the atoms but a, the atom of least lam.a, or v
+            # as a new atom or an equal one
             if len(weights) == 1:
                 atoms, weights = np.vstack((r, v)), np.array([1.0, 0.0])
                 mix, end = np.array([0.0, 1.0]), v
-            elif lam @ (r - atoms[a]) > gap:
+            elif lam @ (r - atoms[a := (atoms @ lam).argmin()]) > gap:
                 mix = weights.copy()
                 mix[a] = 0.0
                 mix /= mix.sum()
@@ -567,7 +566,7 @@ class _Kernel:
             step = (1.0 - gamma) * r + gamma * end
             point = self.repair(step)
             step_obj = float(self.objective(*point)) if point[2].min() >= self.c_min else -math.inf
-            if not step_obj >= obj or (step == r).all():
+            if not step_obj >= obj or step_obj == obj and (step == r).all():
                 if restarted or len(atoms) == 1:
                     break
                 atoms, weights, restarted = r[None], np.ones(1), True
