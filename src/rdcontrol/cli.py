@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,12 +104,10 @@ def _print_summary(report: SolveReport) -> None:
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
-    from dataclasses import replace
-
     kwargs = {}
     if args.max_iters is not None:
         kwargs["max_iters"] = args.max_iters
-    if getattr(args, "gamma0", None) is not None:
+    if args.gamma0 is not None:
         # only the scale changes; the document keeps its step rule
         kwargs["step"] = replace(scn.step, gamma0=args.gamma0)
     return replace(scn, **kwargs) if kwargs else scn

@@ -6,142 +6,38 @@ The coupled utility maximization
     s.t. alpha_i + beta_i <= c_i,   alpha_i >= 0,  beta_i <= 0,
          alpha_i + beta_i >= 0,     c_i <= r_i,    r in region
 
-is relaxed with prices mu (rate-distortion constraint) and lambda
-(capacity constraint).  Each iteration solves the three per-layer
-subproblems at the current prices (Jacobi style: all three see the same
-pre-update duals), then takes a projected subgradient step on (mu, lambda).
-The subproblems carry the :class:`SolverCaps` box, so every dual value
-bounds the *capped* problem from above.  This dual loop is the paper's
-method.  The polish (see below) is a primal-side step beside it that
-reuses its scheduling layer; the loop's prices never see it.
+is relaxed with prices mu on alpha + beta <= c and lambda on c <= r.  At
+given prices it splits into three layers: compression picks (alpha,
+beta) from mu and congestion picks c from lambda - mu, each a closed form
+per source, and scheduling picks the region point r of largest lambda.r.
+Every layer keeps the :class:`SolverCaps` box, so every dual value bounds
+the capped problem from above.  The dual loop, a projected subgradient
+step on (mu, lambda) after each Jacobi pass of the three layers at the
+same prices, is the paper's method, and nothing else moves its prices.
+A primal point is recovered from the scheduled rates alone, and the
+relative gap between the best dual value and the best such point is the
+one stopping test.
 
-Every layer is a closed form applied to each source independently, so an
-iteration is a handful of array operations.  :class:`SourceSpec` is the
-one place that tests a utility's type; past it a source is its
-parameters.  :func:`solve` compiles the scenario once into plain float
-arrays -- K, 1/K, the rate weights w (``U.w``, 0 for ``Zero``), the
-sources with w > 0, the caps -- and binds the region's ``_schedule``
-(see :mod:`rdcontrol.regions`) and ``step.step_size``.  The
-price step reads only alpha + beta, c and r, so the loop computes only
-those, in two stages.  Per iteration it is a fixed run of eleven
-in-place numpy calls on one preallocated (8, n) working array, each on
-one row or on two adjacent rows: max(lam - mu, 0), the mask mu <= K,
-then both layers as one stacked (2, n) pass -- (min(w/max(lam - mu, 0),
-c_max), min(mask/mu, alpha_max)) -- whose second row is alpha + beta bit
-for bit (+0.0 where mu > K), and c = max(first row, c_min); one copy of
-the rows the run keeps into the current block; and the four calls of one
-projected step on the stacked (mu, lam).  Nothing is allocated.  The
-scheduled point is copied into the two r rows, a twelfth call, on
-every region alike.  No price that reaches a layer is -0.0, so lam - mu
-is never -0.0 and the congestion layer needs no ``+ 0.0``: ``DualState``
-and ``Scenario.dual_init`` store +0.0 in place of -0.0, max(0, price +
-step) of a price that is not -0.0 is never -0.0, and an implied price
-is > 0 or +0.0.  The prices are nonnegative by projection, so
-``_schedule`` skips the weight check of ``max_weight``;
-once per block one vectorized test refuses prices that a too-large step
-overflowed to inf or NaN.  Once per block of up to 64 rows the solver
-evaluates the window sums of r, the repair, the incumbent objectives and
-the running best incumbent as row-wise array expressions.  Then it
-stacks the (mu, lam, r) rows at the prices of each new incumbent (see
-below) under the block's own rows and makes one call of the kernel's
-``dual``, the one evaluation of the dual function g.  ``dual`` derives
-alpha, beta and c from the prices with the kernel's ``primal``, the
-layers' closed forms applied elementwise, so the bits are those of the
-loop.  The first rows of its result are the block's dual values, the
-rest the bounds at the implied prices.  The running best dual and the
-gap follow, and the solver stops at the first row that meets the gap;
-the block's later price steps are discarded.  The public
-:func:`dual_objective`, :func:`primal_objective` and
-:func:`lagrangian_value` call the same kernel methods on 1-D vectors, so
-they give the same bits as the trace; :func:`dual_objective` and
-:func:`dual_iterate` take r from the public, checked ``max_weight``, and
-:class:`Trace` derives its columns with the same ``primal``.  Each
-public function first checks that every vector it is given holds one
-entry per source.  :class:`PrimalAllocation` and :class:`DualState` are
-built only at the API boundary.  The scalar ``compression_subproblem``
-and ``congestion_subproblem`` in :mod:`rdcontrol.layers` are the
-per-source reference.
+Which code owns which rule:
 
-A primal point is recovered from the ergodic average of the scheduled
-rates alone: saturate c at the averaged scheduled rate, c = min(avg_r,
-c_max), then set (alpha, beta) by the closed-form compression rule
-clipped to ``alpha_max``.  The repaired point has c <= r with r a convex
-mix of region points, c <= c_max, alpha + beta = min(c, alpha_max) <= c
-and alpha <= alpha_max; it counts as an incumbent only when also every
-c_i >= c_min, the last constraint of the capped problem.  Under that
-rule the capped objective is nondecreasing in every c_i (slope K + w/c
-on the distortion branch, (1 + w)/c on the lossless one, w/c above
-``alpha_max``, 0 for a ``Zero`` source), so the largest feasible c
-given r is the best one, and the averages of the subproblem alpha, beta
-and c are not needed.  An incumbent is feasible for the problem the
-duals bound, so by weak duality the relative gap between the best dual
-value and the best incumbent objective is a complete optimality
-certificate, and it is the only stopping test.  The average window
-restarts at power-of-two iteration counts, so at any time it spans at
-least the most recent half of the run; a from-start average would carry
-the early transient at O(1/t) and stall well above the gap tolerance.
-A block never spans a restart.
+* :class:`SourceSpec` -- which utilities the closed forms solve.
+* ``_Kernel.primal`` -- the compression and congestion layers; ``dual``
+  -- the dual function g; ``objective`` and ``lagrangian``.  The loop,
+  the certificate, :class:`Trace` and the public functions all read
+  these closed forms, so they give the same bits.
+* ``_Kernel.repair`` -- the primal point recovered from a scheduled rate.
+* ``_Kernel.incumbent`` -- which repaired point is an incumbent.
+* ``_Kernel.implied_prices`` -- the prices an incumbent implies: the
+  certificate's extra bound, the polish's linear objective and the slope
+  of its line search ``_Kernel.step_length``.
+* ``_Kernel.polish`` -- the away-step Frank-Wolfe steps that raise an
+  incumbent, with the region's ``_schedule`` as the linear oracle.
+* :func:`solve` -- the loop, the averaging window, the blocked
+  certificate and when to polish.
+* :class:`Trace` -- what a run stores, and how the rest is derived.
 
-Weak duality holds at any nonnegative prices, not only at those the loop
-visits.  So at each row where the incumbent improves, the certificate
-also takes the dual value at the prices that incumbent implies, with r
-from the region's ``_schedule`` at those prices.
-``_Kernel.implied_prices`` is the one derivation of them: lam is the
-gradient in the scheduled rate r of the repaired objective
-objective(repair(r)), the marginal utilities (Kelly, Maulloo & Tan,
-1998), and mu its part that alpha + beta <= c carries.  A price is 0
-where its constraint is slack (complementary slackness): mu above
-``alpha_max``, lam from ``c_max`` on.  Where a lam overflows to inf the
-value is NaN, which the running minimum passes over.  At an optimal
-incumbent off the kinks of the objective these are KKT prices and the
-gap closes at once: a box stops at iteration 1, also where c_max or
-alpha_max binds.  The best dual at a row is the running minimum of the
-loop's dual values and these values up to that row, so it may come from
-prices that are no trace row, and the stopping row does not depend on
-the block size.  The loop's prices never see these values.
-
-The window average approaches the optimum slowly, so between blocks the
-solver polishes with away-step conditional-gradient steps (Frank &
-Wolfe, 1956; Guelat & Marcotte, 1986; Lacoste-Julien & Jaggi, NeurIPS
-2015), ``_Kernel.polish``.  Each step takes the gradient lam at the point
-and the region point v ``_schedule`` returns at it -- so the paper's
-scheduling layer is the linear oracle -- and moves toward v, or away
-from the worst point of its active set (the region points it mixes), to
-the best point of that segment by a vectorized bracketing line search
-whose slope is that gradient again.  So the certificate, the linear
-oracle and the line search read one gradient.  Away steps converge
-linearly on a polytope such as the MAC or a vertex region, where plain
-Frank-Wolfe steps zig-zag at O(1/k).  The Frank-Wolfe gap lam.(v - r) is
-the dual value at the point's implied prices less its objective, so the
-polish stops once that gap meets ``tol_gap``, the test the next block's
-certificate applies, or once it stops shrinking.  A convex mix of region
-points is in the region, so a polished point counts as an incumbent when
-its repair has every c_i >= c_min and its objective is no lower than the
-incumbent's: in a face a step short enough to close the gap further may
-only tie the objective in floating point.
-
-After a block that did not stop, while iterations remain, a polish that
-raised the incumbent goes on from it with its active set, and, unless
-that raises it again, a fresh polish starts from the block's best window
-average when that is the best window average so far.  A new incumbent is
-always such a record; an older record below a polished incumbent may
-still polish to a better point where the incumbent's polish stalled at a
-kink of the objective.  A polished incumbent enters the next block as
-the carried-in best incumbent, and the (mu, lam, r) row at its implied
-prices joins that block's one ``dual`` call, whose value bounds every
-row of the block.  The loop never reads a polished point, so every kept
-trace row is the one the loop alone keeps, and only the stopping row
-moves.  ``recovered`` is the best window-average repair or polished
-point.
-
-The trace records, per iteration, the raw subproblem primal, the dual
-objective at the current prices and the best incumbent objective seen so
-far.  It stores only what the prices do not fix: (mu, lam, r) and the
-two objectives, 3n + 2 floats a row on every region.  A block holds no
-more: (rows, 3, n) of (mu, lam, r), which the solver keeps as they are
-until the run ends and then joins with one concatenation.  alpha, beta
-and c are closed forms of the prices, so the certificate and
-:class:`Trace` derive them with ``primal``, with the loop's bits.
+The scalar ``compression_subproblem`` and ``congestion_subproblem`` of
+:mod:`rdcontrol.layers` are the per-source reference of the layers.
 """
 
 from __future__ import annotations
@@ -329,8 +225,9 @@ class Trace:
     (``primal_obj``, -inf before the first) and the dual value
     (``dual_obj``).  The trace is as long as the run, never ``max_iters``.
 
-    The fields are what is stored: ``mu``, ``lam`` and ``r`` are views of
-    one (rows, 3, n) array, for every region.  The prices fix the rest of
+    The fields are what is stored, 3n + 2 floats a row: ``mu``, ``lam``
+    and ``r`` are views of one (rows, 3, n) array, for every region, beside
+    the two objectives.  The prices fix the rest of
     the subproblem primal: :meth:`primal` derives alpha, beta and c of any
     rows with the solve's ``_Kernel.primal`` -- the closed forms the loop
     runs, so the bits are the loop's.  ``alpha``, ``beta`` and ``c`` are
@@ -378,11 +275,9 @@ class Trace:
 class SolveReport:
     """Outcome of :func:`solve`.
 
-    ``recovered`` is the incumbent: of the points repaired from the window
-    average of r or polished from one (see :func:`solve`), with
-    every c_i >= c_min, the one with the best finite objective seen
-    anywhere in the run.  It is feasible for the capped
-    problem the duals bound, so ``gap``, the relative distance
+    ``recovered`` is the best incumbent (``_Kernel.incumbent``) of the
+    run, repaired from a window average of r or polished from one (see
+    :func:`solve`).  So ``gap``, the relative distance
     ``(best_dual - recovered_objective) / (1 + |recovered_objective|)``,
     is >= 0 up to rounding.  ``best_dual`` is the least dual value of the
     run: at the loop's prices (``trace.dual_obj``) or at the prices an
@@ -413,10 +308,9 @@ _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 # most iterations :func:`solve` runs before it certifies them together
 _BLOCK = 64
-# most away-step Frank-Wolfe steps of one polish after a block that did not
-# stop; it stops sooner, once its Frank-Wolfe gap meets tol_gap or has not
-# halved over the last _STALL steps.  Then the grid of 33 points on [0, 1],
-# as a column, and the zoom levels of each step's line search
+# most steps of one polish, and the steps over which its Frank-Wolfe gap
+# must halve for it to go on.  Then the grid of 33 points on [0, 1], as a
+# column, and the zoom levels of each step's line search
 _POLISH = 64
 _STALL = 16
 _GRID = np.linspace(0.0, 1.0, 33)[:, None]
@@ -424,16 +318,18 @@ _ZOOM = 4
 
 
 class _Kernel:
-    """A :class:`Scenario` compiled to float arrays over sources.
+    """A :class:`Scenario` compiled to float arrays over sources: K, 1/K,
+    the rate weights w (0 for ``Zero``), the sources with w > 0, the caps
+    and the step rule.
 
     :meth:`primal` is the one derivation of the subproblem primal from the
     prices, for the public functions, the certificate and the trace;
     :func:`solve`'s loop runs the same closed forms as one stacked in-place
     pass.  :meth:`dual` is the one evaluation of the dual function g, for
     :func:`dual_objective` and the certificate.  The layers, the objective,
-    the Lagrangian, g and the repair act row-wise on (rows, n) arrays, so
-    one call covers a block of iterates, and a call on 1-D vectors gives
-    the bits of one such row.  Evaluate them under
+    the Lagrangian, g, the repair and the incumbent test act row-wise on
+    (rows, n) arrays, so one call covers a block of iterates, and a call
+    on 1-D vectors gives the bits of one such row.  Evaluate them under
     ``np.errstate(**_QUIET)``.
     """
 
@@ -499,10 +395,17 @@ class _Kernel:
         above it, where that constraint is slack; lam = mu + w/c, with lam
         = mu where w = 0, and lam = 0 where r >= c_max, where c <= r is
         slack.  At c = alpha_max the slope drops, and mu there is the left
-        branch's: K where alpha_max < 1/K, else 1/alpha_max.  At an optimal
-        point off that kink these are KKT prices.  The same lam is the
-        certificate's price, the polish's linear objective and the slope
-        of :meth:`step_length`."""
+        branch's: K where alpha_max < 1/K, else 1/alpha_max.
+
+        So lam is the marginal utility (Kelly, Maulloo & Tan, 1998), and a
+        price is 0 where its constraint is slack (complementary slackness).
+        Weak duality holds at any nonnegative prices, so the dual value at
+        these bounds the optimum as well as the loop's own.  At an optimal
+        incumbent off the kink they are KKT prices and the gap closes at
+        once: a box stops at iteration 1, also where c_max or alpha_max
+        binds.  The same lam is the certificate's price, the polish's
+        linear objective and the slope of :meth:`step_length`, so the
+        three read one gradient."""
         c = np.minimum(r, self.c_max)
         mu = np.where(c <= self.kink, self.K, np.where(c > self.alpha_max, 0.0, 1.0 / c))
         lam = mu.copy()
@@ -510,29 +413,41 @@ class _Kernel:
         return mu, np.where(r < self.c_max, lam, 0.0)
 
     def polish(self, schedule, r: np.ndarray, obj: float, active=None):
-        """Up to ``_POLISH`` away-step Frank-Wolfe steps (Guelat & Marcotte,
-        1986) from the point with scheduled rate r and objective obj: lam is
-        the gradient of the repaired objective at the point
-        (:meth:`implied_prices`) and v = schedule(lam), the region's
-        ``_schedule`` as the linear oracle.  The active set is the region
-        points the polish mixes, the rows of ``atoms``, with their
-        ``weights``: ``active`` as an earlier polish returned it, or r at
-        weight 1.  The polish stops once the Frank-Wolfe gap lam.(v - r),
-        the dual value at (mu, lam, v) less obj, is <= ``tol_gap`` (1 +
-        |obj|), or is not half what it was ``_STALL`` steps before.  Else,
-        with a the atom of least lam.a, a step goes away from a, toward the
-        mix of the other atoms r + (w_a/(1 - w_a))(r - a), where lam.(r - a)
-        is the larger gap, and toward v otherwise, as a new atom or more
-        weight on an equal one, to the point of :meth:`step_length` on that
-        segment.  A full step drops the atoms it empties.  A step is taken
-        when its repair has every c_i >= c_min and it moves r without
-        lowering the objective, so a step that only ties it is taken.  The
-        first step refused from more than one atom is tried again from r
-        alone; the next ends the polish.  Each point is a convex mix of
-        region points.  Returns None when no step was taken, else the
-        polished ((alpha, beta, c, r), objective, (mu, lam, v), (atoms,
-        weights)), the third its dual row; weights @ atoms is r up to
-        rounding."""
+        """Up to ``_POLISH`` away-step Frank-Wolfe steps (Frank & Wolfe,
+        1956; Guelat & Marcotte, 1986) from the incumbent with scheduled
+        rate r and objective obj.  lam is the gradient of the repaired
+        objective at the point (:meth:`implied_prices`) and v =
+        schedule(lam), the region's ``_schedule``: the paper's scheduling
+        layer is the linear oracle.  The active set is the region points
+        the polish mixes, the rows of ``atoms``, with their ``weights``:
+        ``active`` as an earlier polish returned it, or r at weight 1.
+
+        The polish stops once the Frank-Wolfe gap lam.(v - r) is <=
+        ``tol_gap`` (1 + |obj|).  That gap is the dual value at (mu, lam, v)
+        less obj, so this is the test the next block's certificate applies.
+        It also stops once the gap is not half what it was ``_STALL`` steps
+        before.  Else, with a the atom of least lam.a, a step goes away from
+        a, toward the mix of the other atoms r + (w_a/(1 - w_a))(r - a),
+        where lam.(r - a) is the larger gap, and toward v otherwise, as a
+        new atom or more weight on an equal one; a lone atom is r, whose
+        away gap is 0.  It goes to the point of :meth:`step_length` on that
+        segment, and a full step drops the atoms it empties.  Away steps
+        converge linearly on a polytope such as a MAC or a vertex region,
+        where plain Frank-Wolfe steps zig-zag at O(1/k) (Lacoste-Julien &
+        Jaggi, NeurIPS 2015).
+
+        A step is taken when its :meth:`incumbent` objective is no lower
+        than obj and it moves r: in a face a step short enough to close the
+        gap further may only tie the objective in floating point.  The
+        first refused away step is tried again from r alone, as a step
+        toward v.  A refused step toward v, or a second refused away step,
+        ends the polish: from r alone a step toward v would run the same
+        line search on the same segment r -> v and be refused again.  Each
+        point is a convex mix of region points, so it is in the region.
+
+        Returns None when no step was taken, else the polished ((alpha,
+        beta, c, r), objective, (mu, lam, v), (atoms, weights)), the third
+        its dual row; weights @ atoms is r up to rounding."""
         mu, lam = self.implied_prices(r)
         v = schedule(lam)
         atoms, weights = (r[None], np.ones(1)) if active is None else active
@@ -545,13 +460,10 @@ class _Kernel:
                 break
             if len(gaps) > _STALL and gap > 0.5 * gaps[-1 - _STALL]:
                 break
-            # mix: the segment's end as weights on the atoms: v when r is the
-            # lone atom, else the atoms but a, the atom of least lam.a, or v
-            # as a new atom or an equal one
-            if len(weights) == 1:
-                atoms, weights = np.vstack((r, v)), np.array([1.0, 0.0])
-                mix, end = np.array([0.0, 1.0]), v
-            elif lam @ (r - atoms[a := (atoms @ lam).argmin()]) > gap:
+            # mix: the segment's end as weights on the atoms: the atoms but
+            # a, the atom of least lam.a, or v as a new atom or an equal one
+            away = lam @ (r - atoms[a := (atoms @ lam).argmin()]) > gap
+            if away:
                 mix = weights.copy()
                 mix[a] = 0.0
                 mix /= mix.sum()
@@ -564,10 +476,10 @@ class _Kernel:
                 end = v
             gamma = self.step_length(r, end)
             step = (1.0 - gamma) * r + gamma * end
-            point = self.repair(step)
-            step_obj = float(self.objective(*point)) if point[2].min() >= self.c_min else -math.inf
+            point, step_obj = self.incumbent(step)
+            step_obj = float(step_obj)
             if not step_obj >= obj or step_obj == obj and (step == r).all():
-                if restarted or len(atoms) == 1:
+                if restarted or not away:
                     break
                 atoms, weights, restarted = r[None], np.ones(1), True
                 continue
@@ -583,12 +495,13 @@ class _Kernel:
 
     def step_length(self, r: np.ndarray, v: np.ndarray) -> float:
         """The gamma in [0, 1] that maximizes the objective of the repair
-        of (1 - gamma) r + gamma v.  The objective is concave along the
-        segment, so its derivative, the gradient lam of
-        :meth:`implied_prices` at the point times v - r, falls with gamma.
-        The ``_GRID`` points bracket the root of the derivative, each of
-        ``_ZOOM`` levels grids the bracket again, and the root of the chord
-        through the last bracket's two slopes is the result."""
+        of (1 - gamma) r + gamma v, by a vectorized bracketing search.  The
+        objective is concave along the segment, so its derivative, the
+        gradient lam of :meth:`implied_prices` at the point times v - r,
+        falls with gamma.  The ``_GRID`` points bracket the root of the
+        derivative, each of ``_ZOOM`` levels grids the bracket again, and
+        the root of the chord through the last bracket's two slopes is the
+        result."""
         d = v - r
         lo, hi = 0.0, 1.0
         for _ in range(_ZOOM):
@@ -603,10 +516,27 @@ class _Kernel:
             rise, fall = slope[k - 1], slope[k]
         return lo + (hi - lo) * float(rise / (rise - fall))
 
+    def incumbent(self, r: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Per row, the :meth:`repair` of the scheduled rate r and its
+        objective, -inf unless every c_i >= c_min.  Only then is the point
+        an incumbent: r a convex mix of region points, with the repair,
+        makes it feasible for the capped problem the duals bound.  By weak
+        duality the relative gap between the best dual value and the best
+        incumbent's objective is then a complete optimality certificate."""
+        point = self.repair(r)
+        feasible = point[2].min(axis=-1) >= self.c_min
+        return point, np.where(feasible, self.objective(*point), -math.inf)
+
     def repair(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Saturate c at the scheduled rate, c = min(r, c_max), then
         (alpha, beta) by the compression rule under alpha_max: alpha =
-        min(max(1/K, c), alpha_max), beta = min(c, alpha_max) - alpha."""
+        min(max(1/K, c), alpha_max), beta = min(c, alpha_max) - alpha.
+        The point has c <= r, c <= c_max, alpha <= alpha_max and alpha +
+        beta = min(c, alpha_max) <= c.  The capped objective is
+        nondecreasing in every c_i (slope K + w/c on the distortion branch,
+        (1 + w)/c on the lossless one, w/c above alpha_max, 0 for ``Zero``),
+        so the largest feasible c given r is the best one, and the
+        subproblems' alpha, beta and c need not be averaged."""
         c = np.minimum(r, self.c_max)
         alpha = np.minimum(np.maximum(self.inv_K, c), self.alpha_max)
         return alpha, np.minimum(c, self.alpha_max) - alpha, c
@@ -699,48 +629,55 @@ def primal_violation(primal: PrimalAllocation, scn: Scenario) -> float:
 def solve(scn: Scenario) -> SolveReport:
     """Run the dual iteration until the gap certificate holds.
 
-    The scenario is compiled once into arrays (see the module docstring).
-    Iterations run in blocks of at most ``_BLOCK`` that never span a
-    window restart.  Inside a block each iteration only evaluates what the
-    price step reads (alpha + beta, c and r), records (mu, lam, r) and
-    takes the step.  Then the window averages of r, their repaired points
-    and objectives are evaluated for the whole block as row-wise array
-    expressions, and one ``_Kernel.dual`` call gives the dual values at
-    the block's prices and at the prices each new incumbent implies.  The
-    relative gap ``(best_dual - best_obj) / (1 + |best_obj|)`` follows
-    row by row.  ``best_obj`` is the best objective of an incumbent: the
-    point repaired from the window average of r, when every c_i >= c_min,
-    hence feasible for the capped problem; ``best_dual`` is the least of
-    those dual values so far.  The run stops at the first iteration whose
-    gap is below ``tol_gap``, and the trace and report end there; the
-    block's later price steps are discarded.  By weak duality that point
-    is within ``tol_gap`` of the capped optimum.  Hitting ``max_iters``
+    The scenario is compiled once into a ``_Kernel``.  Iterations run in
+    blocks of at most ``_BLOCK``.  Inside a block each iteration only
+    evaluates what the price step reads (alpha + beta, c and r), records
+    (mu, lam, r) and takes the step.  The window average of r restarts at
+    power-of-two iteration counts, so it spans at least the most recent
+    half of the run: a from-start average would carry the early transient
+    at O(1/t) and stall well above ``tol_gap``.  A block never spans a
+    restart.
+
+    After each block, ``_Kernel.incumbent`` gives the repaired window
+    averages and their objectives as row-wise array expressions, and one
+    ``_Kernel.dual`` call gives the dual values at the block's prices, at
+    the prices each new incumbent implies and at those of a point polished
+    after the last block.  ``best_dual`` at a row is the least of these up
+    to that row, so it may come from prices that are no trace row, and the
+    stopping row does not depend on the block size.  The run stops at the
+    first row whose relative gap ``(best_dual - best_obj) / (1 +
+    |best_obj|)`` is below ``tol_gap``, and the trace and report end there;
+    the block's later price steps are discarded.  Hitting ``max_iters``
     first returns ``converged=False`` rather than raising.
 
-    The dual loop is the paper's method.  After a block that does not stop,
-    while iterations remain, ``_Kernel.polish`` takes up to ``_POLISH``
-    away-step Frank-Wolfe steps, with the region's ``_schedule`` as the
-    linear oracle: a primal-side step that reuses the scheduling layer.
-    It goes on from the incumbent with the active set of a polish that
-    raised it, then, unless that raises it again, starts afresh from the
-    block's last record window average (the best so far), if any.  It
-    stops once its Frank-Wolfe gap meets ``tol_gap`` or stops shrinking.
-    A point it returns that is no worse than the incumbent is the
-    incumbent the next block starts from, and the dual value at its
-    implied prices joins that block's ``dual`` call.  The loop's prices
-    never see it.
+    After a block that does not stop, while iterations remain, a polish
+    that raised the incumbent goes on from it with its active set, unless
+    a new incumbent came in the block.  Then, unless that raised it again,
+    a fresh polish starts from the block's best window average when that
+    is the best so far.  A new incumbent is always such a record, and an
+    older record below a polished incumbent may still polish to a better
+    point where the incumbent's polish stalled at a kink of the objective.
+    The steps, the stop and the retry of a refused away step are
+    ``_Kernel.polish``'s.  A point it returns that is no worse than the
+    incumbent is the incumbent the next block starts from, and its dual
+    row joins that block's ``dual`` call.  The loop never reads a polished
+    point, so every kept trace row is the loop's own, and only the
+    stopping row moves.
     """
     kernel = _Kernel(scn)
     K, step_size = kernel.K, kernel.step_size
     # 0-d operands: a Python float costs every ufunc call a scalar conversion
     zero, c_min = np.array(0.0), np.array(kernel.c_min)
+    # the prices are nonnegative by projection, so the loop skips the
+    # weight check of the region's max_weight
     schedule = scn.region._schedule
     n, max_iters, tol_gap = scn.n, scn.max_iters, scn.tol_gap
     # the working rows (dpos, mu, lam, r, q, s, c, r): dpos = max(lam - mu, 0),
     # q = min(w/dpos, c_max) and s = alpha + beta.  r is held twice: beside
     # the prices, so the rows a block keeps are adjacent, and after c, where
     # the step reads it.  Every two-row operand below is two adjacent rows,
-    # which numpy runs as one flat loop.
+    # which numpy runs as one flat loop.  An iteration is twelve in-place
+    # numpy calls and the scheduler's, and allocates nothing.
     x = np.empty((8, n))
     dpos, mu, lam, _, q, s, c, _ = x
     den, prices, q_s, s_c, c_r = x[0:2], x[1:3], x[4:6], x[5:7], x[6:8]
@@ -749,7 +686,9 @@ def solve(scn: Scenario) -> SolveReport:
     # both layers in one stacked pass: (q, s) = fmin((w, mask)/(dpos, mu),
     # (c_max, alpha_max)), then c = max(q, c_min).  The mask mu <= K makes
     # s = min(1/mu, alpha_max) where mu <= K and +0.0 beyond, the bits of
-    # alpha + beta.
+    # alpha + beta.  No price is -0.0 (dual_init is stored as +0.0, and the
+    # projection max(0, price + step) of a price that is not -0.0 is never
+    # -0.0), so dpos is never -0.0 and w/dpos needs no + 0.0.
     num = np.vstack((kernel.w, np.empty(n)))
     mask = num[1]
     hi = np.vstack((np.full(n, kernel.c_max), np.full(n, kernel.alpha_max)))
@@ -762,7 +701,8 @@ def solve(scn: Scenario) -> SolveReport:
     count = 0
     next_restart = 2
 
-    # per block, the kept rows with their primal and dual objectives
+    # per block, the kept (rows, 3, n) of (mu, lam, r) with their primal and
+    # dual objectives, joined by one concatenation when the run ends
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     # the (mu, lam, r) row at the prices of an incumbent polished after the
     # last block, if any, for the next block's dual call
@@ -814,10 +754,7 @@ def solve(scn: Scenario) -> SolveReport:
             # accumulate adds row by row, the same sums as a running +=
             sums = np.add.accumulate(np.vstack((sum_r, blk[:, 2])))[1:]
             avg_r = sums / np.arange(count + 1, count + m + 1)[:, None]
-            point = kernel.repair(avg_r)
-            # only c >= c_min makes a point of the capped problem
-            feasible = point[2].min(axis=-1) >= kernel.c_min
-            obj = np.where(feasible, kernel.objective(*point), -math.inf)
+            point, obj = kernel.incumbent(avg_r)
             # running best incumbent and dual, carried in from earlier blocks
             prev_obj = np.fmax.accumulate(np.concatenate(([best_obj], obj)))
             run_obj = prev_obj[1:]
@@ -857,10 +794,7 @@ def solve(scn: Scenario) -> SolveReport:
             if hits.size:
                 stop_reason = "gap"
                 break
-            # polish the incumbent with the active set of a polish that
-            # raised it, then, unless that raises it again, the block's best
-            # window average afresh if it is the best so far (a new
-            # incumbent is one)
+            # the carried polish, then the record polish (see the docstring)
             j = int(obj.argmax())
             starts = []
             if t < max_iters:

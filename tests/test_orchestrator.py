@@ -913,6 +913,7 @@ def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
 
     monkeypatch.setattr(_Kernel, "polish", recording)
     report = solve(scn)
+    assert report.stop_reason == "max_iters"
     tr = report.trace
     ends = block_ends(len(tr))[:-1]  # no polish after the last block
     # both kinds of polish run, and some block end polishes nothing
@@ -1153,6 +1154,8 @@ def test_solve_evaluates_the_dual_once_per_block(monkeypatch, name):
 
     monkeypatch.setattr(_Kernel, "dual", counting)
     report = solve(LAYER_RUNS[name][0]())
+    if name == "long_mac":
+        assert report.stop_reason == "max_iters"
     assert len(calls) == block_count(report.iterations)
     assert sum(calls) >= report.iterations
 
@@ -1251,6 +1254,25 @@ def test_polish_reads_the_slope_above_alpha_max():
     report = solve(scn)
     assert report.stop_reason == "gap"
     assert report.recovered_objective > -9.41
+
+
+@pytest.mark.parametrize("name, searches, iterations", [("mac5", 104, 1636), ("vertex2", 20, 234)])
+def test_polish_retries_only_a_refused_away_step(name, searches, iterations, monkeypatch):
+    # a refused step toward v, tried again from r alone, runs the same line
+    # search on the same segment r -> v and is refused again, so only a
+    # refused away step is tried again.  Retrying every refused step took
+    # 113 and 25 line searches on these kink rows, to the same answers
+    step_length = _Kernel.step_length
+    calls = []
+
+    def counting(self, r, v):
+        calls.append(None)
+        return step_length(self, r, v)
+
+    monkeypatch.setattr(_Kernel, "step_length", counting)
+    report = solve(with_caps(shared_channel_scenario(name), alpha_max=0.5)())
+    assert (report.iterations, report.stop_reason) == (iterations, "gap")
+    assert len(calls) == searches
 
 
 def random_mac(kw, powers, alpha_max, gamma0, tol_gap, c_max=20.0):
@@ -1468,6 +1490,8 @@ def test_block_certificate_matches_sequential_loop(name, factory, max_iters):
     # 50,000), runs with no incumbent and runs that the implied prices stop
     scn = replace(factory(), max_iters=max_iters)
     report = solve(scn)
+    if factory in (long_mac, long_vertex):
+        assert report.stop_reason == "max_iters"
     ref = sequential_solve(scn)
     assert report.iterations == ref["iterations"]
     assert report.stop_reason == ref["stop_reason"]
