@@ -222,8 +222,9 @@ class Trace:
 
     Row k holds iteration ``t[k]``: the prices the subproblems saw, the
     raw subproblem primal, the best incumbent objective so far
-    (``primal_obj``, -inf before the first) and the dual value
-    (``dual_obj``).  The trace is as long as the run, never ``max_iters``.
+    (``primal_obj``, -inf before the first; the last row of a block counts
+    the point polished after it) and the dual value (``dual_obj``).  The
+    trace is as long as the run, never ``max_iters``.
 
     The fields are what is stored, 3n + 2 floats a row: ``mu``, ``lam``
     and ``r`` are views of one (rows, 3, n) array, for every region, beside
@@ -281,14 +282,15 @@ class SolveReport:
     ``(best_dual - recovered_objective) / (1 + |recovered_objective|)``,
     is >= 0 up to rounding.  ``best_dual`` is the least dual value of the
     run: at the loop's prices (``trace.dual_obj``) or at the prices an
-    incumbent implies, which are no trace row.  ``converged`` means ``gap
-    < tol_gap``.  When no repaired point qualified (e.g. a ``LogRate``
-    source on a zero-capacity link, or a link whose capacity is below
-    c_min, where the capped problem is infeasible), ``recovered`` is None,
-    ``recovered_objective`` is -inf, ``gap`` is inf and ``converged`` is
-    False.  ``stop_reason`` says why the loop ended: ``"gap"`` (the
-    certificate holds), ``"max_iters"`` (the budget ran out with an
-    incumbent) or ``"no_incumbent"`` (it ran out with none).
+    incumbent implies, a window average's or a polished point's, which are
+    no trace row.  ``converged`` means ``gap < tol_gap``.  When no repaired
+    point qualified (e.g. a ``LogRate`` source on a zero-capacity link, or
+    a link whose capacity is below c_min, where the capped problem is
+    infeasible), ``recovered`` is None, ``recovered_objective`` is -inf,
+    ``gap`` is inf and ``converged`` is False.  ``stop_reason`` says why
+    the loop ended: ``"gap"`` (the certificate holds), ``"max_iters"`` (the
+    budget ran out with an incumbent) or ``"no_incumbent"`` (it ran out
+    with none).
     """
 
     trace: Trace
@@ -424,7 +426,7 @@ class _Kernel:
 
         The polish stops once the Frank-Wolfe gap lam.(v - r) is <=
         ``tol_gap`` (1 + |obj|).  That gap is the dual value at (mu, lam, v)
-        less obj, so this is the test the next block's certificate applies.
+        less obj, so this is the certificate :func:`solve` then reads.
         It also stops once the gap is not half what it was ``_STALL`` steps
         before.  Else, with a the atom of least lam.a, a step goes away from
         a, toward the mix of the other atoms r + (w_a/(1 - w_a))(r - a),
@@ -446,8 +448,8 @@ class _Kernel:
         point is a convex mix of region points, so it is in the region.
 
         Returns None when no step was taken, else the polished ((alpha,
-        beta, c, r), objective, (mu, lam, v), (atoms, weights)), the third
-        its dual row; weights @ atoms is r up to rounding."""
+        beta, c, r), objective, g, (atoms, weights)), g the dual value at
+        (mu, lam, v); weights @ atoms is r up to rounding."""
         mu, lam = self.implied_prices(r)
         v = schedule(lam)
         atoms, weights = (r[None], np.ones(1)) if active is None else active
@@ -491,7 +493,7 @@ class _Kernel:
             mu, lam = self.implied_prices(step)
             v = schedule(lam)
             found = (*point, r)
-        return None if found is None else (found, obj, (mu, lam, v), (atoms, weights))
+        return None if found is None else (found, obj, self.dual(mu, lam, v), (atoms, weights))
 
     def step_length(self, r: np.ndarray, v: np.ndarray) -> float:
         """The gamma in [0, 1] that maximizes the objective of the repair
@@ -640,15 +642,15 @@ def solve(scn: Scenario) -> SolveReport:
 
     After each block, ``_Kernel.incumbent`` gives the repaired window
     averages and their objectives as row-wise array expressions, and one
-    ``_Kernel.dual`` call gives the dual values at the block's prices, at
-    the prices each new incumbent implies and at those of a point polished
-    after the last block.  ``best_dual`` at a row is the least of these up
-    to that row, so it may come from prices that are no trace row, and the
-    stopping row does not depend on the block size.  The run stops at the
-    first row whose relative gap ``(best_dual - best_obj) / (1 +
-    |best_obj|)`` is below ``tol_gap``, and the trace and report end there;
-    the block's later price steps are discarded.  Hitting ``max_iters``
-    first returns ``converged=False`` rather than raising.
+    ``_Kernel.dual`` call gives the dual values at the block's prices and
+    at the prices each new incumbent implies.  ``best_dual`` at a row is
+    the least of these up to that row, so it may come from prices that are
+    no trace row, and the stopping row does not depend on the block size.
+    The run stops at the first row whose relative gap ``(best_dual -
+    best_obj) / (1 + |best_obj|)`` is below ``tol_gap``, and the trace and
+    report end there; the block's later price steps are discarded.
+    Hitting ``max_iters`` first returns ``converged=False`` rather than
+    raising.
 
     After a block that does not stop, while iterations remain, a polish
     that raised the incumbent goes on from it with its active set, unless
@@ -659,10 +661,11 @@ def solve(scn: Scenario) -> SolveReport:
     point where the incumbent's polish stalled at a kink of the objective.
     The steps, the stop and the retry of a refused away step are
     ``_Kernel.polish``'s.  A point it returns that is no worse than the
-    incumbent is the incumbent the next block starts from, and its dual
-    row joins that block's ``dual`` call.  The loop never reads a polished
-    point, so every kept trace row is the loop's own, and only the
-    stopping row moves.
+    incumbent is the new incumbent: the block's last row takes its
+    objective, ``best_dual`` takes the dual value at its implied prices,
+    and the run stops at that row if the gap is then below ``tol_gap``.
+    The loop never reads a polished point, so every kept trace row is the
+    loop's own, and only the stopping row moves.
     """
     kernel = _Kernel(scn)
     K, step_size = kernel.K, kernel.step_size
@@ -704,9 +707,6 @@ def solve(scn: Scenario) -> SolveReport:
     # per block, the kept (rows, 3, n) of (mu, lam, r) with their primal and
     # dual objectives, joined by one concatenation when the run ends
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    # the (mu, lam, r) row at the prices of an incumbent polished after the
-    # last block, if any, for the next block's dual call
-    polished = np.empty((0, 3, n))
     # the best window-average objective so far, and the active set of the
     # last polish if it raised the incumbent
     best_avg = -math.inf
@@ -765,17 +765,14 @@ def solve(scn: Scenario) -> SolveReport:
             implied[:, 0], implied[:, 1] = kernel.implied_prices(avg_r[better])
             for row in implied:
                 row[2] = schedule(row[1])
-            values = kernel.dual(*np.concatenate((blk, implied, polished)).transpose(1, 0, 2))
+            values = kernel.dual(*np.concatenate((blk, implied)).transpose(1, 0, 2))
             dual = values[:m]
             # each new incumbent's row also takes the value at its implied
             # prices.  Where lam overflows to inf, that value is NaN (inf * 0
             # or inf - inf in the price terms), and fmin passes over it.
             bounds = dual.copy()
-            bounds[better] = np.fmin(dual[better], values[m:m + better.size])
-            # the bound of the polished incumbent holds from the first row
-            carried = values[m + better.size:]
-            run_dual = np.fmin.accumulate(np.concatenate(([best_dual], carried, bounds)))
-            run_dual = run_dual[1 + carried.size:]
+            bounds[better] = np.fmin(dual[better], values[m:])
+            run_dual = np.fmin.accumulate(np.concatenate(([best_dual], bounds)))[1:]
             gaps = np.where(
                 run_obj > -math.inf, (run_dual - run_obj) / (1.0 + np.abs(run_obj)), math.inf
             )
@@ -791,29 +788,30 @@ def solve(scn: Scenario) -> SolveReport:
             sum_r, count = sums[-1], count + m
             blocks.append((blk[:k], run_obj[:k], dual[:k]))
             t += k
-            if hits.size:
-                stop_reason = "gap"
-                break
             # the carried polish, then the record polish (see the docstring)
             j = int(obj.argmax())
             starts = []
-            if t < max_iters:
+            if t < max_iters and not hits.size:
                 if active is not None and not better.size:
                     starts.append((best_point[3], best_obj, active))
                 if obj[j] > best_avg:
                     starts.append((avg_r[j], float(obj[j]), None))
             best_avg = max(best_avg, float(obj[j]))
-            polished, active = polished[:0], None
+            active = None
             for start in starts:
                 found = kernel.polish(schedule, *start)
                 if found is not None and found[1] >= best_obj:
-                    point, value, row, atoms = found
+                    best_point, value, dual_value, atoms = found
                     if value > best_obj:
                         active = atoms
-                    best_point, best_obj = point, value
-                    polished = np.array([row])
+                    best_obj, best_dual = value, float(np.fmin(best_dual, dual_value))
+                    gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
                 if active is not None:
                     break
+            run_obj[k - 1] = best_obj
+            if gap < tol_gap:
+                stop_reason = "gap"
+                break
 
     kept_rows, primal_obj, dual_obj = zip(*blocks)
     mu_t, lam_t, r_t = np.concatenate(kept_rows).transpose(1, 0, 2)

@@ -488,9 +488,9 @@ def matrix_mac_scenario(n):
     return lambda: scenario_from_dict(cases.matrix_mac_doc(n))
 
 
-# The wider MACs certify once the first block's incumbent is polished: the
-# away steps run until its Frank-Wolfe gap meets tol_gap.  8 plain
-# Frank-Wolfe steps a block took 4, 4, 8 and 64 rows.
+# The wider MACs certify at row 1, the first block, once its incumbent is
+# polished: the away steps run until the Frank-Wolfe gap meets tol_gap.  8
+# plain Frank-Wolfe steps a block took 4, 4, 8 and 64 rows.
 WIDE_MACS = [
     ("mac5", shared_channel_scenario("mac5")),
     ("mac6", shared_channel_scenario("mac6")),
@@ -501,10 +501,10 @@ PINNED_ITERATIONS = {
     "box_single_wide": 1,
     "box_single_tight": 1,
     "box_two_mixed": 1,
-    "mac_symmetric": 2,
-    "mac_asymmetric": 2,
+    "mac_symmetric": 1,
+    "mac_asymmetric": 1,
     **{name: 1 for name, _ in STRESS_BOXES},
-    **{name: 2 for name, _ in WIDE_MACS},
+    **{name: 1 for name, _ in WIDE_MACS},
 }
 PINNED_RUNS = (
     [(name, factory) for name, factory, _ in cases.SOLVER_CASES] + STRESS_BOXES + WIDE_MACS
@@ -512,16 +512,29 @@ PINNED_RUNS = (
 
 
 @pytest.mark.parametrize("name, factory", PINNED_RUNS, ids=[run[0] for run in PINNED_RUNS])
-def test_solve_iteration_counts_are_pinned(name, factory):
-    # a change to the loop that moves these has changed the algorithm
-    report = solve(factory())
+def test_solve_iteration_counts_are_pinned(name, factory, monkeypatch):
+    # a change to the loop that moves these has changed the algorithm.  The
+    # loop takes one price step per row it computes, and computes no row
+    # past the one the run stops at
+    scn = factory()
+    rule = type(scn.step)
+    step_size = rule.step_size
+    steps = []
+
+    def counting(self, t):
+        steps.append(t)
+        return step_size(self, t)
+
+    monkeypatch.setattr(rule, "step_size", counting)
+    report = solve(scn)
     assert report.iterations == PINNED_ITERATIONS[name]
     assert report.stop_reason == "gap"
+    assert steps == list(range(1, report.iterations + 1))
 
 
 def vertex_base():
     # the benchmark's three time-sharing points with literal coordinates, so
-    # no r row goes through ``math.log2``; 2 iterations, 513 unpolished
+    # no r row goes through ``math.log2``; 1 iteration, 513 unpolished
     return Scenario(
         sources=tuple(
             SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), LogRate(w))
@@ -543,7 +556,7 @@ def vertex_base():
 # c_min = 1 (400 rows, no incumbent) and ``vertex_base`` keep long runs
 # under the record.  The rows are the dual loop's, which the
 # polish never feeds, so the record is of runs without it: ``vertex_base``
-# then certifies at row 513, where polished it stops at row 2.
+# then certifies at row 513, where polished it stops at row 1.
 GOLDEN_TRACE_SHA256 = {
     "box_single_wide": (
         cases.box_single_wide, "9622a1a78d0ba119a5dfea5ec2af966b6e91f7bd8f0720711b654501ae6d1a91"
@@ -724,6 +737,9 @@ TRACE_RUNS = {
     "vertex_trio": (vertex_trio, None),
     "mac_four": (mac_four, None),
     "vertex_base": (vertex_base, None),
+    # the runs above certify at row 1; this one's loop goes on, and its mu
+    # hits the projection from row 2
+    "long_mac": (long_mac, None),
     # the branch each run exists for, asserted so a retuned case still reaches it
     "zero_constant": (
         zero_constant, lambda tr: (tr.mu[:, 0] == tr.lam[:, 0]).any() and (tr.c[:, 0] == 1e-9).any()
@@ -890,18 +906,19 @@ def test_trace_prices_carry_no_negative_zero(name, factory, dual_init):
 
 def test_trace_prices_hit_the_projection():
     # the run the negative-zero test relies on for a projected price
-    tr = solve(mac_four()).trace
+    tr = solve(long_mac()).trace
     assert (tr.mu[1:] == 0.0).any()
 
 
 def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
     # rebuild the power-of-two restarted window average of r from the raw
     # rows, and take the points the polishes after each block returned; the
-    # running best of these incumbents is the primal_obj column.  After a
-    # block, a polish goes on from the incumbent with the active set of a
-    # polish that raised it, unless a window average took its place, then,
-    # unless that raised it again, one starts from the block's last record
-    # window average
+    # running best of these incumbents is the primal_obj column, where a
+    # block's last row counts the points polished after it.  After a block,
+    # a polish goes on from the incumbent with the active set of a polish
+    # that raised it, unless a window average took its place, then, unless
+    # that raised it again, one starts from the block's last record window
+    # average
     scn = replace(long_mac(), max_iters=200)
     polish = _Kernel.polish
     calls = []
@@ -937,8 +954,8 @@ def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
                 best_avg, record = obj, point
             if obj > best:
                 best, best_point, moved = obj, point, True
-        assert tr.primal_obj[k] == best
         if t not in ends:
+            assert tr.primal_obj[k] == best
             continue
         starts = [] if active is None or moved else [(best_point.r, best, active)]
         if record is not None:
@@ -957,6 +974,7 @@ def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
                 assert primal_objective(best_point, scn) == best
             if active is not None:
                 break
+        assert tr.primal_obj[k] == best
     assert next(polishes, None) is None and idle
     assert report.recovered_objective == best == tr.primal_obj[-1]
     for name in ("alpha", "beta", "c", "r"):
@@ -1142,22 +1160,31 @@ def block_count(iterations):
      "vertex_base", "long_mac"],
 )
 def test_solve_evaluates_the_dual_once_per_block(monkeypatch, name):
-    # the block's rows, the implied-price rows of its new incumbents and the
-    # row of an incumbent polished after the last block go through one
-    # kernel pass, also in blocks where no incumbent improves
-    calls = []
-    dual = _Kernel.dual
+    # the block's rows and the implied-price rows of its new incumbents go
+    # through one kernel pass, also in blocks where no incumbent improves;
+    # beside these, each polish that returns a point evaluates one row, at
+    # the prices that point implies
+    calls, points = [], []
+    dual, polish = _Kernel.dual, _Kernel.polish
 
     def counting(self, mu, lam, r):
-        calls.append(len(mu))
+        calls.append(np.shape(mu))
         return dual(self, mu, lam, r)
 
+    def returning(self, *args):
+        found = polish(self, *args)
+        points.append(found is not None)
+        return found
+
     monkeypatch.setattr(_Kernel, "dual", counting)
+    monkeypatch.setattr(_Kernel, "polish", returning)
     report = solve(LAYER_RUNS[name][0]())
     if name == "long_mac":
         assert report.stop_reason == "max_iters"
-    assert len(calls) == block_count(report.iterations)
-    assert sum(calls) >= report.iterations
+    blocks = [shape[0] for shape in calls if len(shape) == 2]
+    assert len(blocks) == block_count(report.iterations)
+    assert sum(blocks) >= report.iterations
+    assert len(calls) - len(blocks) == calls.count((report.trace.mu.shape[1],)) == sum(points)
 
 
 @pytest.mark.parametrize("alpha_max, c_max", [(20.0, 20.0), (0.5, 20.0), (20.0, 0.6)])
@@ -1189,17 +1216,17 @@ def test_polish_certifies_a_40_user_mac():
     # ran to max_iters = 12,000 with a gap of 3.1e-6, and with 64 steps a
     # block it took 1,600 rows.  Away steps that restarted from the lone
     # incumbent every block took 1,216; carrying the active set to the next
-    # block's polish takes 8
+    # block's polish takes 7
     report = solve(replace(matrix_mac_scenario(40)(), tol_gap=1e-6))
     assert report.stop_reason == "gap"
-    assert report.iterations == 8
+    assert report.iterations == 7
 
 
 @pytest.mark.parametrize("name", ["mac5", "mac8"])
-def test_polish_certifies_tight_gaps_at_row_2(name):
+def test_polish_certifies_tight_gaps_at_row_1(name):
     # plain Frank-Wolfe, 8 steps a block, took 384 and 1,152 rows
     report = solve(replace(dict(WIDE_MACS)[name](), tol_gap=1e-6))
-    assert (report.iterations, report.stop_reason) == (2, "gap")
+    assert (report.iterations, report.stop_reason) == (1, "gap")
 
 
 def test_polish_takes_steps_that_tie_the_objective():
@@ -1207,10 +1234,10 @@ def test_polish_takes_steps_that_tie_the_objective():
     # no longer raises the objective in floating point; refusing such a
     # step stalled the gap near 9.3e-10 (5.4e-10 under away steps), and the
     # run went to max_iters = 400.  The carried polish's first step is such
-    # a step; tried again from r alone it certifies at row 2, where ending
+    # a step; tried again from r alone it certifies at row 1, where ending
     # that polish there took 32 rows
     report = solve(replace(mac_four(), tol_gap=1e-10))
-    assert (report.iterations, report.stop_reason) == (2, "gap")
+    assert (report.iterations, report.stop_reason) == (1, "gap")
 
 
 @pytest.mark.parametrize("name", ["mac5", "mac40"])
@@ -1218,7 +1245,7 @@ def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
     # the Frank-Wolfe gap lam.(v - r) at a point is its dual value at the
     # implied prices less its objective, so the polish takes steps while
     # that gap is above tol_gap (1 + |obj|) and stops at the first point
-    # where it is not, the row the next block's certificate reads
+    # where it is not, the dual value the solve's certificate then reads
     scn = dict(WIDE_MACS)[name]()
     start = solve(replace(scn, max_iters=1)).recovered
     kernel, schedule = _Kernel(scn), scn.region._schedule
@@ -1234,7 +1261,7 @@ def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         found = kernel.polish(schedule, start.r, primal_objective(start, scn))
         assert found is not None and len(visited) > 1 and np.array_equal(visited[0], start.r)
-        point, obj, row, _ = found
+        point, obj, dual_value, _ = found
         certified = []
         for r in visited:
             lam = implied(kernel, r)[1]
@@ -1242,7 +1269,9 @@ def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
             certified.append(fw_gap <= scn.tol_gap * (1.0 + abs(kernel.objective(*kernel.repair(r)))))
         assert certified == [False] * (len(visited) - 1) + [True]
         assert np.array_equal(visited[-1], point[3])
-        assert float(kernel.dual(*row)) - obj == pytest.approx(fw_gap, rel=1e-9)
+        mu, lam = implied(kernel, point[3])
+        assert dual_value == kernel.dual(mu, lam, schedule(lam))
+        assert dual_value - obj == pytest.approx(fw_gap, rel=1e-9)
 
 
 def test_polish_reads_the_slope_above_alpha_max():
@@ -1277,7 +1306,8 @@ def test_polish_retries_only_a_refused_away_step(name, searches, iterations, mon
 
 def random_mac(kw, powers, alpha_max, gamma0, tol_gap, c_max=20.0):
     """A MAC of sources with (K, w) from ``kw`` (w = 0 for ``Zero``), in the
-    form of the random MACs the polish was checked on."""
+    form of the random MACs the polish was checked on.  The parameters that
+    a test passes define its document; no index in a random stream does."""
     return Scenario(
         sources=tuple(
             SourceSpec(BinarySource(1.0, 0.5), LogLinear(K), LogRate(w) if w else Zero())
@@ -1323,17 +1353,17 @@ def test_polish_keeps_the_certificates_of_random_macs(name):
 
 
 def test_solve_takes_a_polished_point_that_ties_the_incumbent():
-    # the last polish of this 7-user MAC (fuzz:1 document 554) returns a
-    # point whose objective only ties the incumbent's, and the dual value at
-    # its implied prices certifies 1e-9 at row 32.  Refusing such a point
-    # ran it to max_iters, as 8 plain Frank-Wolfe steps a block do
+    # the last polish of this 7-user MAC returns a point whose objective
+    # only ties the incumbent's, and the dual value at its implied prices
+    # certifies 1e-9 at row 31.  Refusing such a point ran it to max_iters,
+    # as 8 plain Frank-Wolfe steps a block do
     scn = random_mac(
         ((2.262, 1.739), (2.956, 0.0), (0.45, 1.012), (0.379, 0.0), (3.785, 2.29), (0.968, 0.0),
          (0.257, 2.182)),
         (6.761, 6.419, 4.992, 5.104, 3.745, 5.664, 4.407), 1.0, 1.0, 1e-9,
     )
     report = solve(scn)
-    assert (report.iterations, report.stop_reason) == (32, "gap")
+    assert (report.iterations, report.stop_reason) == (31, "gap")
 
 
 def test_polish_stops_once_its_gap_stops_halving(monkeypatch):
@@ -1341,11 +1371,11 @@ def test_polish_stops_once_its_gap_stops_halving(monkeypatch):
     # first polish's Frank-Wolfe gap stalls above tol_gap, and the polish
     # stops _STALL steps after the gap last halved.  The next block's
     # polish goes on from it with its active set, and the run certifies at
-    # row 4 (128 with 8 plain Frank-Wolfe steps a block)
+    # row 3 (128 with 8 plain Frank-Wolfe steps a block)
     scn = random_mac(((1.744, 0.0), (1.193, 0.0), (1.01, 0.0)), (2.951, 8.042, 8.558),
                      1.0, 0.3, 1e-6, c_max=2.0)
     report = solve(scn)
-    assert (report.iterations, report.stop_reason) == (4, "gap")
+    assert (report.iterations, report.stop_reason) == (3, "gap")
     start = solve(replace(scn, max_iters=1)).recovered
     kernel, schedule = _Kernel(scn), scn.region._schedule
     implied = _Kernel.implied_prices
@@ -1378,7 +1408,8 @@ def sequential_solve(scn):
     polish that raised it, unless a new incumbent came in the block, then,
     unless that raised it again, starts from the block's last record window
     average.  A point it returns that is no worse than the incumbent is the
-    new incumbent and offers the dual value at its implied prices."""
+    new incumbent of the block's last row, and offers the dual value at its
+    implied prices there."""
     state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
     rows, pobj, dobj = [], [], []
     sum_r, count, next_restart = np.zeros(scn.n), 0, 2
@@ -1406,14 +1437,7 @@ def sequential_solve(scn):
                     best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
         if best_point is not None:
             gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
-        rows.append(np.concatenate((state.mu, state.lam, primal.alpha, primal.beta, primal.c, primal.r)))
-        pobj.append(best_obj)
-        dobj.append(g)
-        if gap < scn.tol_gap:
-            stop_reason = "gap"
-            break
-        state = new_state
-        if t in ends and t < scn.max_iters:
+        if t in ends and t < scn.max_iters and not gap < scn.tol_gap:
             starts = [] if active is None or moved else [(best_point.r, best_obj, active)]
             if record is not None:
                 starts.append((record.r, best_avg, None))
@@ -1422,14 +1446,23 @@ def sequential_solve(scn):
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     found = _Kernel(scn).polish(scn.region._schedule, *start)
                 if found is not None and found[1] >= best_obj:
-                    point, value, (mu, lam, _), atoms = found
+                    point, value, _, atoms = found
                     if value > best_obj:
                         active = atoms
                     best_obj, best_point = value, PrimalAllocation(*point)
                     assert primal_objective(best_point, scn) == best_obj
+                    mu, lam = cases.implied_prices(scn, best_point.r)
                     best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
+                    gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
                 if active is not None:
                     break
+        rows.append(np.concatenate((state.mu, state.lam, primal.alpha, primal.beta, primal.c, primal.r)))
+        pobj.append(best_obj)
+        dobj.append(g)
+        if gap < scn.tol_gap:
+            stop_reason = "gap"
+            break
+        state = new_state
     if best_point is None:
         stop_reason = "no_incumbent"
     return dict(
@@ -1468,11 +1501,11 @@ BLOCK_RUNS = [
     for name, factory in (("mac", long_mac), ("vertex", long_vertex))
     for max_iters in (1, 63, 64, 65, 129)
 ] + [
-    # the polished incumbent of the first block certifies these at row 2
+    # the polished incumbent of the first block certifies these at row 1
     ("mac", mac_four, 50_000), ("vertex", vertex_base, 50_000),
 ] + [
-    # the prices of the first incumbents, polished or not, certify these
-    # within two rows
+    # the prices of the first incumbents, polished or not, certify these at
+    # row 1
     (name, factory, 50_000)
     for name, factory in (
         ("box_two_mixed", cases.box_two_mixed), ("mac_symmetric", cases.mac_symmetric),
