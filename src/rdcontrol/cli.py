@@ -53,10 +53,8 @@ MAX_FIG1_STEPS = 10**6
 _CSV_CHUNK = 1024
 
 
-def fmt(x) -> str:
-    """Locale-independent 12-significant-digit rendering."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+def fmt(x: float) -> str:
+    """Locale-independent 12-significant-digit rendering of a float."""
     return format(float(x), _GFMT)
 
 

@@ -440,20 +440,21 @@ class _Kernel:
 
         A step is taken when its :meth:`incumbent` objective is no lower
         than obj and it moves r: in a face a step short enough to close the
-        gap further may only tie the objective in floating point.  The
-        first refused away step is tried again from r alone, as a step
-        toward v.  A refused step toward v, or a second refused away step,
-        ends the polish: from r alone a step toward v would run the same
+        gap further may only tie the objective in floating point.  A
+        refused away step is tried again from r alone, as a step toward v.
+        A refused step toward v ends the polish with no active set: from r
+        alone, or from the same set one block later, it would run the same
         line search on the same segment r -> v and be refused again.  Each
         point is a convex mix of region points, so it is in the region.
 
         Returns None when no step was taken, else the polished ((alpha,
-        beta, c, r), objective, g, (atoms, weights)), g the dual value at
-        (mu, lam, v); weights @ atoms is r up to rounding."""
+        beta, c, r), objective, g, active), g the dual value at (mu, lam,
+        v).  active is None where a refused step toward v ended the polish,
+        else (atoms, weights), with weights @ atoms r up to rounding."""
         mu, lam = self.implied_prices(r)
         v = schedule(lam)
         atoms, weights = (r[None], np.ones(1)) if active is None else active
-        found, restarted, gaps = None, False, []
+        found, gaps = None, []
         for _ in range(_POLISH):
             # inf or NaN where an implied lam overflowed to inf
             gap = lam @ (v - r)
@@ -481,9 +482,9 @@ class _Kernel:
             point, step_obj = self.incumbent(step)
             step_obj = float(step_obj)
             if not step_obj >= obj or step_obj == obj and (step == r).all():
-                if restarted or not away:
-                    break
-                atoms, weights, restarted = r[None], np.ones(1), True
+                if not away:
+                    return None if found is None else (found, obj, self.dual(mu, lam, v), None)
+                atoms, weights = r[None], np.ones(1)
                 continue
             r, obj = step, step_obj
             if gamma == 1.0:  # a full step empties the atoms outside the mix
@@ -652,18 +653,19 @@ def solve(scn: Scenario) -> SolveReport:
     Hitting ``max_iters`` first returns ``converged=False`` rather than
     raising.
 
-    After a block that does not stop, while iterations remain, a polish
-    that raised the incumbent goes on from it with its active set, unless
-    a new incumbent came in the block.  Then, unless that raised it again,
-    a fresh polish starts from the block's best window average when that
-    is the best so far.  A new incumbent is always such a record, and an
-    older record below a polished incumbent may still polish to a better
-    point where the incumbent's polish stalled at a kink of the objective.
-    The steps, the stop and the retry of a refused away step are
-    ``_Kernel.polish``'s.  A point it returns that is no worse than the
-    incumbent is the new incumbent: the block's last row takes its
-    objective, ``best_dual`` takes the dual value at its implied prices,
-    and the run stops at that row if the gap is then below ``tol_gap``.
+    After a block that does not stop on the gap, the last block included,
+    a polish that raised the incumbent goes on from it with its active
+    set, unless a new incumbent came in the block or that polish returned
+    no active set.  Then, unless that raised it again, a fresh polish
+    starts from the block's best window average when that is the best so
+    far.  A new incumbent is always such a record, and an older record
+    below a polished incumbent may still polish to a better point where
+    the incumbent's polish stalled at a kink of the objective.  The steps,
+    the stop and the refusal rule are ``_Kernel.polish``'s.  A point it
+    returns that is no worse than the incumbent is the new incumbent: the
+    block's last row takes its objective, ``best_dual`` takes the dual
+    value at its implied prices, and the run stops at that row if the gap
+    is then below ``tol_gap``.
     The loop never reads a polished point, so every kept trace row is the
     loop's own, and only the stopping row moves.
     """
@@ -708,7 +710,8 @@ def solve(scn: Scenario) -> SolveReport:
     # dual objectives, joined by one concatenation when the run ends
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     # the best window-average objective so far, and the active set of the
-    # last polish if it raised the incumbent
+    # last polish if it raised the incumbent and can go on (a polish that
+    # ended on a refused step toward v returns none)
     best_avg = -math.inf
     active = None
 
@@ -791,7 +794,7 @@ def solve(scn: Scenario) -> SolveReport:
             # the carried polish, then the record polish (see the docstring)
             j = int(obj.argmax())
             starts = []
-            if t < max_iters and not hits.size:
+            if not hits.size:
                 if active is not None and not better.size:
                     starts.append((best_point[3], best_obj, active))
                 if obj[j] > best_avg:

@@ -201,6 +201,18 @@ def test_unreadable_scenario_file_exit_one(tmp_path, capsys, payload, word):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [([], "scenario: expected an object"), ({"sources": {}}, "sources: expected an array")],
+    ids=["array-document", "object-sources"],
+)
+def test_document_of_the_wrong_shape_exit_one(tmp_path, capsys, doc, message):
+    code = main(["solve", write_scenario(tmp_path, doc), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_usage_error_exit_one(tmp_path, capsys):
     assert main(["solve"]) == 1  # missing scenario and --out
     capsys.readouterr()
@@ -277,6 +289,14 @@ def test_verify_refuses_a_rate_weight_whose_log_term_overflows(tmp_path, w, caps
     captured = capsys.readouterr()
     assert "sources[0].U.w" in captured.err and "Traceback" not in captured.err
     assert "verdict" not in captured.out
+
+
+def test_verify_without_a_feasible_grid_point_exits_two(tmp_path, capsys):
+    # a LogRate source on a link of cap 0: no c on the grid is >= c_min > 0
+    doc = solver_doc(caps=(0.0,), max_iters=50)
+    assert main(["verify", write_scenario(tmp_path, doc), "--steps", "50"]) == 2
+    out = capsys.readouterr().out
+    assert "oracle: no feasible point on the grid" in out and "verdict" not in out
 
 
 def test_verify_agrees_on_a_64_link_box(tmp_path, capsys):

@@ -68,6 +68,12 @@ def test_scenario_validation():
             scenario(deltas=(1.0, bad))
 
 
+def test_scenario_of_three_users_is_refused():
+    source = BinarySource(1.0, 0.5)
+    with pytest.raises(DomainError, match="two-user construction"):
+        MacScenario((source,) * 3, (3.0,) * 3, 1.0, (1.0,) * 3)
+
+
 # ------------------------------------------------------------- closed form
 
 def test_case_a_when_entropy_point_fits():

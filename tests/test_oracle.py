@@ -47,6 +47,20 @@ def test_axis_validation_and_refinement():
     assert set(np.round(ax.points(), 12)).issubset(set(np.round(fine.points(), 12)))
 
 
+def test_grid_spec_refuses_axis_lists_of_different_lengths():
+    axis = Axis(0.01, 10.0, 5)
+    with pytest.raises(DomainError, match="must match in length"):
+        GridSpec((axis, axis), (axis,))
+
+
+def test_grid_search_refuses_a_grid_for_other_sources():
+    # a grid of two sources for a one-source scenario
+    scn = cases.box_single_wide()
+    axis = Axis(0.01, 10.0, 5)
+    with pytest.raises(DomainError, match="GridSpec covers 2 sources, scenario has 1"):
+        grid_search_num(scn, GridSpec((axis, axis), (axis, axis)))
+
+
 def test_grid_too_large_refused():
     # the cap counts each source's alpha and c points, which the scan builds
     scn = cases.box_single_wide()

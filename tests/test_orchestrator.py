@@ -112,6 +112,11 @@ def test_dual_state_validation():
             DualState(np.array(mu), np.array(lam))
 
 
+def test_dual_state_refuses_prices_of_two_shapes():
+    with pytest.raises(DomainError, match=r"dual shapes differ: \(2,\) vs \(1,\)"):
+        DualState(np.array([1.0, 1.0]), np.array([1.0]))
+
+
 def test_negative_zero_prices_are_zero_prices():
     # -0.0 passes the >= 0 checks, and the compression layer would read
     # 1/min(-0.0, K) as -inf: both entry points store +0.0 instead
@@ -230,6 +235,12 @@ def test_dual_iterate_projects_to_nonnegative():
         state, _ = dual_iterate(state, scn, 1.0)
         assert np.all(state.mu >= 0.0)
         assert np.all(state.lam >= 0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.1, math.nan])
+def test_dual_iterate_refuses_a_step_that_is_not_positive(gamma):
+    with pytest.raises(DomainError, match="step must be > 0"):
+        dual_iterate(DualState([1.0], [1.0]), single_source_scenario(), gamma)
 
 
 def test_dual_iterate_converges_on_unit_cap():
@@ -688,9 +699,9 @@ def mac_four():
 
 
 # A gap that no incumbent of ``long_mac`` or ``long_vertex`` meets, so they
-# run to ``max_iters`` and polish after every block.  On ``mac_four`` the
-# polish certifies 3.3e-11 and no less.  Under c_max = 1 the prices
-# ``vertex_base``'s incumbents imply certify nothing.
+# run to ``max_iters``.  On ``mac_four`` the polish certifies 3.3e-11 and no
+# less.  Under c_max = 1 the prices ``vertex_base``'s incumbents imply
+# certify nothing.
 UNMET_GAP = 1e-12
 
 
@@ -912,14 +923,16 @@ def test_trace_prices_hit_the_projection():
 
 def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
     # rebuild the power-of-two restarted window average of r from the raw
-    # rows, and take the points the polishes after each block returned; the
-    # running best of these incumbents is the primal_obj column, where a
-    # block's last row counts the points polished after it.  After a block,
-    # a polish goes on from the incumbent with the active set of a polish
-    # that raised it, unless a window average took its place, then, unless
-    # that raised it again, one starts from the block's last record window
-    # average
-    scn = replace(long_mac(), max_iters=200)
+    # rows, and take the points the polishes after each block, the last one
+    # included, returned; the running best of these incumbents is the
+    # primal_obj column, where a block's last row counts the points polished
+    # after it.  After a block, a polish goes on from the incumbent with the
+    # active set of a polish that raised it, unless a window average took
+    # its place or that polish returned no active set, then, unless that
+    # raised it again, one starts from the block's last record window
+    # average.  The polishes of long_mac all end on a refused step toward v,
+    # so none goes on; mac40's do
+    scn = replace(matrix_mac_scenario(40)(), tol_gap=UNMET_GAP, max_iters=400)
     polish = _Kernel.polish
     calls = []
 
@@ -932,7 +945,7 @@ def test_trace_primal_obj_is_the_best_repaired_window_average(monkeypatch):
     report = solve(scn)
     assert report.stop_reason == "max_iters"
     tr = report.trace
-    ends = block_ends(len(tr))[:-1]  # no polish after the last block
+    ends = block_ends(len(tr))
     # both kinds of polish run, and some block end polishes nothing
     assert any(active is not None for _, _, active, _ in calls)
     assert any(active is None for _, _, active, _ in calls)
@@ -1240,6 +1253,14 @@ def test_polish_takes_steps_that_tie_the_objective():
     assert (report.iterations, report.stop_reason) == (1, "gap")
 
 
+def first_incumbent(scn, kernel):
+    """The scheduled rate of the first iteration, at ``dual_init`` prices,
+    and the objective of its repair: the window average and the incumbent
+    of row 1 before any polish."""
+    r = scn.region._schedule(np.full(scn.n, float(scn.dual_init)))
+    return r, float(kernel.incumbent(r)[1])
+
+
 @pytest.mark.parametrize("name", ["mac5", "mac40"])
 def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
     # the Frank-Wolfe gap lam.(v - r) at a point is its dual value at the
@@ -1247,8 +1268,8 @@ def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
     # that gap is above tol_gap (1 + |obj|) and stops at the first point
     # where it is not, the dual value the solve's certificate then reads
     scn = dict(WIDE_MACS)[name]()
-    start = solve(replace(scn, max_iters=1)).recovered
     kernel, schedule = _Kernel(scn), scn.region._schedule
+    r, obj = first_incumbent(scn, kernel)
     implied = _Kernel.implied_prices
     visited = []
 
@@ -1259,8 +1280,8 @@ def test_polish_stops_at_its_first_certified_point(name, monkeypatch):
 
     monkeypatch.setattr(_Kernel, "implied_prices", recording)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        found = kernel.polish(schedule, start.r, primal_objective(start, scn))
-        assert found is not None and len(visited) > 1 and np.array_equal(visited[0], start.r)
+        found = kernel.polish(schedule, r, obj)
+        assert found is not None and len(visited) > 1 and np.array_equal(visited[0], r)
         point, obj, dual_value, _ = found
         certified = []
         for r in visited:
@@ -1278,19 +1299,22 @@ def test_polish_reads_the_slope_above_alpha_max():
     # at alpha_max = 0.5 some of mac5's rates pass alpha_max, where the slope
     # is w/c.  Prices of 1/alpha_max + w/c there, which overstate it, steer
     # the polish to an incumbent of objective -9.4320; the run reads the
-    # slope and certifies -9.4002 at row 1,636
+    # slope and certifies -9.3638 at row 1,468
     scn = with_caps(shared_channel_scenario("mac5"), alpha_max=0.5)()
     report = solve(scn)
     assert report.stop_reason == "gap"
     assert report.recovered_objective > -9.41
 
 
-@pytest.mark.parametrize("name, searches, iterations", [("mac5", 104, 1636), ("vertex2", 20, 234)])
+@pytest.mark.parametrize(
+    "name, searches, iterations", [("mac5", 107, 1468), ("vertex2", 19, 234)],
+    ids=["mac5", "vertex2"],
+)
 def test_polish_retries_only_a_refused_away_step(name, searches, iterations, monkeypatch):
-    # a refused step toward v, tried again from r alone, runs the same line
-    # search on the same segment r -> v and is refused again, so only a
-    # refused away step is tried again.  Retrying every refused step took
-    # 113 and 25 line searches on these kink rows, to the same answers
+    # every refused away step is tried again from r alone, as a step toward
+    # v.  A refused step toward v ends the polish with no active set: from r
+    # alone, or from the same set one block later, it would run the same
+    # line search on the same segment r -> v and be refused again
     step_length = _Kernel.step_length
     calls = []
 
@@ -1302,6 +1326,35 @@ def test_polish_retries_only_a_refused_away_step(name, searches, iterations, mon
     report = solve(with_caps(shared_channel_scenario(name), alpha_max=0.5)())
     assert (report.iterations, report.stop_reason) == (iterations, "gap")
     assert len(calls) == searches
+
+
+def test_polish_repeats_no_line_search(monkeypatch):
+    # on mac5's kink rows every polish takes a step, and no line search runs
+    # a segment that an earlier one of the same solve ran: a polish that
+    # ended on a refused step toward v hands no active set to the next block
+    step_length, polish = _Kernel.step_length, _Kernel.polish
+    segments, found = [], []
+
+    def recording(self, r, v):
+        segments.append(r.tobytes() + v.tobytes())
+        return step_length(self, r, v)
+
+    def returning(self, *args):
+        found.append(polish(self, *args))
+        return found[-1]
+
+    monkeypatch.setattr(_Kernel, "step_length", recording)
+    monkeypatch.setattr(_Kernel, "polish", returning)
+    report = solve(with_caps(shared_channel_scenario("mac5"), alpha_max=0.5)())
+    assert report.stop_reason == "gap"
+    assert (len(segments) - len(set(segments)), found.count(None)) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["mac5", "mac6", "vertex2"])
+def test_solve_polishes_after_the_last_block(name):
+    # the polish after the one block of a one-row budget certifies the run
+    report = solve(replace(shared_channel_scenario(name)(), max_iters=1))
+    assert (report.iterations, report.stop_reason) == (1, "gap")
 
 
 def random_mac(kw, powers, alpha_max, gamma0, tol_gap, c_max=20.0):
@@ -1376,8 +1429,8 @@ def test_polish_stops_once_its_gap_stops_halving(monkeypatch):
                      1.0, 0.3, 1e-6, c_max=2.0)
     report = solve(scn)
     assert (report.iterations, report.stop_reason) == (3, "gap")
-    start = solve(replace(scn, max_iters=1)).recovered
     kernel, schedule = _Kernel(scn), scn.region._schedule
+    r, obj = first_incumbent(scn, kernel)
     implied = _Kernel.implied_prices
     visited = []
 
@@ -1388,7 +1441,7 @@ def test_polish_stops_once_its_gap_stops_halving(monkeypatch):
 
     monkeypatch.setattr(_Kernel, "implied_prices", recording)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        found = kernel.polish(schedule, start.r, primal_objective(start, scn))
+        found = kernel.polish(schedule, r, obj)
         gaps = []
         for r in visited:
             lam = implied(kernel, r)[1]
@@ -1403,13 +1456,13 @@ def sequential_solve(scn):
     """The solve loop one iteration at a time through the public functions:
     the reference for the blocked certificate in :func:`solve`.  Each new
     incumbent also offers the dual value at the finite prices it implies.
-    After each block that does not stop, while iterations remain, the
-    kernel's polish goes on from the incumbent with the active set of a
-    polish that raised it, unless a new incumbent came in the block, then,
-    unless that raised it again, starts from the block's last record window
-    average.  A point it returns that is no worse than the incumbent is the
-    new incumbent of the block's last row, and offers the dual value at its
-    implied prices there."""
+    After each block that does not stop on the gap, the last one included,
+    the kernel's polish goes on from the incumbent with the active set of a
+    polish that raised it, unless a new incumbent came in the block or that
+    polish returned no active set, then, unless that raised it again,
+    starts from the block's last record window average.  A point it returns
+    that is no worse than the incumbent is the new incumbent of the block's
+    last row, and offers the dual value at its implied prices there."""
     state = DualState(np.full(scn.n, scn.dual_init), np.full(scn.n, scn.dual_init))
     rows, pobj, dobj = [], [], []
     sum_r, count, next_restart = np.zeros(scn.n), 0, 2
@@ -1437,7 +1490,7 @@ def sequential_solve(scn):
                     best_dual = min(best_dual, dual_objective(DualState(mu, lam), scn))
         if best_point is not None:
             gap = (best_dual - best_obj) / (1.0 + abs(best_obj))
-        if t in ends and t < scn.max_iters and not gap < scn.tol_gap:
+        if t in ends and not gap < scn.tol_gap:
             starts = [] if active is None or moved else [(best_point.r, best_obj, active)]
             if record is not None:
                 starts.append((record.r, best_avg, None))
@@ -1496,10 +1549,15 @@ BLOCK_RUNS = [
     ("vertex_kink", with_caps(vertex_base, alpha_max=0.5), 50_000),
 ] + [("starved", starved_pair, 130)] + [
     # the scheduled rates of these regions move, so the block keeps them
-    # too; at a gap no incumbent meets, the polish runs after every block
+    # too; at a gap no incumbent meets, a polish runs after each block that
+    # brings a record, the last one included
     (name, factory, max_iters)
     for name, factory in (("mac", long_mac), ("vertex", long_vertex))
     for max_iters in (1, 63, 64, 65, 129)
+] + [
+    # the polish of this random MAC goes on from the last one's active set
+    # after every block
+    ("carried", CERTIFIED_MACS["mac7"], max_iters) for max_iters in (1, 65, 129)
 ] + [
     # the polished incumbent of the first block certifies these at row 1
     ("mac", mac_four, 50_000), ("vertex", vertex_base, 50_000),
@@ -1523,7 +1581,7 @@ def test_block_certificate_matches_sequential_loop(name, factory, max_iters):
     # 50,000), runs with no incumbent and runs that the implied prices stop
     scn = replace(factory(), max_iters=max_iters)
     report = solve(scn)
-    if factory in (long_mac, long_vertex):
+    if factory in (long_mac, long_vertex, CERTIFIED_MACS["mac7"]):
         assert report.stop_reason == "max_iters"
     ref = sequential_solve(scn)
     assert report.iterations == ref["iterations"]

@@ -206,8 +206,9 @@ def test_polish_keeps_its_points_in_the_region_and_raises_them(doc):
     # every point the polish returns has every c_i >= c_min, lies in the
     # region and has an objective no lower than the point it started from
     # (a step that only ties it is taken when it moves r).  Its active set,
-    # which the next polish may go on from, holds region points with
-    # weights >= 0 that sum to 1 and whose mix is r.
+    # which the next polish may go on from, is None where a refused step
+    # toward v ended it, and else holds region points with weights >= 0
+    # that sum to 1 and whose mix is r.
     scn = scenario_from_dict(doc)
     polish = _Kernel.polish
     calls = []
@@ -221,10 +222,13 @@ def test_polish_keeps_its_points_in_the_region_and_raises_them(doc):
         report = solve(scn)
     for obj, found in calls:
         if found is not None:
-            (alpha, beta, c, r), polished, _, (atoms, weights) = found
+            (alpha, beta, c, r), polished, _, active = found
             assert polished >= obj
             assert c.min() >= scn.caps.c_min
             assert scn.region.contains(r)
+            if active is None:
+                continue
+            atoms, weights = active
             assert all(map(scn.region.contains, atoms))
             assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
             assert np.allclose(weights @ atoms, r, rtol=1e-12, atol=1e-12)
