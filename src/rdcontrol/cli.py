@@ -15,7 +15,8 @@ Subcommands:
   checks only its grid, finite bounds with ``0 < c_min < c_max`` and 2
   to ``MAX_FIG1_STEPS`` points, before it allocates;
   ``compression_given_rate`` and ``operating_point`` refuse a bad ``K``
-  or ``p``.
+  or ``p``.  Both evaluate the whole grid as arrays, with the bits of a
+  row-by-row sweep, and the rows are streamed to the file.
 * ``mac``    — solve the two-user MAC distortion program, cross-check the
   closed form against the LP vertex oracle (exit 3 on mismatch), and write
   plot-ready region/corner data.
@@ -28,6 +29,7 @@ as the first column of the ``mac`` CSV, are written verbatim.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -44,12 +46,12 @@ from .scenario import load_mac_scenario, load_scenario
 
 _GFMT = ".12g"
 
-# fig1 builds one grid array and one Python row per step before writing
+# fig1 holds a few float arrays of this many steps (8 MB each at the cap)
 MAX_FIG1_STEPS = 10**6
 
-# trace rows write_trace_csv handles at a time: it derives their alpha, beta
-# and c and turns them into Python lists, so writing a long trace never
-# holds its whole table as lists and text, nor its derived columns
+# table rows a writer turns into Python lists at a time, so writing a long
+# trace or sweep never holds its whole table as lists and text;
+# write_trace_csv also derives a trace's alpha, beta and c a chunk at a time
 _CSV_CHUNK = 1024
 
 
@@ -67,23 +69,24 @@ def _write_csv(path: str | Path, header: list[str], row: str, rows) -> None:
         f.writelines(row % tuple(cells) for cells in rows)
 
 
+def _chunked_rows(length: int, columns):
+    """The rows of a table of ``length`` rows as lists, ``_CSV_CHUNK`` at a
+    time; ``columns(part)`` gives the columns of the rows in slice ``part``."""
+    for start in range(0, length, _CSV_CHUNK):
+        yield from np.column_stack(columns(slice(start, start + _CSV_CHUNK))).tolist()
+
+
 def write_trace_csv(path: str | Path, report: SolveReport, n: int) -> None:
     header = ["iter"]
     for name in ("mu", "lambda", "alpha", "beta", "c", "r"):
         header.extend(f"{name}_{i}" for i in range(n))
     header += ["primal_obj", "dual_obj"]
     tr = report.trace
-
-    def rows():
-        for start in range(0, len(tr), _CSV_CHUNK):
-            part = slice(start, start + _CSV_CHUNK)
-            columns = (
-                tr.t[part], tr.mu[part], tr.lam[part], *tr.primal(part), tr.r[part],
-                tr.primal_obj[part], tr.dual_obj[part],
-            )
-            yield from np.column_stack(columns).tolist()
-
-    _write_csv(path, header, "%d," + ",".join(["%.12g"] * (6 * n + 2)) + "\n", rows())
+    rows = _chunked_rows(len(tr), lambda part: (
+        tr.t[part], tr.mu[part], tr.lam[part], *tr.primal(part), tr.r[part],
+        tr.primal_obj[part], tr.dual_obj[part],
+    ))
+    _write_csv(path, header, "%d," + ",".join(["%.12g"] * (6 * n + 2)) + "\n", rows)
 
 
 def _print_summary(report: SolveReport) -> None:
@@ -154,14 +157,12 @@ def cmd_fig1(args) -> int:
     breakpoint_c = compression_given_rate(args.K, args.c_min)
     if args.c_min < breakpoint_c < args.c_max:
         grid = np.unique(np.append(grid, breakpoint_c))
-    rows = []
-    for c in grid:
-        c = float(c)
-        alpha_star = compression_given_rate(args.K, c)
-        s_eff, D = operating_point(args.p, args.K, c)
-        rows.append([c, alpha_star, D, s_eff])
+    alpha_star = compression_given_rate(args.K, grid)
+    s_eff, D = operating_point(args.p, args.K, grid)
+    table = (grid, alpha_star, D, s_eff)
+    rows = _chunked_rows(grid.size, lambda part: [column[part] for column in table])
     _write_csv(args.out, ["c", "alpha_star", "D", "s_eff"], "%.12g,%.12g,%.12g,%.12g\n", rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {grid.size} rows to {args.out}")
     return 0
 
 
@@ -207,7 +208,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared after
+    it, so callers must not change it: parsing reads the parser and keeps
+    nothing of one call for the next, and each subcommand's handler looks
+    its helpers up when it runs."""
     parser = _Parser(prog="rdcontrol", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, InfeasibleOffsetError
 
 # Bisection settings for the entropy inverse: the monotone branch
@@ -25,6 +27,15 @@ from .errors import DomainError, InfeasibleOffsetError
 _INV_ENTROPY_XTOL = 1e-12
 _INV_ENTROPY_RTOL = 4.0 * 2.0**-52
 _INV_ENTROPY_MAXITER = 200
+
+# numpy's log2 is not math.log2: its SIMD loops can round differently from
+# the C library's (by one ulp at most over 44 M draws on an AVX-512 host),
+# so an entropy computed with numpy can differ from binary_entropy's by a
+# few ulps of H, or a few subnormal ulps near 0.  A probe whose H(xm) - y
+# lies within 64 such ulps of zero is decided by binary_entropy itself, so
+# every sign the array bisection reads is the scalar one.
+_NP_ENTROPY_RTOL = 64 * 2.0**-52
+_NP_ENTROPY_ATOL = 64 * 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,50 @@ def inverse_binary_entropy(y: float) -> float:
     raise DomainError(
         f"inverse_binary_entropy: no convergence in {_INV_ENTROPY_MAXITER} steps at y={y}"
     )
+
+
+def inverse_binary_entropy_array(y) -> np.ndarray:
+    """:func:`inverse_binary_entropy` of every element of ``y``, bit for bit.
+
+    Every element runs the scalar recurrence in step with the others: one
+    ``dm`` is halved for all, ``xa`` moves to ``xm`` where H(xm) - y < 0,
+    and an element freezes at an exact root or once its stop test holds.
+    The entropies come from numpy; the few that lie too close to y for
+    numpy's log2 to settle the sign are taken from :func:`binary_entropy`.
+    """
+    y = np.asarray(y, dtype=float)
+    outside = ~((0.0 <= y) & (y <= 1.0))
+    if outside.any():
+        raise DomainError(
+            f"inverse_binary_entropy: y must be in [0,1], got {float(y[outside][0])}"
+        )
+    flat = y.ravel()
+    out = np.where(flat == 1.0, 0.5, 0.0)  # an endpoint is the root
+    live = np.flatnonzero((0.0 < flat) & (flat < 1.0))
+    y_live = flat[live]
+    xa, dm = np.zeros(live.size), 0.5
+    for _ in range(_INV_ENTROPY_MAXITER):
+        if not live.size:
+            break
+        dm *= 0.5
+        xm = xa + dm
+        h = -xm * np.log2(xm) - (1.0 - xm) * np.log2(1.0 - xm)
+        fm = h - y_live
+        unsure = np.flatnonzero(np.abs(fm) <= _NP_ENTROPY_RTOL * h + _NP_ENTROPY_ATOL)
+        if unsure.size:
+            fm[unsure] = [
+                binary_entropy(x) - v for x, v in zip(xm[unsure].tolist(), y_live[unsure].tolist())
+            ]
+        xa = np.where(fm < 0.0, xm, xa)
+        done = (fm == 0.0) | (dm < _INV_ENTROPY_XTOL + _INV_ENTROPY_RTOL * xm)
+        out[live[done]] = xm[done]
+        live, xa, y_live = live[~done], xa[~done], y_live[~done]
+    if live.size:
+        raise DomainError(
+            f"inverse_binary_entropy: no convergence in {_INV_ENTROPY_MAXITER} steps "
+            f"at y={float(y_live[0])}"
+        )
+    return out.reshape(y.shape)
 
 
 def rd_binary(src: BinarySource, D: float) -> float:

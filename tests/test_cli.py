@@ -21,10 +21,11 @@ from rdcontrol import (
     SourceSpec,
     binary_entropy,
     compression_given_rate,
+    inverse_binary_entropy,
     operating_point,
     solve,
 )
-from rdcontrol.cli import _CSV_CHUNK, MAX_FIG1_STEPS, fmt, main, write_trace_csv
+from rdcontrol.cli import _CSV_CHUNK, MAX_FIG1_STEPS, build_parser, fmt, main, write_trace_csv
 from rdcontrol.scenario import load_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -84,6 +85,49 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main call, not paid for at import
+    probe = "import rdcontrol.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0"
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    build_parser.cache_clear()
+    fig = ["fig1", "--K", "1", "--p", "0.5", "--c-min", "0.1", "--c-max", "2", "--steps", "5"]
+    assert main(["solve"]) == 1
+    assert main([*fig, "--out", str(tmp_path / "a.csv")]) == 0
+    assert main([*fig, "--out", str(tmp_path / "b.csv")]) == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    capsys.readouterr()
+
+
+def test_no_parser_state_carries_between_calls(tmp_path, monkeypatch, capsys):
+    # each call in one process prints and exits as the first call of a
+    # fresh process does, whatever the calls before it did
+    scn = write_scenario(tmp_path, solver_doc(caps=(2.0, 0.6)))
+    out = str(tmp_path / "trace.csv")
+    calls = [["solve"], ["--help"], ["bogus", scn], ["solve", scn, "--out", out]]
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, in both processes
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdcontrol.cli", *argv], env=env, capture_output=True, text=True
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [1, 0, 1, 0]
+    assert "usage: rdcontrol" in fresh[1][1] and "invalid choice: 'bogus'" in fresh[2][2]
+    main(["--help"])  # the parser is built before the calls compared
+    capsys.readouterr()
+    for argv, want in zip(calls, fresh):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == want, argv
 
 
 def test_module_run_exits_one_on_malformed_document(tmp_path):
@@ -399,6 +443,66 @@ def test_fig1_steps_cap_refused_before_allocating(tmp_path, monkeypatch, capsys)
                  "--steps", str(MAX_FIG1_STEPS + 1), "--out", str(out)])
     assert code == 1
     assert str(MAX_FIG1_STEPS) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def fig1_reference_csv(K, p, c_min, c_max, steps):
+    """The fig1 CSV built one row at a time from the scalar entropy and its
+    inverse, as the reference for the command's arrays."""
+    grid = np.linspace(c_min, c_max, steps)
+    if c_min < 1.0 / K < c_max:
+        grid = np.unique(np.append(grid, 1.0 / K))
+    hp = binary_entropy(p)
+    lines = ["c,alpha_star,D,s_eff"]
+    for c in grid.tolist():
+        if 1.0 / K >= c:
+            row = (c, 1.0 / K, inverse_binary_entropy(hp * (1.0 - c * K)), 1.0 / (K * hp))
+        else:
+            row = (c, c, 0.0, c / hp)
+        lines.append(",".join(fmt(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_fig1_matches_the_row_by_row_reference(tmp_path, capsys):
+    rng = np.random.default_rng(20100803)
+    sweeps = [(1.0, 0.5, 0.1, 2.0, 2 * _CSV_CHUNK + 37)]  # chunks, a partial last one
+    for k in range(36):
+        K = float(10.0 ** rng.uniform(-2.0, 2.0))
+        p = float(rng.choice([0.5, rng.uniform(0.01, 0.99), 10.0 ** rng.uniform(-300.0, -2.0)]))
+        below, above = sorted(rng.uniform(0.01, 0.99, 2).tolist()), sorted(rng.uniform(1.01, 5.0, 2).tolist())
+        lo, hi = [below, above, (below[0], above[1])][k % 3]  # under, over and across 1/K
+        sweeps.append((K, p, lo / K, hi / K, int(rng.integers(2, 600))))
+    for K, p, c_min, c_max, steps in sweeps:
+        out = tmp_path / "fig.csv"
+        argv = ["fig1", f"--K={K!r}", f"--p={p!r}", f"--c-min={c_min!r}", f"--c-max={c_max!r}",
+                "--steps", str(steps), "--out", str(out)]
+        assert main(argv) == 0
+        want = fig1_reference_csv(K, p, c_min, c_max, steps)
+        assert out.read_bytes() == want, argv
+        rows = len(want.splitlines()) - 1
+        assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
+
+
+@pytest.mark.parametrize(
+    "K, p, message",
+    [
+        ("0", "0.3", "LogLinear: K must be finite and > 0, got 0.0"),
+        ("inf", "0.3", "LogLinear: K must be finite and > 0, got inf"),
+        ("nan", "0.3", "LogLinear: K must be finite and > 0, got nan"),
+        ("5e-324", "0.3", "LogLinear: 1/K must be finite, got K=5e-324"),
+        ("1", "0", "operating_point: p must be in (0,1), got 0.0"),
+        ("1", "1", "operating_point: p must be in (0,1), got 1.0"),
+        # 1/H(p) is finite, so the first rows pass; c/H(p) overflows from c = 1.25 on
+        ("1", "5.9e-312", "operating_point: the symbol rate overflows at p=5.9e-312, K=1.0, c=1.25"),
+    ],
+)
+def test_fig1_refusals_keep_their_message_and_write_nothing(tmp_path, capsys, K, p, message):
+    out = tmp_path / "x.csv"
+    code = main(["fig1", f"--K={K}", f"--p={p}", "--c-min", "0.5", "--c-max", "3",
+                 "--steps", "11", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert not out.exists()
 
 

@@ -218,6 +218,18 @@ def test_operating_point_examples():
     assert operating_point(0.5, 1.0, 1.0) == (1.0, 0.0)
 
 
+def test_operating_point_of_an_array_is_that_of_each_rate():
+    # the array path and the one-rate path (a scalar bisection) agree bit for bit
+    K, p = 1.7, 0.3
+    rates = np.concatenate([np.linspace(0.01, 2.0, 301), [1.0 / K]]).reshape(2, 151)
+    s_eff, D = operating_point(p, K, rates)
+    alpha = compression_given_rate(K, rates)
+    assert s_eff.shape == D.shape == alpha.shape == rates.shape
+    for c, s, d, a in zip(rates.ravel().tolist(), s_eff.ravel().tolist(), D.ravel().tolist(), alpha.ravel().tolist()):
+        assert operating_point(p, K, c) == (s, d)
+        assert compression_given_rate(K, c) == a
+
+
 def test_operating_point_domain():
     with pytest.raises(DomainError):
         operating_point(0.0, 1.0, 1.0)

@@ -14,6 +14,7 @@ from rdcontrol import (
     rd_binary,
     source_entropy,
 )
+from rdcontrol.sources import inverse_binary_entropy_array
 
 H_QUARTER = 0.8112781244591328  # -0.25*log2(0.25) - 0.75*log2(0.75)
 HINV_HALF = 0.11002786443835788  # H(D) = 0.5 on the [0, 1/2] branch
@@ -85,6 +86,46 @@ def test_inverse_binary_entropy_out_of_steps_is_domain_error(monkeypatch):
     monkeypatch.setattr(rdcontrol.sources, "_INV_ENTROPY_MAXITER", 3)
     with pytest.raises(DomainError, match="no convergence"):
         inverse_binary_entropy(0.3)
+
+
+def test_inverse_binary_entropy_array_is_the_scalar_bit_for_bit():
+    rng = np.random.default_rng(20100802)
+    edges = [0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0]
+    y = np.concatenate([edges, rng.uniform(0.0, 1.0, 20_000), 10.0 ** rng.uniform(-323.0, 0.0, 20_000)])
+    got = inverse_binary_entropy_array(y)
+    assert got.shape == y.shape
+    want = [inverse_binary_entropy(v) for v in y.tolist()]
+    assert got.tolist() == want
+    # any shape, and one value alone
+    assert inverse_binary_entropy_array(y[:6].reshape(2, 3)).tolist() == [want[:3], want[3:6]]
+    assert inverse_binary_entropy_array(0.3).shape == ()
+    assert float(inverse_binary_entropy_array(0.3)) == inverse_binary_entropy(0.3)
+
+
+@pytest.mark.parametrize("x0", [0.25, 0.125 + 2.0**-30, 3.0 / 16.0, 2.0**-13, 0.5 - 2.0**-20])
+def test_inverse_binary_entropy_array_freezes_an_exact_root(x0, monkeypatch):
+    # y = H(x0) for a probe x0 of the bisection: the scalar stops there at
+    # fm == 0.  numpy's entropy is moved by a few ulps here, as another
+    # log2 may round, and the array form must still find that exact root.
+    y = binary_entropy(x0)
+    assert inverse_binary_entropy(y) == x0
+    log2 = np.log2
+    monkeypatch.setattr(np, "log2", lambda x: log2(x) * (1.0 + 8 * 2.0**-52))
+    assert inverse_binary_entropy_array(np.array([y, y, 0.5])).tolist()[:2] == [x0, x0]
+
+
+@pytest.mark.parametrize("y", [-1e-9, 1.0 + 1e-9, np.nan])
+def test_inverse_binary_entropy_array_domain(y):
+    with pytest.raises(DomainError, match=f"got {y}"):
+        inverse_binary_entropy_array(np.array([0.5, y, 2.0]))
+
+
+def test_inverse_binary_entropy_array_out_of_steps_is_domain_error(monkeypatch):
+    import rdcontrol.sources
+
+    monkeypatch.setattr(rdcontrol.sources, "_INV_ENTROPY_MAXITER", 3)
+    with pytest.raises(DomainError, match="no convergence in 3 steps at y=0.3"):
+        inverse_binary_entropy_array(np.array([0.0, 0.3]))
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
