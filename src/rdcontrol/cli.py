@@ -208,12 +208,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built on the first call and shared after
-    it, so callers must not change it: parsing reads the parser and keeps
-    nothing of one call for the next, and each subcommand's handler looks
-    its helpers up when it runs."""
+    """A new parser of the command line; ``command`` names the subcommand,
+    whose handler is ``cmd_<command>``."""
     parser = _Parser(prog="rdcontrol", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -222,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", required=True, help="trace CSV output path")
     p_solve.add_argument("--max-iters", type=int, dest="max_iters", default=None)
     p_solve.add_argument("--gamma0", type=float, default=None, help="override step scale")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="solve and cross-check against the grid oracle")
     p_verify.add_argument("scenario", help="scenario JSON file")
@@ -230,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rtol", type=float, default=0.01)
     p_verify.add_argument("--max-iters", type=int, dest="max_iters", default=None)
     p_verify.add_argument("--gamma0", type=float, default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_fig = sub.add_parser("fig1", help="compression-rule sweep over compressed rates")
     p_fig.add_argument("--K", type=float, required=True, help="distortion price")
@@ -239,24 +234,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--c-max", type=float, dest="c_max", required=True)
     p_fig.add_argument("--steps", type=int, default=200)
     p_fig.add_argument("--out", required=True, help="CSV output path")
-    p_fig.set_defaults(func=cmd_fig1)
 
     p_mac = sub.add_parser("mac", help="two-user MAC distortion program")
     p_mac.add_argument("scenario", help="MAC scenario JSON file")
     p_mac.add_argument("--out", required=True, help="region/corner CSV output path")
-    p_mac.set_defaults(func=cmd_mac)
 
     return parser
 
 
+# the parser main shares across its calls, built by the first one: parsing
+# keeps nothing of one call for the next
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # looked up at each call, so a patched handler takes effect
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (RdControlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import DomainError, InfeasibleOffsetError
-from .sources import binary_entropy, inverse_binary_entropy, inverse_binary_entropy_array
+from .sources import binary_entropy, inverse_binary_entropy_array
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,6 @@ def operating_point(p: float, K: float, c):
             f"operating_point: the symbol rate overflows at p={p}, K={K}, "
             f"c={float(rates.flat[i])}"
         )
-    # one rate: the scalar bisection, as the array one pays numpy's per-call
-    # cost on each of its ~40 steps (1.1 ms against 13 us for one rate)
-    if not np.ndim(c):
-        return float(s_eff), (inverse_binary_entropy(float(y)) if lossy else 0.0)
     D = np.zeros_like(rates)
     D[lossy] = inverse_binary_entropy_array(y[lossy])
-    return s_eff, D
+    return (s_eff, D) if np.ndim(c) else (float(s_eff), float(D))

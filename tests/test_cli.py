@@ -25,7 +25,7 @@ from rdcontrol import (
     operating_point,
     solve,
 )
-from rdcontrol.cli import _CSV_CHUNK, MAX_FIG1_STEPS, build_parser, fmt, main, write_trace_csv
+from rdcontrol.cli import _CSV_CHUNK, MAX_FIG1_STEPS, _parser, build_parser, fmt, main, write_trace_csv
 from rdcontrol.scenario import load_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -89,20 +89,34 @@ def test_import_loads_no_scipy():
 
 def test_import_builds_no_parser():
     # the parser is built by the first main call, not paid for at import
-    probe = "import rdcontrol.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    probe = "import rdcontrol.cli as cli; print(cli._parser.cache_info().currsize)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "0"
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys):
-    build_parser.cache_clear()
+    _parser.cache_clear()
     fig = ["fig1", "--K", "1", "--p", "0.5", "--c-min", "0.1", "--c-max", "2", "--steps", "5"]
     assert main(["solve"]) == 1
     assert main([*fig, "--out", str(tmp_path / "a.csv")]) == 0
     assert main([*fig, "--out", str(tmp_path / "b.csv")]) == 0
-    info = build_parser.cache_info()
+    info = _parser.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+    capsys.readouterr()
+    # the public builder still gives each caller a parser of its own
+    assert build_parser() is not build_parser()
+    assert build_parser() is not _parser()
+
+
+def test_a_handler_patched_after_the_parser_is_built_runs(tmp_path, monkeypatch, capsys):
+    fig = ["fig1", "--K", "1", "--p", "0.5", "--c-min", "0.1", "--c-max", "2", "--steps", "5",
+           "--out", str(tmp_path / "fig.csv")]
+    assert main(fig) == 0  # the shared parser exists from here on
+    seen = []
+    monkeypatch.setattr("rdcontrol.cli.cmd_fig1", lambda args: seen.append(args.steps) or 7)
+    assert main(fig) == 7
+    assert seen == [5]
     capsys.readouterr()
 
 

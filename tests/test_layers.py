@@ -20,6 +20,7 @@ from rdcontrol import (
     compression_given_rate,
     compression_subproblem,
     congestion_subproblem,
+    inverse_binary_entropy,
     operating_point,
 )
 from rdcontrol.orchestrator import _Kernel
@@ -219,14 +220,23 @@ def test_operating_point_examples():
 
 
 def test_operating_point_of_an_array_is_that_of_each_rate():
-    # the array path and the one-rate path (a scalar bisection) agree bit for bit
+    # an array of rates and each rate alone give, bit for bit, the rule
+    # decoded one rate at a time with the scalar entropy inverse
     K, p = 1.7, 0.3
+    hp = binary_entropy(p)
     rates = np.concatenate([np.linspace(0.01, 2.0, 301), [1.0 / K]]).reshape(2, 151)
     s_eff, D = operating_point(p, K, rates)
     alpha = compression_given_rate(K, rates)
     assert s_eff.shape == D.shape == alpha.shape == rates.shape
     for c, s, d, a in zip(rates.ravel().tolist(), s_eff.ravel().tolist(), D.ravel().tolist(), alpha.ravel().tolist()):
-        assert operating_point(p, K, c) == (s, d)
+        if 1.0 / K >= c:
+            want = (1.0 / (K * hp), inverse_binary_entropy(hp * (1.0 - c * K)))
+        else:
+            want = (c / hp, 0.0)
+        assert (s, d) == want
+        assert a == max(1.0 / K, c)
+        one = operating_point(p, K, c)
+        assert one == want and all(type(v) is float for v in one)
         assert compression_given_rate(K, c) == a
 
 
